@@ -10,7 +10,6 @@ functions either return new values or raise.
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -24,9 +23,6 @@ SELECTED_SENSORS = (2, 3, 4, 7, 8, 9, 11, 12, 13, 14, 15, 17, 20, 21)
 
 # Remaining-life labels saturate at this many cycles before normalization.
 RUL_KNEE = 125
-
-CACHE_MAGIC = b"DMWC"
-CACHE_VERSION = 1
 
 
 class ParseError(ValueError):
@@ -261,44 +257,3 @@ def group_by_unit(samples: Sequence[WindowSample]) -> dict[int, list[WindowSampl
         unit_samples.sort(key=lambda s: s.anchor_index)
     return groups
 
-
-# --------------------------------------------------------------------------
-# window cache
-# --------------------------------------------------------------------------
-#
-# Byte layout (little-endian): magic b"DMWC", u32 version, u32 sample count,
-# u32 w, u32 m_vars; then per sample: i64 unit_id, i64 anchor_index,
-# i64 true_rul_cycles, f64 label, then w*m_vars float64 values, row-major.
-
-def save_window_cache(path: str, samples: Sequence[WindowSample]) -> None:
-    if not samples:
-        raise ValueError("refusing to cache an empty sample list")
-    w, m_vars = samples[0].values.shape
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<IIII", CACHE_VERSION, len(samples), w, m_vars))
-        for s in samples:
-            if s.values.shape != (w, m_vars):
-                raise ValueError("inconsistent window shapes in cache")
-            f.write(struct.pack("<qqqd", s.unit_id, s.anchor_index,
-                                s.true_rul_cycles, s.label))
-            f.write(np.ascontiguousarray(s.values, dtype="<f8").tobytes())
-
-
-def load_window_cache(path: str) -> list[WindowSample]:
-    with open(path, "rb") as f:
-        if f.read(4) != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a window cache")
-        version, count, w, m_vars = struct.unpack("<IIII", f.read(16))
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        samples = []
-        for _ in range(count):
-            unit_id, anchor, true_rul, label = struct.unpack("<qqqd", f.read(32))
-            raw = f.read(w * m_vars * 8)
-            if len(raw) != w * m_vars * 8:
-                raise ValueError(f"{path}: truncated cache")
-            values = np.frombuffer(raw, dtype="<f8").reshape(w, m_vars).copy()
-            samples.append(WindowSample(values=values, label=label, unit_id=unit_id,
-                                        anchor_index=anchor, true_rul_cycles=true_rul))
-    return samples

@@ -7,6 +7,12 @@ positive, and optimizes a distance-weighted InfoNCE plus the regression
 error of all group members. Far-in-life negatives get their contrastive
 logits amplified, so the feature space is pushed to order itself by
 remaining life rather than merely separating neighbors from strangers.
+
+A training batch stacks every group's windows into one forward_batch call
+and scores all groups with batch_loss, a single tape node with a
+closed-form backward. dw_info_nce and mse_all compute the same terms for
+one group from scalar tape ops; they are the reference batch_loss is
+tested against.
 """
 
 from __future__ import annotations
@@ -125,25 +131,15 @@ def _draw_without_replacement(rng: np.random.Generator, probs: np.ndarray,
     return out
 
 
-def gaussian_threshold_sample(rng: np.random.Generator, t: int, i: int,
-                              cfg: FsgriConfig) -> list[int]:
-    """m distinct negative indices for anchor i of a t-window unit."""
-    probs = threshold_probabilities(t, i, cfg.beta, cfg.sigma1)
-    eligible = int(np.count_nonzero(probs))
-    if eligible < cfg.m:
-        raise ShortSeriesError(f"{eligible} eligible negatives for anchor {i} "
-                               f"of {t} windows, need {cfg.m}")
-    return _draw_without_replacement(rng, probs, cfg.m)
-
-
 def sample_negatives(rng: np.random.Generator, t: int, i: int,
                      cfg: FsgriConfig) -> list[int]:
-    """gaussian_threshold_sample with a short-series fallback.
+    """m distinct negative indices for anchor i of a t-window unit.
 
-    When the band leaves fewer than m eligible indices, beta is halved until
-    enough survive or it drops below 1/t; past that, indices are drawn
-    uniformly from everything except the anchor. Units with at most m other
-    windows cannot be sampled at all.
+    Gaussian threshold sampling: m sequential draws without replacement
+    from threshold_probabilities. When the band leaves fewer than m
+    eligible indices, beta is halved until enough survive or it drops below
+    1/t; past that, indices are drawn uniformly from everything except the
+    anchor. Units with at most m other windows cannot be sampled at all.
     """
     if t - 1 < cfg.m:
         raise ShortSeriesError(f"unit has {t} windows; need more than {cfg.m}")
@@ -190,7 +186,8 @@ def build_group(rng: np.random.Generator, unit_windows: Sequence[WindowSample],
 
 def distance_weights(anchor_rul: float, neg_ruls: Sequence[float],
                      lam: float) -> np.ndarray:
-    """Per-negative logit weights: lam * (life gap)^2."""
+    """Per-negative logit weights: lam * (life gap)^2. Arrays broadcast, so
+    a column of anchor labels weighs a G x m block of negatives at once."""
     gaps = anchor_rul - np.asarray(neg_ruls, dtype=float)
     return lam * gaps ** 2
 
@@ -241,18 +238,77 @@ def mse_all(pred_anchor: Tensor, pred_pos: Tensor, pred_negs: Sequence[Tensor],
     return out
 
 
-def _group_loss(feats: Tensor, ruls: Tensor, base: int, l: int,
-                group: ContrastiveGroup, cfg: FsgriConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """Both loss terms for the group occupying window slots base..base+m+1
-    of a stacked forward (slot order: anchor, positive, negatives)."""
-    count = 2 + len(group.negatives)
-    z = [nx.rows_slice(feats, (base + k) * l, (base + k + 1) * l) for k in range(count)]
-    preds = [nx.rows_slice(ruls, base + k, base + k + 1) for k in range(count)]
-    labels = group.negative_labels
-    contrastive = dw_info_nce(z[0], z[1], z[2:], group.anchor.label, labels,
-                              cfg.lam, cfg.tau)
-    regression = mse_all(preds[0], preds[1], preds[2:], group.anchor.label, labels)
-    return nx.add(contrastive, regression), contrastive, regression
+def batch_loss(feats: Tensor, ruls: Tensor, labels: np.ndarray,
+               cfg: FsgriConfig) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """dw_info_nce + mse_all summed over G groups, as one tape node.
+
+    feats is the stacked (G*K*l) x d forward output and ruls the G*K x 1
+    predictions, K = m + 2 windows per group in slot order anchor, positive,
+    negatives; labels is G x K in the same order (the positive carries the
+    anchor's label). Each window's l x d block is read row-major, as
+    cosine_similarity reads it, through a (G, K, l*d) view. Returns the
+    1x1 batch sum on the tape of feats/ruls, and the per-group contrastive
+    and regression terms as plain arrays. The backward is closed-form.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    n_groups, k = labels.shape
+    if k < 3 or ruls.shape != (n_groups * k, 1) or feats.rows % (n_groups * k):
+        raise nx.ShapeError(f"batch_loss: {feats.shape} features and {ruls.shape} "
+                            f"predictions do not hold {n_groups} groups of {k}")
+    fshape = feats.shape
+    z = feats.data.reshape(n_groups, k, -1)
+    norms = np.linalg.norm(z, axis=2)
+    if np.any(norms == 0.0):
+        raise nx.DegenerateVectorError("batch_loss: a window's features have zero norm")
+    anchor, others = z[:, 0], z[:, 1:]
+    denom = norms[:, :1] * norms[:, 1:]
+    cos = np.einsum("gd,gjd->gj", anchor, others) / denom
+    # logit weights: 1 on the positive, lam * (life gap)^2 on the negatives
+    coef = np.empty((n_groups, k - 1))
+    coef[:, 0] = 1.0 / cfg.tau
+    coef[:, 1:] = distance_weights(labels[:, :1], labels[:, 2:], cfg.lam) / cfg.tau
+    logits = cos * coef
+    top = logits.max(axis=1, keepdims=True)
+    shifted = np.exp(logits - top)
+    total = shifted.sum(axis=1)
+    contrastive = np.log(total) + top[:, 0] - logits[:, 0]
+    err = ruls.data.reshape(n_groups, k) - labels
+    sq = err * err
+    inv_m = 1.0 / (k - 2)
+    regression = sq[:, 0] + sq[:, 1] + sq[:, 2:].sum(axis=1) * inv_m
+    out = np.array([[np.sum(contrastive + regression)]])
+
+    def bwd(adj):
+        a0 = float(adj[0, 0])
+        # softmax minus the positive's indicator, chained through the weights
+        dcos = shifted / total[:, None]
+        dcos[:, 0] -= 1.0
+        dcos *= coef * a0
+        c_cos = dcos * cos
+        dz = np.empty_like(z)
+        dz[:, 0] = (np.einsum("gj,gjd->gd", dcos / denom, others)
+                    - (c_cos.sum(axis=1) / norms[:, 0] ** 2)[:, None] * anchor)
+        dz[:, 1:] = ((dcos / denom)[:, :, None] * anchor[:, None, :]
+                     - (c_cos / norms[:, 1:] ** 2)[:, :, None] * others)
+        druls = (2.0 * a0) * err
+        druls[:, 2:] *= inv_m
+        return dz.reshape(fshape), druls.reshape(-1, 1)
+
+    g = nx._resolve_graph(feats, ruls)
+    loss = nx._record(g, "fsgri_batch_loss", out, (nx._nid(g, feats), nx._nid(g, ruls)), bwd)
+    return loss, contrastive, regression
+
+
+def _score_groups(params: dm.DualMixerParams, groups: Sequence[ContrastiveGroup],
+                  cfg: FsgriConfig, graph: Optional[nx.Graph]
+                  ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Stack every group member into one forward and score it with batch_loss."""
+    stack, labels = [], []
+    for grp in groups:
+        stack += [grp.anchor.values, grp.positive] + [n.values for n in grp.negatives]
+        labels.append([grp.anchor.label, grp.anchor.label] + grp.negative_labels)
+    feats, ruls = dm.forward_batch(params, Tensor(np.vstack(stack)), len(stack), graph)
+    return batch_loss(feats, ruls, np.array(labels), cfg)
 
 
 def fsgri_loss(group: ContrastiveGroup, params: dm.DualMixerParams,
@@ -260,12 +316,7 @@ def fsgri_loss(group: ContrastiveGroup, params: dm.DualMixerParams,
                graph: Optional[nx.Graph] = None) -> Tensor:
     """Combined loss for one group, on a single tape: the distance-weighted
     contrastive term plus the group's regression errors."""
-    windows = [group.anchor.values, group.positive]
-    windows += [n.values for n in group.negatives]
-    feats, ruls = dm.forward_batch(params, Tensor(np.vstack(windows)),
-                                   len(windows), graph)
-    total, _, _ = _group_loss(feats, ruls, 0, params.config.l, group, cfg)
-    return total
+    return _score_groups(params, [group], cfg, graph)[0]
 
 
 # --------------------------------------------------------------------------
@@ -335,39 +386,23 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
         raise ValueError("no unit has enough windows for negative sampling")
     order = stratified_order(usable, np.random.default_rng((epoch_seed, 0x0D0E)))
     batch_size = cfg.anchor_batch
-    l = params.config.l
-    total = total_con = total_reg = 0.0
-    batches = anchors = encodings = 0
+    total_con = total_reg = 0.0
+    batches = anchors = 0
     for start in range(0, len(order), batch_size):
         chunk = order[start:start + batch_size]
-        batch_groups = []
-        stack = []
-        for uid, i in chunk:
-            rng = np.random.default_rng((epoch_seed, uid, i))
-            grp = build_group(rng, usable[uid], i, cfg)
-            batch_groups.append(grp)
-            stack.append(grp.anchor.values)
-            stack.append(grp.positive)
-            stack.extend(n.values for n in grp.negatives)
+        batch_groups = [build_group(np.random.default_rng((epoch_seed, uid, i)),
+                                    usable[uid], i, cfg) for uid, i in chunk]
         graph = nx.Graph()
-        feats, ruls = dm.forward_batch(params, Tensor(np.vstack(stack)),
-                                       len(stack), graph)
-        batch_sum = None
-        for a, grp in enumerate(batch_groups):
-            loss, contrastive, regression = _group_loss(
-                feats, ruls, a * (cfg.m + 2), l, grp, cfg)
-            batch_sum = loss if batch_sum is None else nx.add(batch_sum, loss)
-            total += loss.item()
-            total_con += contrastive.item()
-            total_reg += regression.item()
+        batch_sum, contrastive, regression = _score_groups(params, batch_groups, cfg, graph)
+        total_con += float(contrastive.sum())
+        total_reg += float(regression.sum())
         graph.backward(nx.scale(batch_sum, 1.0 / cfg.b))
         nx.adam_step(optimizer, dm.named_arrays(params), graph.grads)
         batches += 1
         anchors += len(chunk)
-        encodings += len(stack)
-    return EpochStats(mean_loss=total / anchors,
+    return EpochStats(mean_loss=(total_con + total_reg) / anchors,
                       mean_contrastive=total_con / anchors,
                       mean_regression=total_reg / anchors,
                       batches=batches, anchor_batch_size=batch_size,
-                      anchors=anchors, encodings=encodings,
+                      anchors=anchors, encodings=anchors * (cfg.m + 2),
                       skipped_anchors=skipped)

@@ -17,7 +17,7 @@ import logging
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np

@@ -18,6 +18,10 @@ Ablation variants prune pieces of this layout:
   oT    temporal path only, its output gate kept
   oS    spatial path only, its output gate kept
 
+Every variant runs the same forward: forward_batch calls dml_forward for
+each layer, and a pruned piece is None in the parameters and is skipped
+there (a removed path is carried as None from input to merge).
+
 All linear maps are bias-free; layer norms carry gain and bias. Parameters
 are plain float64 arrays here and are wrapped onto a tape by the forward
 functions when a graph is supplied.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,15 +74,9 @@ class MlpBlockParams:
 
 @dataclass
 class GateParams:
-    """A square sigmoid mask: sigmoid(x @ Wg) * x.
-
-    pre_bias is a diagnostic knob added to the pre-activation; large negative
-    values drive the mask toward zero for limit checks. It is 0 in normal use
-    and is not persisted in checkpoints.
-    """
+    """A square sigmoid mask: sigmoid(x @ Wg) * x."""
 
     Wg: np.ndarray
-    pre_bias: float = 0.0
 
 
 @dataclass
@@ -184,10 +182,6 @@ def make_variant(config: ModelConfig, variant: str) -> DualMixerParams:
                            w_r=w_r)
 
 
-def init_params(config: ModelConfig) -> DualMixerParams:
-    return make_variant(config, "full")
-
-
 def named_arrays(p: DualMixerParams) -> dict[str, np.ndarray]:
     """All learnable arrays keyed by their canonical names, in the fixed
     order used for initialization and checkpoints. Forward passes register
@@ -244,10 +238,7 @@ def gate_forward(p: GateParams, x: Tensor,
                  graph: Optional[nx.Graph] = None, scope: str = "gate") -> Tensor:
     """sigmoid(x @ Wg) * x, elementwise."""
     wg = _leaf(graph, f"{scope}.wg", p.Wg)
-    pre = nx.matmul(x, wg)
-    if p.pre_bias != 0.0:
-        pre = nx.add(pre, Tensor(np.full(pre.shape, p.pre_bias)))
-    return nx.hadamard(nx.sigmoid(pre), x)
+    return nx.hadamard(nx.sigmoid(nx.matmul(x, wg)), x)
 
 
 def _ln_forward(p: LayerNormParams, x: Tensor, graph, scope: str) -> Tensor:
@@ -256,20 +247,28 @@ def _ln_forward(p: LayerNormParams, x: Tensor, graph, scope: str) -> Tensor:
     return nx.layer_norm(x, gain, bias)
 
 
-def dml_forward(p: DmlLayerParams, x_t: Tensor, x_s: Tensor,
+def _mix(mlp: Optional[MlpBlockParams], ln: Optional[LayerNormParams],
+         x: Optional[Tensor], graph, mlp_scope: str, ln_scope: str) -> Optional[Tensor]:
+    """LayerNorm(MLP(x) + x), or None on a path the layer does not have."""
+    if mlp is None:
+        return None
+    return _ln_forward(ln, nx.add(mlp_block_forward(mlp, x, graph, mlp_scope), x),
+                       graph, ln_scope)
+
+
+def dml_forward(p: DmlLayerParams, x_t: Optional[Tensor], x_s: Optional[Tensor],
                 graph: Optional[nx.Graph] = None, scope: str = "layer0",
-                batch: int = 1) -> tuple[Tensor, Tensor]:
+                batch: int = 1) -> tuple[Optional[Tensor], Optional[Tensor]]:
     """One mixer layer on both paths.
 
     x_t is (batch*l) x d, x_s is (batch*d) x l; with batch > 1 the samples
     are stacked vertically and every op here is row-shared, so the result
-    equals per-sample application. When the layer has no cross gates the
+    equals per-sample application. A path the variant removes (oT, oS) is
+    None on the way in and out. When the layer has no cross gates the
     residual stages are returned directly (paths stay independent).
     """
-    z_t = _ln_forward(p.ln_t1, nx.add(mlp_block_forward(p.m1, x_t, graph, f"{scope}.m1"), x_t),
-                      graph, f"{scope}.ln_t1")
-    z_s = _ln_forward(p.ln_s1, nx.add(mlp_block_forward(p.m2, x_s, graph, f"{scope}.m2"), x_s),
-                      graph, f"{scope}.ln_s1")
+    z_t = _mix(p.m1, p.ln_t1, x_t, graph, f"{scope}.m1", f"{scope}.ln_t1")
+    z_s = _mix(p.m2, p.ln_s1, x_s, graph, f"{scope}.m2", f"{scope}.ln_s1")
     if p.g1 is None:
         return z_t, z_s
     from_spatial = nx.block_transpose(gate_forward(p.g2, z_s, graph, f"{scope}.g2"), batch)
@@ -286,39 +285,26 @@ def forward_batch(p: DualMixerParams, x: Tensor, batch: int,
     x is (batch*l) x m_vars; returns the merged features as (batch*l) x d
     and the life estimates as a batch x 1 tensor. Row-shared ops plus
     per-block transposes make this bit-identical to running each window
-    through model_forward separately.
+    through model_forward separately. Every variant takes this one path: a
+    removed path is None through the layers, and each remaining path is
+    gated at the output when the variant has its gate.
     """
     cfg = p.config
     if x.shape != (batch * cfg.l, cfg.m_vars):
         raise nx.ShapeError(
             f"expected input {(batch * cfg.l, cfg.m_vars)} for batch={batch}, got {x.shape}")
     proj = nx.matmul(x, _leaf(graph, "w_in", p.w_in))
-    variant = p.variant
-    if variant == "oT":
-        h = proj
-        for i, layer in enumerate(p.layers):
-            h = _ln_forward(layer.ln_t1,
-                            nx.add(mlp_block_forward(layer.m1, h, graph, f"layer{i}.m1"), h),
-                            graph, f"layer{i}.ln_t1")
-        merged = gate_forward(p.g_out_t, h, graph, "g_out_t")
-    elif variant == "oS":
-        s = nx.block_transpose(proj, batch)
-        for i, layer in enumerate(p.layers):
-            s = _ln_forward(layer.ln_s1,
-                            nx.add(mlp_block_forward(layer.m2, s, graph, f"layer{i}.m2"), s),
-                            graph, f"layer{i}.ln_s1")
-        merged = gate_forward(p.g_out_s, nx.block_transpose(s, batch), graph, "g_out_s")
-    else:
-        x_t = proj
-        x_s = nx.block_transpose(proj, batch)
-        for i, layer in enumerate(p.layers):
-            x_t, x_s = dml_forward(layer, x_t, x_s, graph, f"layer{i}", batch)
-        s_feat = nx.block_transpose(x_s, batch)
-        if p.g_out_t is not None:
-            merged = nx.add(gate_forward(p.g_out_t, x_t, graph, "g_out_t"),
-                            gate_forward(p.g_out_s, s_feat, graph, "g_out_s"))
-        else:
-            merged = nx.add(x_t, s_feat)
+    x_t = proj if _has_temporal(p.variant) else None
+    x_s = nx.block_transpose(proj, batch) if _has_spatial(p.variant) else None
+    for i, layer in enumerate(p.layers):
+        x_t, x_s = dml_forward(layer, x_t, x_s, graph, f"layer{i}", batch)
+    s_feat = None if x_s is None else nx.block_transpose(x_s, batch)
+    if p.g_out_t is not None:
+        x_t = gate_forward(p.g_out_t, x_t, graph, "g_out_t")
+    if p.g_out_s is not None:
+        s_feat = gate_forward(p.g_out_s, s_feat, graph, "g_out_s")
+    parts = [f for f in (x_t, s_feat) if f is not None]
+    merged = parts[0] if len(parts) == 1 else nx.add(*parts)
     flat = nx.reshape(merged, batch, cfg.l * cfg.d)
     rul = nx.matmul(flat, _leaf(graph, "w_r", p.w_r))
     return merged, rul
@@ -369,28 +355,44 @@ def save_checkpoint(path: str, p: DualMixerParams) -> None:
 
 
 def load_checkpoint(path: str) -> DualMixerParams:
-    """Rebuild a model from a checkpoint; round-trips bit-exactly."""
+    """Rebuild a model from a checkpoint; round-trips bit-exactly.
+
+    Any file that does not hold exactly one well-formed checkpoint (bad
+    magic or version, a cut or malformed header, missing array data, or
+    bytes after the last array) raises ValueError.
+    """
     with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        blob = f.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a model checkpoint")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    version, hlen = struct.unpack_from("<II", blob, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    offset = 12 + hlen
+    if offset > len(blob):
+        raise ValueError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(blob[12:offset].decode("utf-8"))
         config = ModelConfig(l=header["l"], m_vars=header["m_vars"], d=header["d"],
                              n_layers=header["n_layers"], seed=header["seed"])
         p = make_variant(config, header["variant"])
-        arrays = named_arrays(p)
-        listed = [name for name, _, _ in header["arrays"]]
-        if listed != list(arrays):
-            raise ValueError(f"{path}: array list does not match variant structure")
-        for name, rows, cols in header["arrays"]:
-            dest = arrays[name]
-            if dest.shape != (rows, cols):
-                raise ValueError(f"{path}: shape mismatch for {name}")
-            raw = f.read(rows * cols * 8)
-            if len(raw) != rows * cols * 8:
-                raise ValueError(f"{path}: truncated array data for {name}")
-            dest[...] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+        listed = [(str(name), int(rows), int(cols)) for name, rows, cols in header["arrays"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
+    arrays = named_arrays(p)
+    if [name for name, _, _ in listed] != list(arrays):
+        raise ValueError(f"{path}: array list does not match variant structure")
+    for name, rows, cols in listed:
+        dest = arrays[name]
+        if dest.shape != (rows, cols):
+            raise ValueError(f"{path}: shape mismatch for {name}")
+        if offset + dest.nbytes > len(blob):
+            raise ValueError(f"{path}: truncated array data for {name}")
+        dest[...] = np.frombuffer(blob, dtype="<f8", count=dest.size,
+                                  offset=offset).reshape(rows, cols)
+        offset += dest.nbytes
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last array")
     return p

@@ -92,41 +92,36 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
-        self._params: dict[str, Tensor] = {}
+        self._params: dict[str, tuple[np.ndarray, int]] = {}
         self.grads: dict[str, np.ndarray] = {}
 
     def _add_node(self, op, inputs, backward, shape) -> int:
         self.nodes.append(TapeNode(op, inputs, backward, shape))
         return len(self.nodes) - 1
 
-    def constant(self, data) -> Tensor:
-        """Wrap data for use in taped expressions without gradient flow."""
-        return Tensor(data)
-
     def parameter(self, name: str, data: np.ndarray) -> Tensor:
         """Register (or fetch) a named learnable leaf.
 
-        Registering the same name again returns the existing leaf, so a
-        weight used at several tape positions accumulates its gradients
-        additively. The array is used as storage, not copied.
+        Registering the same name again returns a tensor on the existing
+        leaf, so a weight used at several tape positions accumulates its
+        gradients additively. The array is used as storage, not copied.
+        The registry keeps (array, node id) pairs rather than tensors, so no
+        reference cycle runs through the graph and a finished tape is freed
+        as soon as its last tensor is dropped.
         """
         existing = self._params.get(name)
         if existing is not None:
-            if existing.data is not data:
+            arr, nid = existing
+            if arr is not data:
                 raise GraphError(f"parameter {name!r} re-registered with different storage")
-            return existing
+            return Tensor(arr, self, nid)
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"parameter {name!r} must be 2-D, got {arr.shape}")
         nid = self._add_node("param", (), None, arr.shape)
-        t = Tensor(arr, self, nid)
-        self._params[name] = t
+        self._params[name] = (arr, nid)
         self.grads[name] = np.zeros_like(arr)
-        return t
-
-    @property
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
+        return Tensor(arr, self, nid)
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -165,16 +160,11 @@ class Graph:
                 else:
                     adjoint[iid] = adjoint[iid] + contrib
                     owned[iid] = True
-        for name, leaf in self._params.items():
-            adj = adjoint[leaf.node_id]
+        for name, (_, nid) in self._params.items():
+            adj = adjoint[nid]
             if adj is not None:
                 self.grads[name] += adj
         return self.grads
-
-
-def backward(graph: Graph, loss: Tensor) -> dict[str, np.ndarray]:
-    """Module-level alias for :meth:`Graph.backward`."""
-    return graph.backward(loss)
 
 
 # --------------------------------------------------------------------------

@@ -73,7 +73,7 @@ class TestPropertySuite:
             # a fixed random mask makes the scalar loss sensitive everywhere
             mk = rng.normal(size=out_shape)
             return params, lambda g, p: nx.sum_all(
-                nx.hadamard(op(g, p), g.constant(mk)))
+                nx.hadamard(op(g, p), Tensor(mk)))
 
         def a34():
             return {"a": rng.normal(size=(3, 4))}
@@ -181,8 +181,8 @@ class TestPropertySuite:
             u, feats = features_with_scores(rng, 6, [0.7, s, s, s, s])
             gaps = np.sort(rng.uniform(0.05, 0.95, 4))
             graph = nx.Graph()
-            zi = graph.constant(u[None, :])
-            zp = graph.constant(feats[0][None, :])
+            zi = Tensor(u[None, :])
+            zp = Tensor(feats[0][None, :])
             zn = [graph.parameter(f"neg{k}", feats[1 + k][None, :].copy())
                   for k in range(4)]
             loss = fs.dw_info_nce(zi, zp, zn, anchor_rul=1.0,

@@ -1,4 +1,4 @@
-"""Parsing, preprocessing, windowing, labels, and the window cache."""
+"""Parsing, preprocessing, windowing and labels."""
 
 import numpy as np
 import pytest
@@ -244,35 +244,3 @@ class TestGrouping:
         assert [s.anchor_index for s in groups[1]] == [0, 1]
         assert [s.anchor_index for s in groups[2]] == [0, 1]
 
-
-class TestWindowCache:
-
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(12)
-        samples = [dd.WindowSample(values=rng.normal(size=(6, 4)),
-                                   label=float(rng.uniform()), unit_id=int(u),
-                                   anchor_index=int(i), true_rul_cycles=int(i * 3))
-                   for u in (1, 2) for i in range(3)]
-        path = str(tmp_path / "windows.cache")
-        dd.save_window_cache(path, samples)
-        back = dd.load_window_cache(path)
-        assert len(back) == len(samples)
-        for a, b in zip(samples, back):
-            np.testing.assert_array_equal(a.values, b.values)
-            assert (a.label, a.unit_id, a.anchor_index, a.true_rul_cycles) == \
-                   (b.label, b.unit_id, b.anchor_index, b.true_rul_cycles)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.cache"
-        path.write_bytes(b"XXXX" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            dd.load_window_cache(str(path))
-
-    def test_truncated_cache_rejected(self, tmp_path):
-        samples = [dd.WindowSample(np.zeros((3, 2)), 0.1, 1, 0, 4)]
-        path = tmp_path / "short.cache"
-        dd.save_window_cache(str(path), samples)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(ValueError):
-            dd.load_window_cache(str(path))

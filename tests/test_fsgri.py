@@ -82,15 +82,10 @@ class TestThresholdSampling:
         for trial in range(50):
             t = int(rng.integers(50, 120))
             i = int(rng.integers(0, t))
-            idx = fs.gaussian_threshold_sample(rng, t, i, cfg)
+            idx = fs.sample_negatives(rng, t, i, cfg)
             assert len(set(idx)) == cfg.m
             assert all(0 <= k < t for k in idx)
             assert all(abs(k - i) > t * cfg.beta / 2.0 for k in idx)
-
-    def test_insufficient_eligible_raises(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(fs.ShortSeriesError):
-            fs.gaussian_threshold_sample(rng, 12, 5, fs.FsgriConfig(m=2, beta=0.9))
 
     def test_fallback_relaxes_the_band(self):
         """When the band starves the pool, beta halves until m fit."""
@@ -243,6 +238,97 @@ class TestMseAll:
         loss = fs.mse_all(self.scalar(pa), self.scalar(pp),
                           [self.scalar(p) for p in pns], ya, list(yns))
         assert abs(loss.item() - self.mse_oracle(pa, pp, pns, ya, yns)) < 1e-12
+
+
+class TestBatchLoss:
+    """The batched loss node against the scalar reference dw_info_nce +
+    mse_all, which is built from one cosine and one slice per pair."""
+
+    def random_batch(self, rng, groups, m, l=3, d=4):
+        k = m + 2
+        feats = rng.normal(size=(groups * k * l, d))
+        ruls = rng.uniform(size=(groups * k, 1))
+        labels = rng.uniform(size=(groups, k))
+        labels[:, 1] = labels[:, 0]  # the positive carries the anchor's label
+        return feats, ruls, labels, l
+
+    def reference(self, feats, ruls, labels, l, cfg):
+        """Per-group (contrastive, regression) tensors on the operands' tape."""
+        out = []
+        k = labels.shape[1]
+        for g in range(labels.shape[0]):
+            base = g * k
+            z = [nx.rows_slice(feats, (base + j) * l, (base + j + 1) * l) for j in range(k)]
+            p = [nx.rows_slice(ruls, base + j, base + j + 1) for j in range(k)]
+            ya, yn = float(labels[g, 0]), [float(y) for y in labels[g, 2:]]
+            out.append((fs.dw_info_nce(z[0], z[1], z[2:], ya, yn, cfg.lam, cfg.tau),
+                        fs.mse_all(p[0], p[1], p[2:], ya, yn)))
+        return out
+
+    @pytest.mark.parametrize("groups,m", [(1, 1), (3, 1), (1, 5), (4, 2), (21, 5)])
+    def test_matches_the_scalar_reference(self, groups, m):
+        rng = np.random.default_rng(100 + 10 * groups + m)
+        cfg = fs.FsgriConfig(m=m, lam=2.0, tau=0.1)
+        for _ in range(3):
+            feats, ruls, labels, l = self.random_batch(rng, groups, m)
+            g1 = nx.Graph()
+            loss, con, reg = fs.batch_loss(g1.parameter("f", feats), g1.parameter("r", ruls),
+                                           labels, cfg)
+            got = g1.backward(loss)
+            g2 = nx.Graph()
+            parts = self.reference(g2.parameter("f", feats), g2.parameter("r", ruls),
+                                   labels, l, cfg)
+            want_con = np.array([c.item() for c, _ in parts])
+            want_reg = np.array([r.item() for _, r in parts])
+            np.testing.assert_allclose(con, want_con, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(reg, want_reg, rtol=1e-12, atol=1e-12)
+            assert abs(loss.item() - (want_con.sum() + want_reg.sum())) <= \
+                1e-12 * max(1.0, abs(loss.item()))
+            total = None
+            for c, r in parts:
+                term = nx.add(c, r)
+                total = term if total is None else nx.add(total, term)
+            want = g2.backward(total)
+            assert max_rel_err(got, want) < 1e-12
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(120)
+        cfg = fs.FsgriConfig(m=2, lam=2.0, tau=0.5)
+        feats, ruls, labels, _ = self.random_batch(rng, 2, 2)
+        arrays = {"f": feats, "r": ruls}
+        g = nx.Graph()
+        loss, _, _ = fs.batch_loss(g.parameter("f", feats), g.parameter("r", ruls),
+                                   labels, cfg)
+        got = g.backward(loss)
+        want = finite_diff_grads(
+            lambda: fs.batch_loss(Tensor(feats), Tensor(ruls), labels, cfg)[0].item(),
+            arrays)
+        assert max_rel_err(got, want) < 1e-4
+
+    def test_a_batch_adds_one_node_after_the_forward(self):
+        params = dm.make_variant(dm.ModelConfig(l=4, m_vars=3, d=4, n_layers=1, seed=5), "full")
+        rng = np.random.default_rng(121)
+        groups, m = 6, 3
+        x = rng.normal(size=(groups * (m + 2) * 4, 3))
+        graph = nx.Graph()
+        feats, ruls = dm.forward_batch(params, Tensor(x), groups * (m + 2), graph)
+        before = len(graph.nodes)
+        labels = rng.uniform(size=(groups, m + 2))
+        fs.batch_loss(feats, ruls, labels, fs.FsgriConfig(m=m))
+        assert len(graph.nodes) == before + 1
+
+    def test_zero_feature_rejected(self):
+        rng = np.random.default_rng(122)
+        feats, ruls, labels, l = self.random_batch(rng, 2, 2)
+        feats[7 * l:8 * l] = 0.0  # the second group's second negative
+        with pytest.raises(nx.DegenerateVectorError):
+            fs.batch_loss(Tensor(feats), Tensor(ruls), labels, fs.FsgriConfig(m=2))
+
+    def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(123)
+        feats, ruls, labels, _ = self.random_batch(rng, 2, 2)
+        with pytest.raises(nx.ShapeError):
+            fs.batch_loss(Tensor(feats), Tensor(ruls[:-1]), labels, fs.FsgriConfig(m=2))
 
 
 class TestCombinedLoss:

@@ -1,9 +1,11 @@
 """Run orchestration tests: config handling, the two trainers, metrics,
 sweeps, export, and the command line."""
 
+import gc
 import glob
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ import pytest
 import dualmixer.cli as cli
 import dualmixer.data as dd
 import dualmixer.harness as hx
+import dualmixer.fsgri as fs
 import dualmixer.model as dm
+import dualmixer.numerics as nx
 
 
 def shrink_synth(monkeypatch):
@@ -194,6 +198,44 @@ class TestTrainStandard:
         params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
         with pytest.raises(ValueError):
             hx.train_standard(params, [], hx.RunConfig(m=2))
+
+
+class TestTapeLifetime:
+    """A finished step's tape is freed by reference counting alone: no
+    reference cycle runs through Graph, its tensors or its backward rules."""
+
+    def graphs_left_after(self, monkeypatch, train):
+        made = []
+
+        class Recorded(nx.Graph):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(nx, "Graph", Recorded)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train()
+            alive = sum(ref() is not None for ref in made)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert made
+        return alive
+
+    def test_fsgri_epoch_frees_every_graph(self, monkeypatch):
+        samples = random_windows(30, l=6)
+        params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
+        cfg = fs.FsgriConfig(m=2, b=12)
+        assert self.graphs_left_after(monkeypatch, lambda: fs.train_epoch_fsgri(
+            params, samples, cfg, nx.AdamState(), 0)) == 0
+
+    def test_standard_training_frees_every_graph(self, monkeypatch):
+        samples = random_windows(30, l=6)
+        params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
+        assert self.graphs_left_after(monkeypatch, lambda: hx.train_standard(
+            params, samples, hx.RunConfig(b=8, epochs=2, w=6, m=2))) == 0
 
 
 class TestTrainFsgri:
@@ -411,6 +453,16 @@ class TestCli:
                          "--window", "10", "--m", "2", "--checkpoint", ckpt])
         assert code == 2
         assert "window" in capsys.readouterr().err
+
+    def test_eval_rejects_truncated_checkpoint(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        dm.save_checkpoint(str(ckpt), dm.make_variant(
+            dm.ModelConfig(l=8, m_vars=14, d=4, n_layers=1), "full"))
+        ckpt.write_bytes(ckpt.read_bytes()[:10])
+        code = cli.main(["eval", "--dataset", "synth", "--seed", "2", "--window", "8",
+                         "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert "truncated" in capsys.readouterr().err
 
     def test_synth_command_emits_parseable_files(self, tmp_path):
         out = tmp_path / "data"

@@ -1,6 +1,7 @@
 """Mixer model: blocks, layers, variants, batched forward, checkpoints."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -70,13 +71,6 @@ class TestGateBlock:
         x = rng.normal(size=(4, 5))
         out = dm.gate_forward(dm.GateParams(Wg=np.zeros((5, 5))), Tensor(x)).data
         np.testing.assert_allclose(out, x / 2.0, atol=1e-15)
-
-    def test_pre_bias_kills_the_gate(self):
-        """A large negative pre-activation shift drives the mask to exact 0."""
-        rng = np.random.default_rng(7)
-        p = dm.GateParams(Wg=rng.normal(size=(5, 5)), pre_bias=-1e4)
-        out = dm.gate_forward(p, Tensor(rng.normal(size=(4, 5)))).data
-        np.testing.assert_array_equal(out, np.zeros((4, 5)))
 
 
 class TestDmlLayer:
@@ -206,6 +200,22 @@ class TestBatchedForward:
             dm.forward_batch(p, Tensor(np.zeros((11, 3))), 2)
 
 
+def kill_gates(monkeypatch, dead):
+    """Replace dm.gate_forward so that gates whose scope satisfies ``dead``
+    get their pre-activation shifted by -1e4, which drives the sigmoid mask
+    to exact 0; the other gates run unchanged."""
+    real = dm.gate_forward
+
+    def gate(p, x, graph=None, scope="gate"):
+        if not dead(scope):
+            return real(p, x, graph, scope)
+        pre = nx.matmul(x, Tensor(p.Wg))
+        pre = nx.add(pre, Tensor(np.full(pre.shape, -1e4)))
+        return nx.hadamard(nx.sigmoid(pre), x)
+
+    monkeypatch.setattr(dm, "gate_forward", gate)
+
+
 class TestVariants:
 
     def test_unknown_variant_rejected(self):
@@ -239,14 +249,12 @@ class TestVariants:
         want = x_t.data + x_s.data.T
         np.testing.assert_allclose(merged.data, want, atol=1e-12)
 
-    def test_dead_cross_gates_approach_the_gateless_variant(self):
+    def test_dead_cross_gates_approach_the_gateless_variant(self, monkeypatch):
         """Forcing the exchange masks to ~0 reduces a full model to its
         cross-free counterpart up to re-normalization noise."""
         cfg = toy_config(l=6, m_vars=3, d=4, n_layers=2, seed=20)
         full = dm.make_variant(cfg, "full")
-        for layer in full.layers:
-            layer.g1.pre_bias = -1e4
-            layer.g2.pre_bias = -1e4
+        kill_gates(monkeypatch, lambda scope: not scope.startswith("g_out"))
         stripped_layers = [dataclasses.replace(layer, g1=None, g2=None,
                                                ln_t2=None, ln_s2=None)
                            for layer in full.layers]
@@ -257,14 +265,10 @@ class TestVariants:
         np.testing.assert_allclose(f_full.data, f_strip.data, atol=1e-2)
         assert abs(r_full.item() - r_strip.item()) < 1e-2
 
-    def test_all_gates_dead_zeroes_the_merge(self):
+    def test_all_gates_dead_zeroes_the_merge(self, monkeypatch):
         """With output gates also forced to 0 the merged feature is exactly 0."""
         full = dm.make_variant(toy_config(seed=22), "full")
-        for layer in full.layers:
-            layer.g1.pre_bias = -1e4
-            layer.g2.pre_bias = -1e4
-        full.g_out_t.pre_bias = -1e4
-        full.g_out_s.pre_bias = -1e4
+        kill_gates(monkeypatch, lambda scope: True)
         merged, rul = dm.model_forward(full, Tensor(np.random.default_rng(23).normal(size=(6, 3))))
         np.testing.assert_array_equal(merged.data, np.zeros((6, 4)))
         assert rul.item() == 0.0
@@ -306,4 +310,32 @@ class TestCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 16])
         with pytest.raises(ValueError):
+            dm.load_checkpoint(str(path))
+
+    def saved_blob(self, tmp_path, seed=28):
+        path = tmp_path / "model.ckpt"
+        dm.save_checkpoint(str(path), dm.make_variant(toy_config(seed=seed), "full"))
+        return path, path.read_bytes()
+
+    def test_six_byte_file_rejected(self, tmp_path):
+        path, blob = self.saved_blob(tmp_path)
+        path.write_bytes(blob[:6])
+        with pytest.raises(ValueError, match="truncated"):
+            dm.load_checkpoint(str(path))
+
+    def test_header_cut_mid_json_rejected(self, tmp_path):
+        path, blob = self.saved_blob(tmp_path)
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        path.write_bytes(blob[:12 + hlen // 2])
+        with pytest.raises(ValueError, match="truncated"):
+            dm.load_checkpoint(str(path))
+        # the same cut with a header length that fits the file is malformed
+        path.write_bytes(blob[:8] + struct.pack("<I", hlen // 2) + blob[12:12 + hlen // 2])
+        with pytest.raises(ValueError, match="malformed"):
+            dm.load_checkpoint(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self.saved_blob(tmp_path)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
             dm.load_checkpoint(str(path))
