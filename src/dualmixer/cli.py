@@ -103,10 +103,8 @@ def cmd_eval(args) -> int:
     if args.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
         path = os.path.join(cfg.out_dir, "eval.json")
-        with open(path, "w") as f:
-            json.dump({"checkpoint": args.checkpoint, "dataset": cfg.dataset,
-                       "rmse": rmse, "mape": mape}, f, indent=2)
-            f.write("\n")
+        hx.write_json(path, {"checkpoint": args.checkpoint, "dataset": cfg.dataset,
+                             "rmse": rmse, "mape": mape})
         print(f"wrote {path}")
     return 0
 

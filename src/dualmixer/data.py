@@ -180,10 +180,6 @@ def apply_minmax(values: np.ndarray, stats: NormStats) -> np.ndarray:
     return (values - stats.mins) / (stats.maxs - stats.mins)
 
 
-def invert_minmax(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    return values * (stats.maxs - stats.mins) + stats.mins
-
-
 def sliding_window(values: np.ndarray, w: int, sl: int) -> list[np.ndarray]:
     """Windows of w rows at offsets 0, sl, 2 sl, ...; count (L - w) // sl + 1."""
     if w < 1 or sl < 1:

@@ -367,6 +367,7 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     the nominal batch size b, and takes one optimizer step. Group sampling
     is keyed by (epoch_seed, unit, window index), so a rerun with the same
     seed reproduces the epoch bit-for-bit regardless of execution order.
+    A non-finite batch loss raises ValueError before any update.
     """
     cfg.validate()
     if not samples:
@@ -394,10 +395,13 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
                                     usable[uid], i, cfg) for uid, i in chunk]
         graph = nx.Graph()
         batch_sum, contrastive, regression = _score_groups(params, batch_groups, cfg, graph)
+        if not np.isfinite(batch_sum.item()):
+            raise ValueError(f"non-finite loss {batch_sum.item()} in batch {batches} "
+                             f"of the epoch with seed {epoch_seed}")
         total_con += float(contrastive.sum())
         total_reg += float(regression.sum())
         graph.backward(nx.scale(batch_sum, 1.0 / cfg.b))
-        nx.adam_step(optimizer, dm.named_arrays(params), graph.grads)
+        nx.adam_step(optimizer, params.arrays, graph.grads)
         batches += 1
         anchors += len(chunk)
     return EpochStats(mean_loss=(total_con + total_reg) / anchors,

@@ -3,8 +3,9 @@ ablation and grid runners, and feature export.
 
 A run is fully described by a RunConfig; its SHA-derived hash names the run
 directory, ties reports to configurations, and lets interrupted sweeps
-resume by skipping cells whose reports already exist. Reports are written
-atomically and reruns of the same (config, seed) reproduce metrics exactly.
+resume by skipping cells whose reports already exist. Every artifact is
+written atomically, training stops with a ValueError on a non-finite loss,
+and reruns of the same (config, seed) reproduce metrics exactly.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import logging
 import os
 import subprocess
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from . import fsgri as fs
 from . import model as dm
 from . import numerics as nx
 from . import synthdata as sx
-from .data import WindowSample
+from .data import RawSeries, WindowSample
 from .numerics import Tensor
 
 logger = logging.getLogger(__name__)
@@ -134,17 +136,33 @@ class RunReport:
     anchor_batch_size: Optional[int] = None
 
     def save(self, path: str) -> None:
-        """Atomic write: a temp file in the target directory, then rename."""
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(dataclasses.asdict(self), f, indent=2)
-            f.write("\n")
-        os.replace(tmp, path)
+        write_json(path, dataclasses.asdict(self))
 
     @classmethod
     def load(cls, path: str) -> "RunReport":
         with open(path) as f:
             return cls(**json.load(f))
+
+
+@contextmanager
+def atomic_path(path: str) -> Iterator[str]:
+    """Yield a temporary path beside ``path`` to write the whole file to;
+    it is renamed over ``path`` only if the block finishes, so ``path`` is
+    either absent, its old contents, or complete."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path: str, value) -> None:
+    """Indented JSON, atomically; NaN and infinity are refused."""
+    with atomic_path(path) as tmp, open(tmp, "w") as f:
+        json.dump(value, f, indent=2, allow_nan=False)
+        f.write("\n")
 
 
 def git_describe() -> str:
@@ -167,21 +185,17 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 # dataset loading
 # --------------------------------------------------------------------------
 
-def _load_cmapss(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]]:
+def _load_cmapss(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
     tag = cfg.dataset.upper()
     train_path = os.path.join(cfg.data_dir, f"train_{tag}.txt")
     test_path = os.path.join(cfg.data_dir, f"test_{tag}.txt")
     rul_path = os.path.join(cfg.data_dir, f"RUL_{tag}.txt")
     train_series = [dd.select_variables(s) for s in dd.parse_cmapss(train_path)]
     test_series = [dd.select_variables(s) for s in dd.parse_cmapss(test_path)]
-    ruls = dd.parse_rul(rul_path)
-    stats = dd.fit_minmax([s.sensors for s in train_series])
-    train = dd.build_training_windows(train_series, stats, cfg.w, cfg.sl)
-    test = dd.build_test_set(test_series, ruls, stats, cfg.w)
-    return train, test
+    return train_series, test_series, dd.parse_rul(rul_path)
 
 
-def _load_synth(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]]:
+def _load_synth(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
     base = cfg.seed * 7919
     train_units = sx.generate(sx.SynthSpec(
         n_units=SYNTH_TRAIN_UNITS, cycles=SYNTH_CYCLES, n_vars=SYNTH_VARS,
@@ -190,30 +204,33 @@ def _load_synth(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]]
         n_units=SYNTH_TEST_UNITS, cycles=SYNTH_CYCLES, n_vars=SYNTH_VARS,
         gamma=SYNTH_GAMMA, noise_std=SYNTH_NOISE, seed=base + 1))
     test_units, ruls = sx.make_test_split(full_test, seed=base + 2)
-    stats = dd.fit_minmax([u.sensors for u in train_units])
-    train = dd.build_training_windows(train_units, stats, cfg.w, cfg.sl)
-    test = dd.build_test_set(test_units, ruls, stats, cfg.w)
-    return train, test
+    return train_units, test_units, ruls
 
 
 def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]]:
     """Training windows and evaluation samples for the configured dataset.
 
-    With holdout=True, 10% of the training units (seeded pick) replace the
-    test split; their windows become the evaluation samples.
+    The min-max stats are fitted on the training units only. With
+    holdout=True, 10% of the training units long enough to window (seeded
+    pick) replace the test split: the stats are fitted on the remaining
+    units, and the held-out units' windows become the evaluation samples.
     """
-    if cfg.dataset == "synth":
-        train, test = _load_synth(cfg)
-    else:
-        train, test = _load_cmapss(cfg)
+    loader = _load_synth if cfg.dataset == "synth" else _load_cmapss
+    train_series, test_series, ruls = loader(cfg)
+    held: set[int] = set()
     if cfg.holdout:
-        units = sorted({s.unit_id for s in train})
+        units = sorted({s.unit_id for s in train_series if s.length >= cfg.w})
         rng = np.random.default_rng((cfg.seed, 0x401D))
         n_held = max(1, len(units) // 10)
-        held = set(int(u) for u in rng.choice(units, size=n_held, replace=False))
-        test = [s for s in train if s.unit_id in held]
-        train = [s for s in train if s.unit_id not in held]
-        logger.info("holdout: %d units held out (%d eval windows)", n_held, len(test))
+        held = {int(u) for u in rng.choice(units, size=n_held, replace=False)}
+    kept = [s for s in train_series if s.unit_id not in held]
+    stats = dd.fit_minmax([s.sensors for s in kept])
+    train = dd.build_training_windows(kept, stats, cfg.w, cfg.sl)
+    if not cfg.holdout:
+        return train, dd.build_test_set(test_series, ruls, stats, cfg.w)
+    test = dd.build_training_windows([s for s in train_series if s.unit_id in held],
+                                     stats, cfg.w, cfg.sl)
+    logger.info("holdout: %d units held out (%d eval windows)", len(held), len(test))
     return train, test
 
 
@@ -281,14 +298,13 @@ def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
     """Plain mean-squared-error training over shuffled batches of b windows.
 
     Returns per-epoch stats; the reported loss is the epoch's mean squared
-    error per window.
+    error per window. A non-finite batch loss raises ValueError before any
+    update.
     """
     if not samples:
         raise ValueError("empty training set")
     opt = nx.AdamState(lr=cfg.lr)
     groups = dd.group_by_unit(samples)
-    arrays = dm.named_arrays(params)
-    l = params.config.l
     history = []
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng((_epoch_seed(cfg.seed, epoch), 0x0D0E))
@@ -302,8 +318,11 @@ def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
             labels = Tensor(np.array([[s.label] for s in chunk]))
             err = nx.sub(preds, labels)
             sq = nx.sum_all(nx.hadamard(err, err))
+            if not np.isfinite(sq.item()):
+                raise ValueError(f"non-finite loss {sq.item()} in batch {start // cfg.b} "
+                                 f"of epoch {epoch}")
             graph.backward(nx.scale(sq, 1.0 / len(chunk)))
-            nx.adam_step(opt, arrays, graph.grads)
+            nx.adam_step(opt, params.arrays, graph.grads)
             sq_sum += sq.item()
         history.append({"epoch": epoch, "loss": sq_sum / len(order)})
     return history
@@ -332,7 +351,7 @@ def _write_metrics_csv(path: str, history: list[dict]) -> None:
     keys = ["epoch", "loss"]
     if history and "contrastive" in history[0]:
         keys += ["contrastive", "regression"]
-    with open(path, "w", newline="") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(keys)
         for row in history:
@@ -373,11 +392,10 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
                        wall_clock_sec=time.perf_counter() - started,
                        param_count=dm.count_params(params),
                        anchor_batch_size=anchor_batch)
-    with open(os.path.join(run_dir, "config.json"), "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2)
-        f.write("\n")
+    write_json(os.path.join(run_dir, "config.json"), cfg.to_dict())
     _write_metrics_csv(os.path.join(run_dir, "metrics.csv"), history)
-    dm.save_checkpoint(os.path.join(run_dir, "model.ckpt"), params)
+    with atomic_path(os.path.join(run_dir, "model.ckpt")) as tmp:
+        dm.save_checkpoint(tmp, params)
     report.save(report_path)
     logger.info("run %s: rmse=%.6f mape=%s", cfg.run_name(), rmse,
                 "n/a" if mape is None else f"{mape:.2f}%")
@@ -396,7 +414,7 @@ def run_ablation(cfg: RunConfig) -> list[RunReport]:
         reports.append(run_one(replace(cfg, variant=variant)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "ablation.csv")
-    with open(path, "w", newline="") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["variant", "rmse", "mape", "param_count"])
         for variant, rep in zip(dm.VARIANTS, reports):
@@ -420,7 +438,8 @@ def grid_search(cfg: RunConfig, n_list: Sequence[int],
             rep = run_one(replace(cfg, n_layers=int(n), d=int(d)))
             matrix[i, j] = rep.rmse
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "grid.csv"), "w", newline="") as f:
+    grid_csv = os.path.join(cfg.out_dir, "grid.csv")
+    with atomic_path(grid_csv) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["n_layers"] + [f"d{d}" for d in d_list])
         for i, n in enumerate(n_list):
@@ -428,12 +447,11 @@ def grid_search(cfg: RunConfig, n_list: Sequence[int],
     default_cell = None
     if cfg.n_layers in n_list and cfg.d in d_list:
         default_cell = [list(n_list).index(cfg.n_layers), list(d_list).index(cfg.d)]
-    with open(os.path.join(cfg.out_dir, "grid.json"), "w") as f:
-        json.dump({"n_list": [int(n) for n in n_list],
-                   "d_list": [int(d) for d in d_list],
-                   "rmse": matrix.tolist(),
-                   "default_cell": default_cell}, f, indent=2)
-        f.write("\n")
+    write_json(os.path.join(cfg.out_dir, "grid.json"),
+               {"n_list": [int(n) for n in n_list],
+                "d_list": [int(d) for d in d_list],
+                "rmse": matrix.tolist(),
+                "default_cell": default_cell})
     return matrix
 
 
@@ -446,7 +464,7 @@ def export_features(params: dm.DualMixerParams, samples: Sequence[WindowSample],
               [f"f{k:03d}" for k in range(l * d)])
     raw, feats = _forward_many(params, samples, want_features=True)
     preds = np.clip(raw, 0.0, 1.0)
-    with open(out_path, "w", newline="") as f:
+    with atomic_path(out_path) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for i, s in enumerate(samples):

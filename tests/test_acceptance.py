@@ -117,7 +117,7 @@ class TestPropertySuite:
         group = fs.build_group(np.random.default_rng(5), windows, 6, cfg)
         params = dm.make_variant(
             dm.ModelConfig(l=8, m_vars=3, d=4, n_layers=1, seed=9), "full")
-        arrays = dm.named_arrays(params)
+        arrays = params.arrays
         graph = nx.Graph()
         got = graph.backward(fs.fsgri_loss(group, params, cfg, graph))
         want = finite_diff_grads(lambda: fs.fsgri_loss(group, params, cfg).item(),
@@ -268,8 +268,9 @@ class TestPropertySuite:
         assert all(b < a for a, b in zip(declining, declining[1:]))
 
         raw = rng.uniform(-5, 5, (40, 6))
-        norm = dd.apply_minmax(raw, dd.fit_minmax([raw]))
-        back = dd.invert_minmax(norm, dd.fit_minmax([raw]))
+        stats = dd.fit_minmax([raw])
+        norm = dd.apply_minmax(raw, stats)
+        back = norm * (stats.maxs - stats.mins) + stats.mins
         assert np.max(np.abs(back - raw)) <= 1e-12
 
         expected_units = {"FD001": (100, 100), "FD002": (260, 259),

@@ -353,7 +353,7 @@ class TestCombinedLoss:
         feats = []
         preds = []
         for values in [grp.anchor.values, grp.positive] + [n.values for n in grp.negatives]:
-            f, r = dm.model_forward(params, Tensor(values))
+            f, r = dm.forward_batch(params, Tensor(values), 1)
             feats.append(f)
             preds.append(r)
         dw = fs.dw_info_nce(feats[0], feats[1], feats[2:], grp.anchor.label,
@@ -366,7 +366,7 @@ class TestCombinedLoss:
         """All model parameters through both loss terms at once."""
         grp, cfg = self.build_group()
         params = dm.make_variant(dm.ModelConfig(l=5, m_vars=2, d=3, n_layers=1, seed=18), "full")
-        arrays = dm.named_arrays(params)
+        arrays = params.arrays
         graph = nx.Graph()
         got = graph.backward(fs.fsgri_loss(grp, params, cfg, graph))
         want = finite_diff_grads(lambda: fs.fsgri_loss(grp, params, cfg).item(), arrays)
@@ -414,7 +414,7 @@ class TestTrainEpoch:
             params, samples, cfg = self.setup_run()
             opt = nx.AdamState(lr=1e-3)
             stats = fs.train_epoch_fsgri(params, samples, cfg, opt, epoch_seed=123)
-            results.append((stats.mean_loss, dm.named_arrays(params)))
+            results.append((stats.mean_loss, params.arrays))
         assert results[0][0] == results[1][0]
         for name, arr in results[0][1].items():
             np.testing.assert_array_equal(arr, results[1][1][name])

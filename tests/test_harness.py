@@ -16,6 +16,7 @@ import dualmixer.harness as hx
 import dualmixer.fsgri as fs
 import dualmixer.model as dm
 import dualmixer.numerics as nx
+import dualmixer.synthdata as sx
 
 
 def shrink_synth(monkeypatch):
@@ -108,7 +109,7 @@ class TestMetrics:
         """The shared prediction path clips to the label range."""
         samples = random_windows(12)
         params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
-        params.w_r *= 1e6
+        params.arrays["w_r"] *= 1e6
         raw = hx._forward_many(params, samples)
         clamped = hx.predict_samples(params, samples)
         assert np.any((raw < 0) | (raw > 1))
@@ -155,6 +156,31 @@ class TestLoadDataset:
         assert test_units and not (train_units & test_units)
         assert len(train_units) == 3
 
+    def test_holdout_fits_stats_on_kept_units_only(self, tmp_path):
+        """Held-out units take no part in the normalization of either split."""
+        spec = dict(cycles=(20, 30), n_vars=21, noise_std=0.05)
+        units = sx.generate(sx.SynthSpec(n_units=10, seed=4, **spec))
+        test, ruls = sx.make_test_split(sx.generate(sx.SynthSpec(n_units=2, seed=5, **spec)),
+                                        seed=6)
+        sx.emit_cmapss(str(tmp_path), "FD001", units, test, ruls)
+        cfg = tiny_cfg(tmp_path, dataset="fd001", data_dir=str(tmp_path), holdout=True)
+        train, evaluation = hx.load_dataset(cfg)
+        held = {s.unit_id for s in evaluation}
+        raw = [dd.select_variables(s)
+               for s in dd.parse_cmapss(str(tmp_path / "train_FD001.txt"))]
+        kept = [s for s in raw if s.unit_id not in held]
+        stats = dd.fit_minmax([s.sensors for s in kept])
+        every = dd.fit_minmax([s.sensors for s in raw])
+        assert not np.array_equal(np.hstack([stats.mins, stats.maxs]),
+                                  np.hstack([every.mins, every.maxs]))
+        for got, want in [(train, dd.build_training_windows(kept, stats, cfg.w, cfg.sl)),
+                          (evaluation, dd.build_training_windows(
+                              [s for s in raw if s.unit_id in held], stats, cfg.w, cfg.sl))]:
+            assert [(s.unit_id, s.anchor_index) for s in got] == \
+                [(s.unit_id, s.anchor_index) for s in want]
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.values, w.values)
+
 
 class TestTrainStandard:
     def test_loss_decreases_on_memorizable_set(self):
@@ -198,6 +224,58 @@ class TestTrainStandard:
         params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
         with pytest.raises(ValueError):
             hx.train_standard(params, [], hx.RunConfig(m=2))
+
+
+def blown_up(params):
+    """Scale the head so far that every prediction's squared error overflows."""
+    params.arrays["w_r"] *= 1e300
+    return params
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestNonFiniteLoss:
+    def test_standard_stops_before_the_update(self):
+        params = blown_up(dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1),
+                                          "full"))
+        before = {k: v.copy() for k, v in params.arrays.items()}
+        with pytest.raises(ValueError, match="non-finite loss .* batch 0 of epoch 0"):
+            hx.train_standard(params, random_windows(12), hx.RunConfig(b=4, w=6, m=2))
+        for name, arr in before.items():
+            np.testing.assert_array_equal(params.arrays[name], arr)
+
+    def test_fsgri_stops_before_the_update(self):
+        params = blown_up(dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1),
+                                          "full"))
+        before = {k: v.copy() for k, v in params.arrays.items()}
+        opt = nx.AdamState()
+        with pytest.raises(ValueError, match="non-finite loss .* batch 0 of the epoch with seed 7"):
+            fs.train_epoch_fsgri(params, random_windows(30), fs.FsgriConfig(m=2, b=12), opt, 7)
+        assert opt.step_count == 0
+        for name, arr in before.items():
+            np.testing.assert_array_equal(params.arrays[name], arr)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("old", [None, "old contents\n"])
+    def test_writer_that_raises_leaves_target_as_it_was(self, tmp_path, old):
+        target = tmp_path / "report.json"
+        if old is not None:
+            target.write_text(old)
+        with pytest.raises(RuntimeError):
+            with hx.atomic_path(str(target)) as tmp, open(tmp, "w") as f:
+                f.write('{"half": ')
+                raise RuntimeError("interrupted")
+        assert os.listdir(tmp_path) == ([] if old is None else ["report.json"])
+        if old is not None:
+            assert target.read_text() == old
+
+    def test_report_with_nan_is_refused(self, tmp_path):
+        report = hx.RunReport(config={}, config_hash="0", seed=1, git_describe="x",
+                              epoch_losses=[float("nan")], epoch_detail=[], rmse=0.5,
+                              mape=None, wall_clock_sec=0.0, param_count=1)
+        with pytest.raises(ValueError):
+            report.save(str(tmp_path / "report.json"))
+        assert os.listdir(tmp_path) == []
 
 
 class TestTapeLifetime:
@@ -463,6 +541,16 @@ class TestCli:
                          "--checkpoint", str(ckpt)])
         assert code == 2
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_train_stops_on_non_finite_loss(self, monkeypatch, tmp_path, capsys):
+        """A diverged run exits 2 with the cause and leaves no report."""
+        shrink_synth(monkeypatch)
+        make_variant = dm.make_variant
+        monkeypatch.setattr(dm, "make_variant", lambda c, v: blown_up(make_variant(c, v)))
+        assert self.run_train(tmp_path) == 2
+        assert "non-finite loss" in capsys.readouterr().err
+        assert glob.glob(str(tmp_path / "runs" / "*" / "report.json")) == []
 
     def test_synth_command_emits_parseable_files(self, tmp_path):
         out = tmp_path / "data"
