@@ -48,10 +48,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", dest="out_dir")
     parser.add_argument("--holdout", action="store_true", default=None,
                         help="evaluate on 10%% of training units instead of the test split")
-    int_flags = {"d", "layers", "m", "batch", "epochs", "window", "stride"}
+    defaults = hx.RunConfig()
     for flag, field in _HYPER_FLAGS.items():
-        kind = int if flag in int_flags else float
-        parser.add_argument(f"--{flag}", dest=f"hp_{field}", type=kind)
+        parser.add_argument(f"--{flag}", dest=f"hp_{field}",
+                            type=type(getattr(defaults, field)))
 
 
 def resolve_config(args: argparse.Namespace) -> hx.RunConfig:

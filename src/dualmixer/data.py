@@ -191,15 +191,15 @@ def sliding_window(values: np.ndarray, w: int, sl: int) -> list[np.ndarray]:
             for start in range(0, length - w + 1, sl)]
 
 
-def piecewise_label(remaining_cycles: int, knee: int = RUL_KNEE) -> float:
-    """Capped-linear life fraction: min(R, knee) / knee."""
+def piecewise_label(remaining_cycles: int) -> float:
+    """Capped-linear life fraction: min(R, RUL_KNEE) / RUL_KNEE."""
     if remaining_cycles < 0:
         raise ValueError(f"negative remaining cycles: {remaining_cycles}")
-    return min(remaining_cycles, knee) / knee
+    return min(remaining_cycles, RUL_KNEE) / RUL_KNEE
 
 
 def build_training_windows(series_list: Sequence[RawSeries], stats: NormStats,
-                           w: int, sl: int, knee: int = RUL_KNEE) -> list[WindowSample]:
+                           w: int, sl: int) -> list[WindowSample]:
     """Normalize, window, and label every unit; a window's label is the
     remaining life at its last cycle. Units shorter than w are skipped."""
     samples = []
@@ -213,15 +213,14 @@ def build_training_windows(series_list: Sequence[RawSeries], stats: NormStats,
         for j, window in enumerate(sliding_window(values, w, sl)):
             end_cycle = int(s.cycles[j * sl + w - 1])
             r = last_cycle - end_cycle
-            samples.append(WindowSample(values=window, label=piecewise_label(r, knee),
+            samples.append(WindowSample(values=window, label=piecewise_label(r),
                                         unit_id=s.unit_id, anchor_index=j,
                                         true_rul_cycles=r))
     return samples
 
 
 def build_test_set(series_list: Sequence[RawSeries], ruls: Sequence[int],
-                   stats: NormStats, w: int,
-                   knee: int = RUL_KNEE) -> list[WindowSample]:
+                   stats: NormStats, w: int) -> list[WindowSample]:
     """One evaluation sample per unit: the final w cycles (left-padded by
     repeating the first cycle when the unit is shorter), labeled with the
     supplied true remaining life."""
@@ -238,7 +237,7 @@ def build_test_set(series_list: Sequence[RawSeries], ruls: Sequence[int],
             pad = np.repeat(values[:1], w - s.length, axis=0)
             window = np.vstack([pad, values])
             anchor = 0
-        samples.append(WindowSample(values=window, label=piecewise_label(int(r), knee),
+        samples.append(WindowSample(values=window, label=piecewise_label(int(r)),
                                     unit_id=s.unit_id, anchor_index=int(anchor),
                                     true_rul_cycles=int(r)))
     return samples

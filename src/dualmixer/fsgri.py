@@ -307,7 +307,7 @@ def _score_groups(params: dm.DualMixerParams, groups: Sequence[ContrastiveGroup]
     for grp in groups:
         stack += [grp.anchor.values, grp.positive] + [n.values for n in grp.negatives]
         labels.append([grp.anchor.label, grp.anchor.label] + grp.negative_labels)
-    feats, ruls = dm.forward_batch(params, Tensor(np.vstack(stack)), len(stack), graph)
+    feats, ruls = dm.forward_batch(params, Tensor(np.vstack(stack)), graph)
     return batch_loss(feats, ruls, np.array(labels), cfg)
 
 
@@ -367,7 +367,7 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     the nominal batch size b, and takes one optimizer step. Group sampling
     is keyed by (epoch_seed, unit, window index), so a rerun with the same
     seed reproduces the epoch bit-for-bit regardless of execution order.
-    A non-finite batch loss raises ValueError before any update.
+    A non-finite batch loss or gradient raises ValueError before any update.
     """
     cfg.validate()
     if not samples:
@@ -393,15 +393,12 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
         chunk = order[start:start + batch_size]
         batch_groups = [build_group(np.random.default_rng((epoch_seed, uid, i)),
                                     usable[uid], i, cfg) for uid, i in chunk]
-        graph = nx.Graph()
-        batch_sum, contrastive, regression = _score_groups(params, batch_groups, cfg, graph)
-        if not np.isfinite(batch_sum.item()):
-            raise ValueError(f"non-finite loss {batch_sum.item()} in batch {batches} "
-                             f"of the epoch with seed {epoch_seed}")
+        batch_sum, contrastive, regression = _score_groups(params, batch_groups, cfg,
+                                                           nx.Graph())
+        nx.descend(optimizer, params.arrays, batch_sum, cfg.b,
+                   f"batch {batches} of the epoch with seed {epoch_seed}")
         total_con += float(contrastive.sum())
         total_reg += float(regression.sum())
-        graph.backward(nx.scale(batch_sum, 1.0 / cfg.b))
-        nx.adam_step(optimizer, params.arrays, graph.grads)
         batches += 1
         anchors += len(chunk)
     return EpochStats(mean_loss=(total_con + total_reg) / anchors,

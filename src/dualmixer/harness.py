@@ -4,8 +4,8 @@ ablation and grid runners, and feature export.
 A run is fully described by a RunConfig; its SHA-derived hash names the run
 directory, ties reports to configurations, and lets interrupted sweeps
 resume by skipping cells whose reports already exist. Every artifact is
-written atomically, training stops with a ValueError on a non-finite loss,
-and reruns of the same (config, seed) reproduce metrics exactly.
+written atomically, training stops with a ValueError on a non-finite loss
+or gradient, and reruns of the same (config, seed) reproduce metrics exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import subprocess
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -165,6 +165,14 @@ def write_json(path: str, value) -> None:
         f.write("\n")
 
 
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header row and then every row, atomically."""
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def git_describe() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
@@ -249,7 +257,7 @@ def _forward_many(params: dm.DualMixerParams,
     for start in range(0, len(samples), PREDICT_CHUNK):
         chunk = samples[start:start + PREDICT_CHUNK]
         x = Tensor(np.vstack([s.values for s in chunk]))
-        f, r = dm.forward_batch(params, x, len(chunk))
+        f, r = dm.forward_batch(params, x)
         preds.append(r.data[:, 0])
         if want_features:
             feats.append(f.data.reshape(len(chunk), l * d))
@@ -298,8 +306,8 @@ def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
     """Plain mean-squared-error training over shuffled batches of b windows.
 
     Returns per-epoch stats; the reported loss is the epoch's mean squared
-    error per window. A non-finite batch loss raises ValueError before any
-    update.
+    error per window. A non-finite batch loss or gradient raises ValueError
+    before any update.
     """
     if not samples:
         raise ValueError("empty training set")
@@ -312,18 +320,13 @@ def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
         sq_sum = 0.0
         for start in range(0, len(order), cfg.b):
             chunk = [groups[uid][i] for uid, i in order[start:start + cfg.b]]
-            graph = nx.Graph()
             x = Tensor(np.vstack([s.values for s in chunk]))
-            _, preds = dm.forward_batch(params, x, len(chunk), graph)
+            _, preds = dm.forward_batch(params, x, nx.Graph())
             labels = Tensor(np.array([[s.label] for s in chunk]))
             err = nx.sub(preds, labels)
             sq = nx.sum_all(nx.hadamard(err, err))
-            if not np.isfinite(sq.item()):
-                raise ValueError(f"non-finite loss {sq.item()} in batch {start // cfg.b} "
-                                 f"of epoch {epoch}")
-            graph.backward(nx.scale(sq, 1.0 / len(chunk)))
-            nx.adam_step(opt, params.arrays, graph.grads)
-            sq_sum += sq.item()
+            sq_sum += nx.descend(opt, params.arrays, sq, len(chunk),
+                                 f"batch {start // cfg.b} of epoch {epoch}")
         history.append({"epoch": epoch, "loss": sq_sum / len(order)})
     return history
 
@@ -345,18 +348,6 @@ def train_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample],
                         "anchor_batch_size": stats.anchor_batch_size,
                         "encodings": stats.encodings})
     return history
-
-
-def _write_metrics_csv(path: str, history: list[dict]) -> None:
-    keys = ["epoch", "loss"]
-    if history and "contrastive" in history[0]:
-        keys += ["contrastive", "regression"]
-    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(keys)
-        for row in history:
-            writer.writerow(["%.17g" % row[k] if isinstance(row[k], float) else row[k]
-                             for k in keys])
 
 
 def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
@@ -393,7 +384,10 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
                        param_count=dm.count_params(params),
                        anchor_batch_size=anchor_batch)
     write_json(os.path.join(run_dir, "config.json"), cfg.to_dict())
-    _write_metrics_csv(os.path.join(run_dir, "metrics.csv"), history)
+    keys = ["epoch", "loss"] + (["contrastive", "regression"] if cfg.mode == "fsgri" else [])
+    write_csv(os.path.join(run_dir, "metrics.csv"), keys,
+              [["%.17g" % h[k] if isinstance(h[k], float) else h[k] for k in keys]
+               for h in history])
     with atomic_path(os.path.join(run_dir, "model.ckpt")) as tmp:
         dm.save_checkpoint(tmp, params)
     report.save(report_path)
@@ -413,14 +407,11 @@ def run_ablation(cfg: RunConfig) -> list[RunReport]:
     for variant in dm.VARIANTS:
         reports.append(run_one(replace(cfg, variant=variant)))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "ablation.csv")
-    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["variant", "rmse", "mape", "param_count"])
-        for variant, rep in zip(dm.VARIANTS, reports):
-            writer.writerow([variant, "%.17g" % rep.rmse,
-                             "" if rep.mape is None else "%.17g" % rep.mape,
-                             rep.param_count])
+    write_csv(os.path.join(cfg.out_dir, "ablation.csv"),
+              ["variant", "rmse", "mape", "param_count"],
+              [[variant, "%.17g" % rep.rmse,
+                "" if rep.mape is None else "%.17g" % rep.mape, rep.param_count]
+               for variant, rep in zip(dm.VARIANTS, reports)])
     return reports
 
 
@@ -438,12 +429,9 @@ def grid_search(cfg: RunConfig, n_list: Sequence[int],
             rep = run_one(replace(cfg, n_layers=int(n), d=int(d)))
             matrix[i, j] = rep.rmse
     os.makedirs(cfg.out_dir, exist_ok=True)
-    grid_csv = os.path.join(cfg.out_dir, "grid.csv")
-    with atomic_path(grid_csv) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["n_layers"] + [f"d{d}" for d in d_list])
-        for i, n in enumerate(n_list):
-            writer.writerow([n] + ["%.17g" % v for v in matrix[i]])
+    write_csv(os.path.join(cfg.out_dir, "grid.csv"),
+              ["n_layers"] + [f"d{d}" for d in d_list],
+              [[n] + ["%.17g" % v for v in matrix[i]] for i, n in enumerate(n_list)])
     default_cell = None
     if cfg.n_layers in n_list and cfg.d in d_list:
         default_cell = [list(n_list).index(cfg.n_layers), list(d_list).index(cfg.d)]
@@ -464,10 +452,6 @@ def export_features(params: dm.DualMixerParams, samples: Sequence[WindowSample],
               [f"f{k:03d}" for k in range(l * d)])
     raw, feats = _forward_many(params, samples, want_features=True)
     preds = np.clip(raw, 0.0, 1.0)
-    with atomic_path(out_path) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i, s in enumerate(samples):
-            writer.writerow([s.unit_id, s.anchor_index, "%.17g" % s.label,
-                             "%.17g" % preds[i]] +
-                            ["%.17g" % v for v in feats[i]])
+    write_csv(out_path, header,
+              ([s.unit_id, s.anchor_index, "%.17g" % s.label, "%.17g" % preds[i]] +
+               ["%.17g" % v for v in feats[i]] for i, s in enumerate(samples)))

@@ -199,8 +199,7 @@ def _mix(arrays, x: Optional[Tensor], graph, mlp_scope: str,
 
 def dml_forward(arrays: dict[str, np.ndarray], x_t: Optional[Tensor],
                 x_s: Optional[Tensor], graph: Optional[nx.Graph] = None,
-                scope: str = "layer0",
-                batch: int = 1) -> tuple[Optional[Tensor], Optional[Tensor]]:
+                scope: str = "layer0") -> tuple[Optional[Tensor], Optional[Tensor]]:
     """One mixer layer on both paths.
 
     x_t is (batch*l) x d, x_s is (batch*d) x l; with batch > 1 the samples
@@ -208,12 +207,14 @@ def dml_forward(arrays: dict[str, np.ndarray], x_t: Optional[Tensor],
     equals per-sample application. A path the variant removes (oT, oS) is
     None on the way in and out. When the layer has no cross gates (no
     ``{scope}.g1.wg`` in arrays) the residual stages are returned directly
-    (paths stay independent).
+    (paths stay independent); otherwise both paths exist and the batch is
+    read off their shapes.
     """
     z_t = _mix(arrays, x_t, graph, f"{scope}.m1", f"{scope}.ln_t1")
     z_s = _mix(arrays, x_s, graph, f"{scope}.m2", f"{scope}.ln_s1")
     if f"{scope}.g1.wg" not in arrays:
         return z_t, z_s
+    batch = z_t.rows // z_s.cols
     from_spatial = nx.block_transpose(gate_forward(arrays, z_s, graph, f"{scope}.g2"), batch)
     from_temporal = nx.block_transpose(gate_forward(arrays, z_t, graph, f"{scope}.g1"), batch)
     out_t = _ln_forward(arrays, nx.add(from_spatial, z_t), graph, f"{scope}.ln_t2")
@@ -221,27 +222,28 @@ def dml_forward(arrays: dict[str, np.ndarray], x_t: Optional[Tensor],
     return out_t, out_s
 
 
-def forward_batch(p: DualMixerParams, x: Tensor, batch: int,
+def forward_batch(p: DualMixerParams, x: Tensor,
                   graph: Optional[nx.Graph] = None) -> tuple[Tensor, Tensor]:
-    """Forward for ``batch`` windows stacked vertically.
+    """Forward for a stack of windows.
 
-    x is (batch*l) x m_vars; returns the merged features as (batch*l) x d
-    and the life estimates as a batch x 1 tensor. Row-shared ops plus
-    per-block transposes make this bit-identical to running each window
-    separately with batch=1. Every variant takes this one path: a removed
-    path is None through the layers, and each remaining path is gated at
-    the output when the model has its gate.
+    x is (batch*l) x m_vars, batch windows stacked vertically; returns the
+    merged features as (batch*l) x d and the life estimates as a batch x 1
+    tensor. Row-shared ops plus per-block transposes make this
+    bit-identical to running each window separately. Every variant takes
+    this one path: a removed path is None through the layers, and each
+    remaining path is gated at the output when the model has its gate.
     """
     cfg, arrays = p.config, p.arrays
-    if x.shape != (batch * cfg.l, cfg.m_vars):
+    if x.cols != cfg.m_vars or x.rows % cfg.l or not x.rows:
         raise nx.ShapeError(
-            f"expected input {(batch * cfg.l, cfg.m_vars)} for batch={batch}, got {x.shape}")
+            f"expected a stack of {cfg.l} x {cfg.m_vars} windows, got {x.shape}")
+    batch = x.rows // cfg.l
     temporal, spatial, _, _ = _VARIANT_PARTS[p.variant]
     proj = nx.matmul(x, _leaf(arrays, graph, "w_in"))
     x_t = proj if temporal else None
     x_s = nx.block_transpose(proj, batch) if spatial else None
     for i in range(cfg.n_layers):
-        x_t, x_s = dml_forward(arrays, x_t, x_s, graph, f"layer{i}", batch)
+        x_t, x_s = dml_forward(arrays, x_t, x_s, graph, f"layer{i}")
     s_feat = None if x_s is None else nx.block_transpose(x_s, batch)
     if "g_out_t.wg" in arrays:
         x_t = gate_forward(arrays, x_t, graph, "g_out_t")

@@ -4,7 +4,8 @@ Everything here is deliberately small: matrices are plain numpy arrays in
 row-major order, the tape is an append-only list of nodes (so it is
 topologically ordered by construction), and every operation carries its own
 local backward rule. One graph per loss evaluation; graphs are single
-threaded, independent graphs may run in parallel.
+threaded, independent graphs may run in parallel. backward returns fresh
+gradients; descend is the one checked training step built on it and Adam.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class TapeNode:
     op: str
     inputs: tuple[int, ...]
     backward: Optional[Callable[[np.ndarray], tuple]]
-    shape: tuple[int, int]
 
 
 class Graph:
@@ -93,10 +93,9 @@ class Graph:
     def __init__(self):
         self.nodes: list[TapeNode] = []
         self._params: dict[str, tuple[np.ndarray, int]] = {}
-        self.grads: dict[str, np.ndarray] = {}
 
-    def _add_node(self, op, inputs, backward, shape) -> int:
-        self.nodes.append(TapeNode(op, inputs, backward, shape))
+    def _add_node(self, op, inputs, backward) -> int:
+        self.nodes.append(TapeNode(op, inputs, backward))
         return len(self.nodes) - 1
 
     def parameter(self, name: str, data: np.ndarray) -> Tensor:
@@ -118,20 +117,16 @@ class Graph:
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"parameter {name!r} must be 2-D, got {arr.shape}")
-        nid = self._add_node("param", (), None, arr.shape)
+        nid = self._add_node("param", (), None)
         self._params[name] = (arr, nid)
-        self.grads[name] = np.zeros_like(arr)
         return Tensor(arr, self, nid)
-
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
         """Reverse sweep from a scalar loss node.
 
-        Accumulates into the parameter registry and returns it; registered
-        parameters unreachable from the loss keep zero gradients.
+        Returns a fresh dict from every registered parameter's name to its
+        gradient, in registration order; parameters unreachable from the
+        loss get zeros, and no two gradients share storage.
         """
         if loss.graph is not self or loss.node_id < 0:
             raise GraphError("loss tensor is not recorded on this graph")
@@ -160,11 +155,9 @@ class Graph:
                 else:
                     adjoint[iid] = adjoint[iid] + contrib
                     owned[iid] = True
-        for name, (_, nid) in self._params.items():
-            adj = adjoint[nid]
-            if adj is not None:
-                self.grads[name] += adj
-        return self.grads
+        # copied: a leaf's adjoint may also be another node's array
+        return {name: np.zeros_like(arr) if adjoint[nid] is None else adjoint[nid].copy()
+                for name, (arr, nid) in self._params.items()}
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +180,7 @@ def _nid(g: Graph, t: Tensor) -> int:
 def _record(g: Optional[Graph], op: str, out: np.ndarray, input_ids, bwd) -> Tensor:
     if g is None:
         return Tensor(out)
-    return Tensor(out, g, g._add_node(op, tuple(input_ids), bwd, out.shape))
+    return Tensor(out, g, g._add_node(op, tuple(input_ids), bwd))
 
 def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
@@ -454,14 +447,16 @@ def logsumexp(terms: list[Tensor]) -> Tensor:
 # Adam
 # --------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments plus the shared step counter."""
+    """Learning rate, per-parameter Adam moments and the step counter."""
 
     lr: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -469,11 +464,12 @@ class AdamState:
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray]) -> None:
-    """One bias-corrected Adam update, in place; used gradients are zeroed."""
+    """One bias-corrected Adam update of ``params``, in place; ``grads`` is
+    only read."""
     state.step_count += 1
     t = state.step_count
-    b1c = 1.0 - state.beta1 ** t
-    b2c = 1.0 - state.beta2 ** t
+    b1c = 1.0 - ADAM_BETA1 ** t
+    b2c = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         gr = grads[name]
         if gr.shape != p.shape:
@@ -484,9 +480,24 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * gr
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (gr * gr)
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
-        gr[...] = 0.0
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * gr
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (gr * gr)
+        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+
+
+def descend(state: AdamState, params: dict[str, np.ndarray], loss: Tensor,
+            divisor: float, where: str) -> float:
+    """One Adam step on ``loss / divisor``; returns the undivided loss. A
+    non-finite loss or gradient raises ValueError naming ``where`` (the
+    batch) before ``params`` or ``state`` change."""
+    value = loss.item()
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite loss {value} in {where}")
+    grads = loss.graph.backward(scale(loss, 1.0 / divisor))
+    for name, gr in grads.items():
+        if not np.isfinite(gr).all():
+            raise ValueError(f"non-finite gradient for {name!r} in {where}")
+    adam_step(state, params, grads)
+    return value

@@ -15,6 +15,9 @@ import numpy as np
 
 from .data import RawSeries, write_cmapss, write_rul
 
+# A test unit is cut no earlier than this fraction of its life.
+TEST_CUT_MIN_FRAC = 0.3
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -69,15 +72,15 @@ def oracle_rul(unit: RawSeries, cycle: int) -> int:
     return length - cycle
 
 
-def make_test_split(units: list[RawSeries], seed: int,
-                    min_frac: float = 0.3) -> tuple[list[RawSeries], list[int]]:
+def make_test_split(units: list[RawSeries],
+                    seed: int) -> tuple[list[RawSeries], list[int]]:
     """Truncate each unit at a random cycle before failure, mimicking an
     incomplete test split; returns the cut series and their true RULs."""
     rng = np.random.default_rng(seed)
     truncated = []
     ruls = []
     for u in units:
-        first = max(1, int(np.ceil(u.length * min_frac)))
+        first = max(1, int(np.ceil(u.length * TEST_CUT_MIN_FRAC)))
         cut = int(rng.integers(first, u.length))  # strictly before failure
         truncated.append(replace(u, cycles=u.cycles[:cut],
                                  settings=u.settings[:cut],

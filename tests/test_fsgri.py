@@ -311,7 +311,7 @@ class TestBatchLoss:
         groups, m = 6, 3
         x = rng.normal(size=(groups * (m + 2) * 4, 3))
         graph = nx.Graph()
-        feats, ruls = dm.forward_batch(params, Tensor(x), groups * (m + 2), graph)
+        feats, ruls = dm.forward_batch(params, Tensor(x), graph)
         before = len(graph.nodes)
         labels = rng.uniform(size=(groups, m + 2))
         fs.batch_loss(feats, ruls, labels, fs.FsgriConfig(m=m))
@@ -353,7 +353,7 @@ class TestCombinedLoss:
         feats = []
         preds = []
         for values in [grp.anchor.values, grp.positive] + [n.values for n in grp.negatives]:
-            f, r = dm.forward_batch(params, Tensor(values), 1)
+            f, r = dm.forward_batch(params, Tensor(values))
             feats.append(f)
             preds.append(r)
         dw = fs.dw_info_nce(feats[0], feats[1], feats[2:], grp.anchor.label,

@@ -255,6 +255,45 @@ class TestNonFiniteLoss:
             np.testing.assert_array_equal(params.arrays[name], arr)
 
 
+def poison_head_gradient(monkeypatch):
+    """Make the head matmul's backward rule give its (l*d) x 1 weight w_r an
+    infinite gradient; the loss and every other gradient stay finite."""
+    matmul = nx.matmul
+
+    def poisoned(a, b):
+        out = matmul(a, b)
+        if out.graph is not None and b.cols == 1:
+            node = out.graph.nodes[out.node_id]
+            rule = node.backward
+            node.backward = lambda adj: (rule(adj)[0], np.full(b.shape, np.inf))
+        return out
+
+    monkeypatch.setattr(nx, "matmul", poisoned)
+
+
+class TestNonFiniteGradient:
+    def test_standard_stops_before_the_update(self, monkeypatch):
+        params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
+        before = {k: v.copy() for k, v in params.arrays.items()}
+        poison_head_gradient(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite gradient for 'w_r' in batch 0 of epoch 0"):
+            hx.train_standard(params, random_windows(12), hx.RunConfig(b=4, w=6, m=2))
+        for name, arr in before.items():
+            np.testing.assert_array_equal(params.arrays[name], arr)
+
+    def test_fsgri_stops_before_the_update(self, monkeypatch):
+        params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
+        before = {k: v.copy() for k, v in params.arrays.items()}
+        poison_head_gradient(monkeypatch)
+        opt = nx.AdamState()
+        with pytest.raises(ValueError, match="non-finite gradient for 'w_r' in batch 0 "
+                                             "of the epoch with seed 7"):
+            fs.train_epoch_fsgri(params, random_windows(30), fs.FsgriConfig(m=2, b=12), opt, 7)
+        assert opt.step_count == 0
+        for name, arr in before.items():
+            np.testing.assert_array_equal(params.arrays[name], arr)
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("old", [None, "old contents\n"])
     def test_writer_that_raises_leaves_target_as_it_was(self, tmp_path, old):
@@ -550,6 +589,14 @@ class TestCli:
         monkeypatch.setattr(dm, "make_variant", lambda c, v: blown_up(make_variant(c, v)))
         assert self.run_train(tmp_path) == 2
         assert "non-finite loss" in capsys.readouterr().err
+        assert glob.glob(str(tmp_path / "runs" / "*" / "report.json")) == []
+
+    def test_train_stops_on_non_finite_gradient(self, monkeypatch, tmp_path, capsys):
+        """A finite loss whose backward overflows exits 2 and leaves no report."""
+        shrink_synth(monkeypatch)
+        poison_head_gradient(monkeypatch)
+        assert self.run_train(tmp_path) == 2
+        assert "non-finite gradient for 'w_r' in batch 0" in capsys.readouterr().err
         assert glob.glob(str(tmp_path / "runs" / "*" / "report.json")) == []
 
     def test_synth_command_emits_parseable_files(self, tmp_path):

@@ -140,7 +140,7 @@ class TestModelForward:
         """30x14 window with d=32, N=6 gives 30x32 features and a scalar."""
         p = dm.make_variant(dm.ModelConfig(l=30, m_vars=14, d=32, n_layers=6, seed=0), "full")
         x = np.random.default_rng(12).normal(size=(30, 14))
-        features, rul = dm.forward_batch(p, Tensor(x), 1)
+        features, rul = dm.forward_batch(p, Tensor(x))
         assert features.shape == (30, 32)
         assert rul.shape == (1, 1)
         assert np.isfinite(rul.item())
@@ -148,14 +148,14 @@ class TestModelForward:
     def test_input_shape_enforced(self):
         p = dm.make_variant(toy_config(), "full")
         with pytest.raises(nx.ShapeError):
-            dm.forward_batch(p, Tensor(np.zeros((5, 3))), 1)
+            dm.forward_batch(p, Tensor(np.zeros((5, 3))))
 
     def test_all_zero_head_weights_give_zero_rul(self):
         p = dm.make_variant(toy_config(), "full")
         for arr in p.arrays.values():
             arr[...] = 0.0
         x = np.random.default_rng(13).normal(size=(6, 3))
-        _, rul = dm.forward_batch(p, Tensor(x), 1)
+        _, rul = dm.forward_batch(p, Tensor(x))
         assert rul.item() == 0.0
 
     def test_deterministic_init_and_forward(self):
@@ -166,8 +166,8 @@ class TestModelForward:
         for (ka, va), (kb, vb) in zip(a.arrays.items(), b.arrays.items()):
             assert ka == kb
             np.testing.assert_array_equal(va, vb)
-        fa, ra = dm.forward_batch(a, Tensor(x), 1)
-        fb, rb = dm.forward_batch(b, Tensor(x), 1)
+        fa, ra = dm.forward_batch(a, Tensor(x))
+        fb, rb = dm.forward_batch(b, Tensor(x))
         np.testing.assert_array_equal(fa.data, fb.data)
         assert ra.item() == rb.item()
 
@@ -178,11 +178,11 @@ class TestModelForward:
         x = np.random.default_rng(16).normal(size=(10, 4))
 
         def run():
-            _, rul = dm.forward_batch(p, Tensor(x), 1, nx.Graph())
+            _, rul = dm.forward_batch(p, Tensor(x), nx.Graph())
             return rul.item()
 
         g = nx.Graph()
-        _, rul = dm.forward_batch(p, Tensor(x), 1, g)
+        _, rul = dm.forward_batch(p, Tensor(x), g)
         got = g.backward(rul)
         want = finite_diff_grads(run, arrays)
         assert max_rel_err(got, want) < 1e-4
@@ -197,9 +197,9 @@ class TestBatchedForward:
         p = dm.make_variant(cfg, variant)
         rng = np.random.default_rng(18)
         windows = [rng.normal(size=(5, 3)) for _ in range(4)]
-        feats, ruls = dm.forward_batch(p, Tensor(np.vstack(windows)), 4)
+        feats, ruls = dm.forward_batch(p, Tensor(np.vstack(windows)))
         for i, w in enumerate(windows):
-            f_i, r_i = dm.forward_batch(p, Tensor(w), 1)
+            f_i, r_i = dm.forward_batch(p, Tensor(w))
             np.testing.assert_allclose(feats.data[i * 5:(i + 1) * 5], f_i.data,
                                        rtol=1e-12, atol=1e-12)
             assert abs(ruls.data[i, 0] - r_i.item()) < 1e-12
@@ -207,7 +207,7 @@ class TestBatchedForward:
     def test_batch_shape_enforced(self):
         p = dm.make_variant(toy_config(), "full")
         with pytest.raises(nx.ShapeError):
-            dm.forward_batch(p, Tensor(np.zeros((11, 3))), 2)
+            dm.forward_batch(p, Tensor(np.zeros((11, 3))))
 
 
 def kill_gates(monkeypatch, dead):
@@ -251,7 +251,7 @@ class TestVariants:
         p = dm.make_variant(cfg, "oO")
         rng = np.random.default_rng(19)
         x = rng.normal(size=(6, 3))
-        merged, _ = dm.forward_batch(p, Tensor(x), 1)
+        merged, _ = dm.forward_batch(p, Tensor(x))
         x_t = nx.matmul(Tensor(x), Tensor(p.arrays["w_in"]))
         x_s = nx.transpose(x_t)
         for i in range(cfg.n_layers):
@@ -268,8 +268,8 @@ class TestVariants:
         stripped = dm.DualMixerParams(cfg, "oCm", {name: full.arrays[name]
                                                    for name, _, _ in dm.layout(cfg, "oCm")})
         x = np.random.default_rng(21).normal(size=(6, 3))
-        f_full, r_full = dm.forward_batch(full, Tensor(x), 1)
-        f_strip, r_strip = dm.forward_batch(stripped, Tensor(x), 1)
+        f_full, r_full = dm.forward_batch(full, Tensor(x))
+        f_strip, r_strip = dm.forward_batch(stripped, Tensor(x))
         np.testing.assert_allclose(f_full.data, f_strip.data, atol=1e-2)
         assert abs(r_full.item() - r_strip.item()) < 1e-2
 
@@ -278,7 +278,7 @@ class TestVariants:
         full = dm.make_variant(toy_config(seed=22), "full")
         kill_gates(monkeypatch, lambda scope: True)
         x = np.random.default_rng(23).normal(size=(6, 3))
-        merged, rul = dm.forward_batch(full, Tensor(x), 1)
+        merged, rul = dm.forward_batch(full, Tensor(x))
         np.testing.assert_array_equal(merged.data, np.zeros((6, 4)))
         assert rul.item() == 0.0
 
@@ -304,8 +304,8 @@ class TestCheckpoints:
         dm.save_checkpoint(path, p)
         q = dm.load_checkpoint(path)
         x = np.random.default_rng(26).normal(size=(6, 3))
-        _, rul_p = dm.forward_batch(p, Tensor(x), 1)
-        _, rul_q = dm.forward_batch(q, Tensor(x), 1)
+        _, rul_p = dm.forward_batch(p, Tensor(x))
+        _, rul_q = dm.forward_batch(q, Tensor(x))
         assert rul_p.item() == rul_q.item()
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -265,6 +265,27 @@ class TestTape:
             runs.append(g.backward(loss)["w"].copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
+    def test_gradients_never_share_storage(self):
+        """add hands one adjoint array to both inputs; each parameter must
+        still get its own gradient array."""
+        g = nx.Graph()
+        arrays = {k: np.ones((2, 2)) for k in "abc"}
+        a, b, _ = (g.parameter(k, v) for k, v in arrays.items())
+        grads = g.backward(nx.sum_all(nx.add(a, b)))
+        np.testing.assert_array_equal(grads["a"], np.ones((2, 2)))
+        assert not np.shares_memory(grads["a"], grads["b"])
+        assert not any(np.shares_memory(grads[k], arrays[k]) for k in arrays)
+
+    def test_backward_returns_fresh_gradients_each_call(self):
+        """A graph keeps no gradients, so a second sweep does not accumulate."""
+        g = nx.Graph()
+        w = g.parameter("w", np.array([[2.0]]))
+        loss = nx.sum_all(nx.hadamard(w, w))
+        first = g.backward(loss)
+        second = g.backward(loss)
+        assert first is not second
+        assert first["w"][0, 0] == second["w"][0, 0] == 4.0
+
 
 class TestGradientsAgainstFiniteDifferences:
     """Each primitive's backward rule versus a central-difference oracle."""
@@ -374,12 +395,6 @@ class TestAdam:
         assert abs(abs(p["w"][0, 0]) - 0.01) < 1e-6
         assert p["w"][0, 0] < 0.0
 
-    def test_gradients_zeroed_after_step(self):
-        state = nx.AdamState()
-        grads = {"w": np.array([[3.0]])}
-        nx.adam_step(state, {"w": np.array([[1.0]])}, grads)
-        np.testing.assert_array_equal(grads["w"], np.zeros((1, 1)))
-
     def test_converges_on_quadratic(self):
         """200 steps on (w - 3)^2 land within 0.05 of the minimum."""
         state = nx.AdamState(lr=0.1)
@@ -391,3 +406,41 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(nx.ShapeError):
             nx.adam_step(nx.AdamState(), {"w": np.zeros((2, 2))}, {"w": np.zeros((1, 2))})
+
+
+class TestDescend:
+    """descend on sum((w - 3)^2) at w = (1, -2): loss 4 + 25 = 29, and the
+    gradient of loss / 2 is w - 3 = (-2, -5)."""
+
+    def quadratic(self, w):
+        g = nx.Graph()
+        diff = nx.sub(g.parameter("w", w), nx.Tensor(np.full(w.shape, 3.0)))
+        return nx.sum_all(nx.hadamard(diff, diff))
+
+    def test_returns_undivided_loss_and_takes_one_adam_step(self):
+        params = {"w": np.array([[1.0, -2.0]])}
+        state = nx.AdamState(lr=0.1)
+        assert nx.descend(state, params, self.quadratic(params["w"]), 2, "here") == 29.0
+        assert state.step_count == 1
+        # Adam's first step is lr * g / (|g| + eps): lr against the gradient's sign
+        np.testing.assert_allclose(params["w"], [[1.1, -1.9]], rtol=0, atol=1e-8)
+
+    def test_non_finite_loss_raises_before_the_update(self):
+        params = {"w": np.array([[np.inf, -2.0]])}
+        state = nx.AdamState(lr=0.1)
+        with pytest.raises(ValueError, match="non-finite loss inf in batch 3"):
+            nx.descend(state, params, self.quadratic(params["w"]), 2, "batch 3")
+        np.testing.assert_array_equal(params["w"], [[np.inf, -2.0]])
+        assert state.step_count == 0 and not state.m
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_gradient_raises_before_the_update(self):
+        """1e-300 * 1e200 * 1e200 = 1e100 is finite; its slope 1e400 is not."""
+        params = {"w": np.array([[1e-300]])}
+        g = nx.Graph()
+        loss = nx.sum_all(nx.scale(nx.scale(g.parameter("w", params["w"]), 1e200), 1e200))
+        state = nx.AdamState(lr=0.1)
+        with pytest.raises(ValueError, match="non-finite gradient for 'w' in batch 3"):
+            nx.descend(state, params, loss, 1, "batch 3")
+        np.testing.assert_array_equal(params["w"], [[1e-300]])
+        assert state.step_count == 0 and not state.m
