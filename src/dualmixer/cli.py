@@ -146,14 +146,9 @@ def cmd_export(args) -> int:
 def cmd_synth(args) -> int:
     if args.vars != 21:
         raise ValueError("emitting the 26-column file format requires 21 sensor columns")
-    lo, hi = args.cycles
-    train = sx.generate(sx.SynthSpec(n_units=args.units, cycles=(lo, hi),
-                                     n_vars=args.vars, gamma=args.gamma,
-                                     noise_std=args.noise, seed=args.seed))
-    full_test = sx.generate(sx.SynthSpec(n_units=args.test_units, cycles=(lo, hi),
-                                         n_vars=args.vars, gamma=args.gamma,
-                                         noise_std=args.noise, seed=args.seed + 1))
-    test, ruls = sx.make_test_split(full_test, seed=args.seed + 2)
+    train, test, ruls = sx.generate_splits(sx.SynthSpec(
+        n_units=args.units, cycles=tuple(args.cycles), n_vars=args.vars,
+        gamma=args.gamma, noise_std=args.noise, seed=args.seed), args.test_units)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = sx.emit_cmapss(args.out_dir, args.tag, train, test, ruls)
     for kind, path in paths.items():

@@ -10,6 +10,7 @@ functions either return new values or raise.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -80,7 +81,8 @@ def parse_cmapss(path: str) -> list[RawSeries]:
     """Parse a 26-column run-to-failure text file into per-unit series.
 
     Units are returned in first-appearance order with rows sorted by cycle;
-    cycle indices must then run 1..L without gaps.
+    cycle indices must then run 1..L without gaps. Every field must be a
+    finite number, and the unit id and cycle whole numbers.
     """
     rows_by_unit: dict[int, list[list[float]]] = {}
     with open(path, "r") as f:
@@ -94,21 +96,24 @@ def parse_cmapss(path: str) -> list[RawSeries]:
                 row = [float(p) for p in parts]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") from None
+            whole = row[0].is_integer() and row[1].is_integer()  # unit id and cycle
+            if not (whole and all(map(math.isfinite, row))):
+                raise ParseError(f"{path}:{lineno}: non-finite field or fractional unit id or cycle")
             rows_by_unit.setdefault(int(row[0]), []).append(row)
     series = []
     for unit_id, rows in rows_by_unit.items():
         rows.sort(key=lambda r: r[1])
         arr = np.array(rows)
-        cycles = arr[:, 1].astype(int)
-        if not np.array_equal(cycles, np.arange(1, len(cycles) + 1)):
+        if not np.array_equal(arr[:, 1], np.arange(1, len(rows) + 1)):
             raise ParseError(f"{path}: unit {unit_id} cycle indices are not contiguous from 1")
-        series.append(RawSeries(unit_id=unit_id, cycles=cycles,
+        series.append(RawSeries(unit_id=unit_id, cycles=arr[:, 1].astype(int),
                                 settings=arr[:, 2:5], sensors=arr[:, 5:26]))
     return series
 
 
 def parse_rul(path: str) -> list[int]:
-    """Parse a one-value-per-line remaining-life file for a test split."""
+    """Parse a remaining-life file for a test split: one whole number of
+    cycles, zero or more, per line."""
     out = []
     with open(path, "r") as f:
         for lineno, line in enumerate(f, 1):
@@ -118,9 +123,12 @@ def parse_rul(path: str) -> list[int]:
             if len(parts) != 1:
                 raise ParseError(f"{path}:{lineno}: expected 1 column, got {len(parts)}")
             try:
-                out.append(int(float(parts[0])))
+                value = float(parts[0])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") from None
+            if not (value.is_integer() and value >= 0):  # also refuses inf and nan
+                raise ParseError(f"{path}:{lineno}: {parts[0]!r} is not a count of cycles")
+            out.append(int(value))
     return out
 
 

@@ -106,7 +106,7 @@ def threshold_probabilities(t: int, i: int, beta: float, sigma1: float) -> np.nd
 
     Gaussian density centered on the anchor with std sigma1 * t, zeroed on
     the inclusive band [i - t*beta/2, i + t*beta/2], renormalized over the
-    survivors. All-zero (no eligible index) raises.
+    survivors. When no index is eligible the all-zero density is returned.
     """
     if not 0 <= i < t:
         raise ValueError(f"anchor index {i} outside series of {t} windows")
@@ -115,9 +115,7 @@ def threshold_probabilities(t: int, i: int, beta: float, sigma1: float) -> np.nd
     dens = np.exp(-0.5 * ((idx - i) / std) ** 2)
     dens[np.abs(idx - i) <= t * beta / 2.0] = 0.0
     total = dens.sum()
-    if total == 0.0:
-        raise ShortSeriesError(f"no eligible negatives for anchor {i} of {t} windows")
-    return dens / total
+    return dens / total if total else dens
 
 
 def _draw_without_replacement(rng: np.random.Generator, probs: np.ndarray,
@@ -242,17 +240,16 @@ def batch_loss(feats: Tensor, ruls: Tensor, labels: np.ndarray,
                cfg: FsgriConfig) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """dw_info_nce + mse_all summed over G groups, as one tape node.
 
-    feats is the stacked (G*K*l) x d forward output and ruls the G*K x 1
-    predictions, K = m + 2 windows per group in slot order anchor, positive,
-    negatives; labels is G x K in the same order (the positive carries the
-    anchor's label). Each window's l x d block is read row-major, as
-    cosine_similarity reads it, through a (G, K, l*d) view. Returns the
-    1x1 batch sum on the tape of feats/ruls, and the per-group contrastive
-    and regression terms as plain arrays. The backward is closed-form.
+    feats holds one feature row per window and ruls one prediction per
+    window, G*K rows each, K = m + 2 windows per group in slot order
+    anchor, positive, negatives; labels is G x K in the same order (the
+    positive carries the anchor's label). Returns the 1x1 batch sum on the
+    tape of feats/ruls, and the per-group contrastive and regression terms
+    as plain arrays. The backward is closed-form.
     """
     labels = np.asarray(labels, dtype=np.float64)
     n_groups, k = labels.shape
-    if k < 3 or ruls.shape != (n_groups * k, 1) or feats.rows % (n_groups * k):
+    if k < 3 or ruls.shape != (n_groups * k, 1) or feats.rows != n_groups * k:
         raise nx.ShapeError(f"batch_loss: {feats.shape} features and {ruls.shape} "
                             f"predictions do not hold {n_groups} groups of {k}")
     fshape = feats.shape
@@ -302,21 +299,13 @@ def batch_loss(feats: Tensor, ruls: Tensor, labels: np.ndarray,
 def _score_groups(params: dm.DualMixerParams, groups: Sequence[ContrastiveGroup],
                   cfg: FsgriConfig, graph: Optional[nx.Graph]
                   ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Stack every group member into one forward and score it with batch_loss."""
-    stack, labels = [], []
+    """Run every group member through one forward and score it with batch_loss."""
+    windows, labels = [], []
     for grp in groups:
-        stack += [grp.anchor.values, grp.positive] + [n.values for n in grp.negatives]
+        windows += [grp.anchor.values, grp.positive] + [n.values for n in grp.negatives]
         labels.append([grp.anchor.label, grp.anchor.label] + grp.negative_labels)
-    feats, ruls = dm.forward_batch(params, Tensor(np.vstack(stack)), graph)
+    feats, ruls = dm.forward_batch(params, windows, graph)
     return batch_loss(feats, ruls, np.array(labels), cfg)
-
-
-def fsgri_loss(group: ContrastiveGroup, params: dm.DualMixerParams,
-               cfg: FsgriConfig,
-               graph: Optional[nx.Graph] = None) -> Tensor:
-    """Combined loss for one group, on a single tape: the distance-weighted
-    contrastive term plus the group's regression errors."""
-    return _score_groups(params, [group], cfg, graph)[0]
 
 
 # --------------------------------------------------------------------------
@@ -339,9 +328,10 @@ class EpochStats:
 
 
 def stratified_order(groups: dict[int, list[WindowSample]],
-                     rng: np.random.Generator) -> list[tuple[int, int]]:
+                     epoch_seed: int) -> list[tuple[int, int]]:
     """Shuffled (unit_id, window_index) sequence that round-robins across
-    units, so every batch mixes units."""
+    units, so every batch mixes units; the shuffle is keyed by epoch_seed."""
+    rng = np.random.default_rng((epoch_seed, 0x0D0E))
     uids = sorted(groups)
     rng.shuffle(uids)
     queues = [(uid, [int(j) for j in rng.permutation(len(groups[uid]))])
@@ -385,7 +375,7 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
             usable[uid] = windows
     if not usable:
         raise ValueError("no unit has enough windows for negative sampling")
-    order = stratified_order(usable, np.random.default_rng((epoch_seed, 0x0D0E)))
+    order = stratified_order(usable, epoch_seed)
     batch_size = cfg.anchor_batch
     total_con = total_reg = 0.0
     batches = anchors = 0

@@ -166,11 +166,13 @@ def write_json(path: str, value) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A header row and then every row, atomically."""
+    """A header row and then every row, atomically. Every float is written
+    as %.17g, so it reads back exactly; None is written as an empty field."""
     with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(("%.17g" % v if isinstance(v, float) else v for v in row)
+                         for row in rows)
 
 
 def git_describe() -> str:
@@ -204,15 +206,9 @@ def _load_cmapss(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list
 
 
 def _load_synth(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
-    base = cfg.seed * 7919
-    train_units = sx.generate(sx.SynthSpec(
+    return sx.generate_splits(sx.SynthSpec(
         n_units=SYNTH_TRAIN_UNITS, cycles=SYNTH_CYCLES, n_vars=SYNTH_VARS,
-        gamma=SYNTH_GAMMA, noise_std=SYNTH_NOISE, seed=base))
-    full_test = sx.generate(sx.SynthSpec(
-        n_units=SYNTH_TEST_UNITS, cycles=SYNTH_CYCLES, n_vars=SYNTH_VARS,
-        gamma=SYNTH_GAMMA, noise_std=SYNTH_NOISE, seed=base + 1))
-    test_units, ruls = sx.make_test_split(full_test, seed=base + 2)
-    return train_units, test_units, ruls
+        gamma=SYNTH_GAMMA, noise_std=SYNTH_NOISE, seed=cfg.seed * 7919), SYNTH_TEST_UNITS)
 
 
 def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]]:
@@ -247,30 +243,23 @@ def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]
 # --------------------------------------------------------------------------
 
 def _forward_many(params: dm.DualMixerParams,
-                  samples: Sequence[WindowSample],
-                  want_features: bool = False):
-    """Raw (unclamped) predictions, and optionally flattened features, for
-    any number of windows, in chunks of PREDICT_CHUNK."""
-    preds = []
-    feats = []
-    l, d = params.config.l, params.config.d
+                  samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (unclamped) predictions and the feature rows of any number of
+    windows, forwarded in chunks of PREDICT_CHUNK: a length-n vector and an
+    n x (l*d) matrix, one row per window."""
+    preds, feats = [np.zeros(0)], [np.zeros((0, params.config.l * params.config.d))]
     for start in range(0, len(samples), PREDICT_CHUNK):
-        chunk = samples[start:start + PREDICT_CHUNK]
-        x = Tensor(np.vstack([s.values for s in chunk]))
-        f, r = dm.forward_batch(params, x)
+        f, r = dm.forward_batch(params, [s.values for s in samples[start:start + PREDICT_CHUNK]])
         preds.append(r.data[:, 0])
-        if want_features:
-            feats.append(f.data.reshape(len(chunk), l * d))
-    preds_arr = np.concatenate(preds) if preds else np.zeros(0)
-    feats_arr = np.concatenate(feats) if feats else np.zeros((0, l * d))
-    return (preds_arr, feats_arr) if want_features else preds_arr
+        feats.append(f.data)
+    return np.concatenate(preds), np.concatenate(feats)
 
 
 def predict_samples(params: dm.DualMixerParams,
                     samples: Sequence[WindowSample]) -> np.ndarray:
     """Evaluation-ready predictions, clamped to [0, 1]. The single path
     behind both the metrics and the feature export."""
-    return np.clip(_forward_many(params, samples), 0.0, 1.0)
+    return np.clip(_forward_many(params, samples)[0], 0.0, 1.0)
 
 
 def compute_metrics(labels: np.ndarray,
@@ -315,13 +304,11 @@ def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
     groups = dd.group_by_unit(samples)
     history = []
     for epoch in range(cfg.epochs):
-        rng = np.random.default_rng((_epoch_seed(cfg.seed, epoch), 0x0D0E))
-        order = fs.stratified_order(groups, rng)
+        order = fs.stratified_order(groups, _epoch_seed(cfg.seed, epoch))
         sq_sum = 0.0
         for start in range(0, len(order), cfg.b):
             chunk = [groups[uid][i] for uid, i in order[start:start + cfg.b]]
-            x = Tensor(np.vstack([s.values for s in chunk]))
-            _, preds = dm.forward_batch(params, x, nx.Graph())
+            _, preds = dm.forward_batch(params, [s.values for s in chunk], nx.Graph())
             labels = Tensor(np.array([[s.label] for s in chunk]))
             err = nx.sub(preds, labels)
             sq = nx.sum_all(nx.hadamard(err, err))
@@ -386,8 +373,7 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
     write_json(os.path.join(run_dir, "config.json"), cfg.to_dict())
     keys = ["epoch", "loss"] + (["contrastive", "regression"] if cfg.mode == "fsgri" else [])
     write_csv(os.path.join(run_dir, "metrics.csv"), keys,
-              [["%.17g" % h[k] if isinstance(h[k], float) else h[k] for k in keys]
-               for h in history])
+              [[h[k] for k in keys] for h in history])
     with atomic_path(os.path.join(run_dir, "model.ckpt")) as tmp:
         dm.save_checkpoint(tmp, params)
     report.save(report_path)
@@ -409,8 +395,7 @@ def run_ablation(cfg: RunConfig) -> list[RunReport]:
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "ablation.csv"),
               ["variant", "rmse", "mape", "param_count"],
-              [[variant, "%.17g" % rep.rmse,
-                "" if rep.mape is None else "%.17g" % rep.mape, rep.param_count]
+              [[variant, rep.rmse, rep.mape, rep.param_count]
                for variant, rep in zip(dm.VARIANTS, reports)])
     return reports
 
@@ -431,7 +416,7 @@ def grid_search(cfg: RunConfig, n_list: Sequence[int],
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "grid.csv"),
               ["n_layers"] + [f"d{d}" for d in d_list],
-              [[n] + ["%.17g" % v for v in matrix[i]] for i, n in enumerate(n_list)])
+              [[n] + list(matrix[i]) for i, n in enumerate(n_list)])
     default_cell = None
     if cfg.n_layers in n_list and cfg.d in d_list:
         default_cell = [list(n_list).index(cfg.n_layers), list(d_list).index(cfg.d)]
@@ -447,11 +432,10 @@ def export_features(params: dm.DualMixerParams, samples: Sequence[WindowSample],
                     out_path: str) -> None:
     """CSV of per-sample ids, labels, predictions, and the flattened merged
     features; predictions go through the same path evaluate() uses."""
-    l, d = params.config.l, params.config.d
+    raw, feats = _forward_many(params, samples)
     header = (["unit_id", "window_index", "rul_label", "rul_pred"] +
-              [f"f{k:03d}" for k in range(l * d)])
-    raw, feats = _forward_many(params, samples, want_features=True)
+              [f"f{k:03d}" for k in range(feats.shape[1])])
     preds = np.clip(raw, 0.0, 1.0)
     write_csv(out_path, header,
-              ([s.unit_id, s.anchor_index, "%.17g" % s.label, "%.17g" % preds[i]] +
-               ["%.17g" % v for v in feats[i]] for i, s in enumerate(samples)))
+              ([s.unit_id, s.anchor_index, s.label, preds[i]] + list(feats[i])
+               for i, s in enumerate(samples)))

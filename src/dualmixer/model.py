@@ -6,8 +6,8 @@ orientation (mixing across sensors per timestep) and a spatial path on the
 d x l transpose (mixing across timesteps per feature). Each layer exchanges
 gated features between the paths; the gate output feeds only the opposite
 path, never its own trunk. After the final layer the two orientations are
-gated and summed into one l x d feature matrix, flattened, and mapped to a
-scalar remaining-life estimate by a single linear head.
+gated and summed into one l x d feature matrix, flattened to one l*d row,
+and mapped to a scalar remaining-life estimate by a single linear head.
 
 Ablation variants prune pieces of this layout:
 
@@ -23,11 +23,12 @@ A model's parameters are one table: an ordered dict from canonical names
 float64 arrays. layout(config, variant) is the only place that decides
 which arrays a variant owns, what they are called and in which order they
 are initialized and saved. Every variant runs the same forward:
-forward_batch calls dml_forward for each layer, each forward reads its
-weights by name, a removed path is carried as None from input to merge,
-and a layer without cross gates is one whose table has no
-layer{i}.g1.wg. With a graph, the arrays are registered on the tape under
-those same names, which also key the gradients and the optimizer state.
+forward_batch maps n windows to n rows and calls dml_forward for each
+layer, each forward reads its weights by name, a removed path is None
+from input to merge, and a layer without cross gates is one whose table
+has no layer{i}.g1.wg. With a graph, the arrays are registered on the
+tape under those same names, which also key the gradients and the
+optimizer state.
 
 All linear maps are bias-free; layer norms carry gain and bias.
 """
@@ -222,23 +223,27 @@ def dml_forward(arrays: dict[str, np.ndarray], x_t: Optional[Tensor],
     return out_t, out_s
 
 
-def forward_batch(p: DualMixerParams, x: Tensor,
+def forward_batch(p: DualMixerParams, windows,
                   graph: Optional[nx.Graph] = None) -> tuple[Tensor, Tensor]:
-    """Forward for a stack of windows.
-
-    x is (batch*l) x m_vars, batch windows stacked vertically; returns the
-    merged features as (batch*l) x d and the life estimates as a batch x 1
-    tensor. Row-shared ops plus per-block transposes make this
-    bit-identical to running each window separately. Every variant takes
-    this one path: a removed path is None through the layers, and each
-    remaining path is gated at the output when the model has its gate.
+    """Forward for n windows given as an n x l x m_vars array or a sequence
+    of l x m_vars arrays; returns the merged features as n x (l*d), each
+    row a window's l x d matrix read row-major, and the life estimates as
+    n x 1. The stacking into (n*l)-row matrices and the per-window
+    transposes stay in here: every op is 2-D and row-shared, so a batch is
+    bit-identical to its windows run one by one. A removed path is None
+    through the layers; a kept path is gated at the output if it has a gate.
     """
     cfg, arrays = p.config, p.arrays
-    if x.cols != cfg.m_vars or x.rows % cfg.l or not x.rows:
+    try:
+        stack = np.asarray(windows, dtype=np.float64)
+    except ValueError as exc:
+        raise nx.ShapeError(f"windows differ in shape: {exc}") from None
+    if stack.ndim != 3 or stack.shape[1:] != (cfg.l, cfg.m_vars) or not len(stack):
         raise nx.ShapeError(
-            f"expected a stack of {cfg.l} x {cfg.m_vars} windows, got {x.shape}")
-    batch = x.rows // cfg.l
+            f"expected n >= 1 windows of {cfg.l} x {cfg.m_vars}, got {stack.shape}")
+    batch = len(stack)
     temporal, spatial, _, _ = _VARIANT_PARTS[p.variant]
+    x = Tensor(stack.reshape(batch * cfg.l, cfg.m_vars))
     proj = nx.matmul(x, _leaf(arrays, graph, "w_in"))
     x_t = proj if temporal else None
     x_s = nx.block_transpose(proj, batch) if spatial else None
@@ -251,9 +256,8 @@ def forward_batch(p: DualMixerParams, x: Tensor,
         s_feat = gate_forward(arrays, s_feat, graph, "g_out_s")
     parts = [f for f in (x_t, s_feat) if f is not None]
     merged = parts[0] if len(parts) == 1 else nx.add(*parts)
-    flat = nx.reshape(merged, batch, cfg.l * cfg.d)
-    rul = nx.matmul(flat, _leaf(arrays, graph, "w_r"))
-    return merged, rul
+    features = nx.reshape(merged, batch, cfg.l * cfg.d)
+    return features, nx.matmul(features, _leaf(arrays, graph, "w_r"))
 
 
 # --------------------------------------------------------------------------

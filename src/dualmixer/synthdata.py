@@ -89,6 +89,17 @@ def make_test_split(units: list[RawSeries],
     return truncated, ruls
 
 
+def generate_splits(spec: SynthSpec, test_units: int
+                    ) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
+    """A training split of spec.n_units units, and a test split of
+    test_units units cut before failure with their true RULs. The three
+    draws are seeded with spec.seed, spec.seed + 1 and spec.seed + 2."""
+    train = generate(spec)
+    full_test = generate(replace(spec, n_units=test_units, seed=spec.seed + 1))
+    test, ruls = make_test_split(full_test, seed=spec.seed + 2)
+    return train, test, ruls
+
+
 def emit_cmapss(out_dir: str, tag: str, train_units: list[RawSeries],
                 test_units: list[RawSeries], test_ruls: list[int]) -> dict[str, str]:
     """Write train/test/RUL files in the 26-column format; returns the paths.

@@ -1,9 +1,13 @@
-"""Shared test helpers: a finite-difference gradient oracle and dataset
-discovery for the optional real-data checks."""
+"""Shared test helpers: a finite-difference gradient oracle, feature
+vectors with chosen cosine scores, and dataset discovery for the optional
+real-data checks."""
 
+import math
 import os
 
 import numpy as np
+
+from dualmixer import fsgri as fs
 
 # Real turbofan data is looked up here (override with CMAPSS_DIR); the
 # dataset-backed checks skip cleanly when it is absent.
@@ -50,3 +54,24 @@ def max_rel_err(got, want, floor=1e-6):
         if a.size:
             worst = max(worst, float(np.max(np.abs(a - b) / denom)))
     return worst
+
+
+def unit_vec(v):
+    return v / np.linalg.norm(v)
+
+
+def features_with_scores(rng, n, scores):
+    """A base direction u plus vectors whose cosine with u is each score."""
+    u = unit_vec(rng.normal(size=n))
+    out = []
+    for s in scores:
+        r = rng.normal(size=n)
+        r = unit_vec(r - (r @ u) * u)
+        out.append(s * u + math.sqrt(1.0 - s * s) * r)
+    return u, out
+
+
+def group_loss(group, params, cfg, graph=None):
+    """One contrastive group's combined loss on one tape: the
+    distance-weighted contrastive term plus the group's regression errors."""
+    return fs._score_groups(params, [group], cfg, graph)[0]

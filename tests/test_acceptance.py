@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 import pytest
-from conftest import CMAPSS_DIR, cmapss_available, finite_diff_grads, max_rel_err
+from conftest import (CMAPSS_DIR, cmapss_available, features_with_scores,
+                      finite_diff_grads, group_loss, max_rel_err)
 from scipy import stats as sps
 
 import dualmixer.data as dd
@@ -34,21 +35,6 @@ def make_unit(count, w=4, m_vars=3, seed=0, unit_id=1):
                             label=float(lab), unit_id=unit_id, anchor_index=j,
                             true_rul_cycles=count - 1 - j)
             for j, lab in enumerate(np.linspace(1.0, 0.0, count))]
-
-
-def unit_vec(v):
-    return v / np.linalg.norm(v)
-
-
-def features_with_scores(rng, n, scores):
-    """A base direction u plus vectors whose cosine with u is each score."""
-    u = unit_vec(rng.normal(size=n))
-    out = []
-    for s in scores:
-        r = rng.normal(size=n)
-        r = unit_vec(r - (r @ u) * u)
-        out.append(s * u + math.sqrt(1.0 - s * s) * r)
-    return u, out
 
 
 def fd_check(params, build, tol=1e-4):
@@ -119,8 +105,8 @@ class TestPropertySuite:
             dm.ModelConfig(l=8, m_vars=3, d=4, n_layers=1, seed=9), "full")
         arrays = params.arrays
         graph = nx.Graph()
-        got = graph.backward(fs.fsgri_loss(group, params, cfg, graph))
-        want = finite_diff_grads(lambda: fs.fsgri_loss(group, params, cfg).item(),
+        got = graph.backward(group_loss(group, params, cfg, graph))
+        want = finite_diff_grads(lambda: group_loss(group, params, cfg).item(),
                                  arrays)
         assert max_rel_err(got, want) < 1e-4
         assert time.perf_counter() - started < 30.0
@@ -219,7 +205,7 @@ class TestPropertySuite:
         def spearman_rho(params, samples):
             groups = dd.group_by_unit(samples)
             anchor = groups[sorted(groups)[0]][0]
-            _, feats = hx._forward_many(params, samples, want_features=True)
+            _, feats = hx._forward_many(params, samples)
             idx = next(i for i, s in enumerate(samples) if s is anchor)
             a = feats[idx]
             sims = feats @ a / (np.linalg.norm(feats, axis=1) * np.linalg.norm(a))

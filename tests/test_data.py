@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dualmixer import data as dd
 
@@ -78,6 +80,62 @@ class TestParsing:
         path.write_text("5 7\n")
         with pytest.raises(dd.ParseError, match="RUL.txt:1"):
             dd.parse_rul(str(path))
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999", "2.5", "-5"])
+    def test_rul_value_must_be_a_count_of_cycles(self, tmp_path, value):
+        path = tmp_path / "RUL.txt"
+        path.write_text(f"7\n{value}\n")
+        with pytest.raises(dd.ParseError, match="RUL.txt:2"):
+            dd.parse_rul(str(path))
+
+    @pytest.mark.parametrize("column,value", [
+        (0, "inf"), (0, "nan"), (0, "1.5"), (1, "inf"), (1, "2.5"), (7, "nan"), (25, "-inf"),
+    ])
+    def test_non_finite_or_fractional_field_names_the_line(self, tmp_path, column, value):
+        """A unit id or cycle must be a whole number and every field finite."""
+        path = tmp_path / "bad.txt"
+        fields = [["1", str(c)] + ["0.5"] * 24 for c in (1, 2, 3)]
+        fields[1][column] = value
+        path.write_text("\n".join(" ".join(f) for f in fields) + "\n")
+        with pytest.raises(dd.ParseError, match="bad.txt:2"):
+            dd.parse_cmapss(str(path))
+
+
+# tokens that parse as numbers, as non-finite or fractional values, or not at all
+tokens = st.one_of(
+    st.sampled_from(["1", "2", "0", "-1", "2.5", "inf", "-inf", "nan", "1e999",
+                     "1e308", "0x10", "1_0", "x", "", "\u00a0", "\x00"]),
+    st.integers().map(str), st.floats().map(repr))
+text_lines = st.lists(st.lists(tokens, min_size=0, max_size=27).map(" ".join), max_size=6)
+parser_settings = settings(deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestParsersOnArbitraryInput:
+    """Whatever the file holds, both parsers return or raise ValueError."""
+
+    def check(self, path, blob):
+        path.write_bytes(blob)
+        for parse in (dd.parse_cmapss, dd.parse_rul):
+            try:
+                parse(str(path))
+            except ValueError:
+                pass
+
+    @parser_settings
+    @given(blob=st.binary(max_size=512))
+    def test_arbitrary_bytes(self, tmp_path, blob):
+        self.check(tmp_path / "data.txt", blob)
+
+    @parser_settings
+    @given(lines=text_lines, columns=st.integers(0, 25))
+    def test_arbitrary_fields(self, tmp_path, lines, columns):
+        """Random lines, plus 26-column lines with one random field among
+        good ones, so the checks after the column count are reached."""
+        good = ["1", "1"] + ["0.5"] * 24
+        lines += [" ".join(good[:columns] + [line.split(" ")[0]] + good[columns + 1:])
+                  for line in lines]
+        self.check(tmp_path / "data.txt", "\n".join(lines).encode())
 
 
 class TestVariableSelection:

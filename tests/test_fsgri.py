@@ -4,28 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from conftest import finite_diff_grads, max_rel_err
+from conftest import (features_with_scores, finite_diff_grads, group_loss, max_rel_err,
+                      unit_vec)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualmixer import fsgri as fs
 from dualmixer import model as dm
 from dualmixer import numerics as nx
 from dualmixer.data import WindowSample
 from dualmixer.numerics import Tensor
-
-
-def unit_vec(v):
-    return v / np.linalg.norm(v)
-
-
-def features_with_scores(rng, n, scores):
-    """A base direction u plus features whose cosine with u is each score."""
-    u = unit_vec(rng.normal(size=n))
-    feats = []
-    for s in scores:
-        r = rng.normal(size=n)
-        r = unit_vec(r - (r @ u) * u)
-        feats.append(s * u + math.sqrt(1.0 - s * s) * r)
-    return u, feats
 
 
 def info_nce_oracle(s_pos, s_negs, tau):
@@ -99,6 +87,39 @@ class TestThresholdSampling:
         rng = np.random.default_rng(3)
         with pytest.raises(fs.ShortSeriesError):
             fs.sample_negatives(rng, 5, 2, fs.FsgriConfig(m=5))
+
+    @pytest.mark.parametrize("t,i,cfg", [
+        (7, 3, fs.FsgriConfig(m=5, beta=0.9)),          # the band covers the unit
+        (200, 0, fs.FsgriConfig(m=5, sigma1=0.001)),    # the density underflows
+    ])
+    def test_no_eligible_index_relaxes_instead_of_raising(self, t, i, cfg):
+        """An all-zero density is a starved pool like any other: beta is
+        relaxed (or sampling turns uniform) rather than the draw failing."""
+        assert not np.any(fs.threshold_probabilities(t, i, cfg.beta, cfg.sigma1))
+        idx = fs.sample_negatives(np.random.default_rng(4), t, i, cfg)
+        assert len(set(idx)) == cfg.m and i not in idx
+        assert all(0 <= k < t for k in idx)
+
+    @settings(deadline=None, max_examples=300)
+    @given(t=st.integers(2, 300), data=st.data(), m=st.integers(1, 8),
+           beta=st.floats(0.0, 0.999), sigma1=st.floats(1e-4, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_draws_are_distinct_and_outside_the_band_when_it_allows(
+            self, t, data, m, beta, sigma1, seed):
+        """m distinct in-range indices other than the anchor, all outside
+        the configured band whenever that band leaves m indices with
+        nonzero probability."""
+        i = data.draw(st.integers(0, t - 1))
+        cfg = fs.FsgriConfig(m=m, beta=beta, sigma1=sigma1)
+        if t - 1 < m:
+            with pytest.raises(fs.ShortSeriesError):
+                fs.sample_negatives(np.random.default_rng(seed), t, i, cfg)
+            return
+        idx = fs.sample_negatives(np.random.default_rng(seed), t, i, cfg)
+        assert len(idx) == m and len(set(idx)) == m
+        assert all(0 <= k < t and k != i for k in idx)
+        if np.count_nonzero(fs.threshold_probabilities(t, i, beta, sigma1)) >= m:
+            assert all(abs(k - i) > t * beta / 2.0 for k in idx)
 
 
 class TestPositives:
@@ -244,21 +265,22 @@ class TestBatchLoss:
     """The batched loss node against the scalar reference dw_info_nce +
     mse_all, which is built from one cosine and one slice per pair."""
 
-    def random_batch(self, rng, groups, m, l=3, d=4):
+    def random_batch(self, rng, groups, m, width=12):
+        """One feature row of the given width and one prediction per window."""
         k = m + 2
-        feats = rng.normal(size=(groups * k * l, d))
+        feats = rng.normal(size=(groups * k, width))
         ruls = rng.uniform(size=(groups * k, 1))
         labels = rng.uniform(size=(groups, k))
         labels[:, 1] = labels[:, 0]  # the positive carries the anchor's label
-        return feats, ruls, labels, l
+        return feats, ruls, labels
 
-    def reference(self, feats, ruls, labels, l, cfg):
+    def reference(self, feats, ruls, labels, cfg):
         """Per-group (contrastive, regression) tensors on the operands' tape."""
         out = []
         k = labels.shape[1]
         for g in range(labels.shape[0]):
             base = g * k
-            z = [nx.rows_slice(feats, (base + j) * l, (base + j + 1) * l) for j in range(k)]
+            z = [nx.rows_slice(feats, base + j, base + j + 1) for j in range(k)]
             p = [nx.rows_slice(ruls, base + j, base + j + 1) for j in range(k)]
             ya, yn = float(labels[g, 0]), [float(y) for y in labels[g, 2:]]
             out.append((fs.dw_info_nce(z[0], z[1], z[2:], ya, yn, cfg.lam, cfg.tau),
@@ -270,14 +292,14 @@ class TestBatchLoss:
         rng = np.random.default_rng(100 + 10 * groups + m)
         cfg = fs.FsgriConfig(m=m, lam=2.0, tau=0.1)
         for _ in range(3):
-            feats, ruls, labels, l = self.random_batch(rng, groups, m)
+            feats, ruls, labels = self.random_batch(rng, groups, m)
             g1 = nx.Graph()
             loss, con, reg = fs.batch_loss(g1.parameter("f", feats), g1.parameter("r", ruls),
                                            labels, cfg)
             got = g1.backward(loss)
             g2 = nx.Graph()
             parts = self.reference(g2.parameter("f", feats), g2.parameter("r", ruls),
-                                   labels, l, cfg)
+                                   labels, cfg)
             want_con = np.array([c.item() for c, _ in parts])
             want_reg = np.array([r.item() for _, r in parts])
             np.testing.assert_allclose(con, want_con, rtol=1e-12, atol=1e-12)
@@ -294,7 +316,7 @@ class TestBatchLoss:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(120)
         cfg = fs.FsgriConfig(m=2, lam=2.0, tau=0.5)
-        feats, ruls, labels, _ = self.random_batch(rng, 2, 2)
+        feats, ruls, labels = self.random_batch(rng, 2, 2)
         arrays = {"f": feats, "r": ruls}
         g = nx.Graph()
         loss, _, _ = fs.batch_loss(g.parameter("f", feats), g.parameter("r", ruls),
@@ -309,9 +331,9 @@ class TestBatchLoss:
         params = dm.make_variant(dm.ModelConfig(l=4, m_vars=3, d=4, n_layers=1, seed=5), "full")
         rng = np.random.default_rng(121)
         groups, m = 6, 3
-        x = rng.normal(size=(groups * (m + 2) * 4, 3))
+        windows = rng.normal(size=(groups * (m + 2) * 4, 3)).reshape(-1, 4, 3)
         graph = nx.Graph()
-        feats, ruls = dm.forward_batch(params, Tensor(x), graph)
+        feats, ruls = dm.forward_batch(params, windows, graph)
         before = len(graph.nodes)
         labels = rng.uniform(size=(groups, m + 2))
         fs.batch_loss(feats, ruls, labels, fs.FsgriConfig(m=m))
@@ -319,14 +341,14 @@ class TestBatchLoss:
 
     def test_zero_feature_rejected(self):
         rng = np.random.default_rng(122)
-        feats, ruls, labels, l = self.random_batch(rng, 2, 2)
-        feats[7 * l:8 * l] = 0.0  # the second group's second negative
+        feats, ruls, labels = self.random_batch(rng, 2, 2)
+        feats[7] = 0.0  # the second group's second negative
         with pytest.raises(nx.DegenerateVectorError):
             fs.batch_loss(Tensor(feats), Tensor(ruls), labels, fs.FsgriConfig(m=2))
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(123)
-        feats, ruls, labels, _ = self.random_batch(rng, 2, 2)
+        feats, ruls, labels = self.random_batch(rng, 2, 2)
         with pytest.raises(nx.ShapeError):
             fs.batch_loss(Tensor(feats), Tensor(ruls[:-1]), labels, fs.FsgriConfig(m=2))
 
@@ -342,18 +364,18 @@ class TestCombinedLoss:
     def test_positive_and_finite_at_random_init(self):
         grp, cfg = self.build_group()
         params = dm.make_variant(dm.ModelConfig(l=5, m_vars=2, d=3, n_layers=1, seed=16), "full")
-        loss = fs.fsgri_loss(grp, params, cfg)
+        loss = group_loss(grp, params, cfg)
         assert np.isfinite(loss.item())
         assert loss.item() > 0.0
 
     def test_equals_the_sum_of_its_parts(self):
         grp, cfg = self.build_group()
         params = dm.make_variant(dm.ModelConfig(l=5, m_vars=2, d=3, n_layers=1, seed=17), "full")
-        total = fs.fsgri_loss(grp, params, cfg).item()
+        total = group_loss(grp, params, cfg).item()
         feats = []
         preds = []
         for values in [grp.anchor.values, grp.positive] + [n.values for n in grp.negatives]:
-            f, r = dm.forward_batch(params, Tensor(values))
+            f, r = dm.forward_batch(params, [values])
             feats.append(f)
             preds.append(r)
         dw = fs.dw_info_nce(feats[0], feats[1], feats[2:], grp.anchor.label,
@@ -368,8 +390,8 @@ class TestCombinedLoss:
         params = dm.make_variant(dm.ModelConfig(l=5, m_vars=2, d=3, n_layers=1, seed=18), "full")
         arrays = params.arrays
         graph = nx.Graph()
-        got = graph.backward(fs.fsgri_loss(grp, params, cfg, graph))
-        want = finite_diff_grads(lambda: fs.fsgri_loss(grp, params, cfg).item(), arrays)
+        got = graph.backward(group_loss(grp, params, cfg, graph))
+        want = finite_diff_grads(lambda: group_loss(grp, params, cfg).item(), arrays)
         assert max_rel_err(got, want) < 1e-4
 
 

@@ -110,7 +110,7 @@ class TestMetrics:
         samples = random_windows(12)
         params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
         params.arrays["w_r"] *= 1e6
-        raw = hx._forward_many(params, samples)
+        raw, _ = hx._forward_many(params, samples)
         clamped = hx.predict_samples(params, samples)
         assert np.any((raw < 0) | (raw > 1))
         assert np.all((clamped >= 0) & (clamped <= 1))
@@ -315,6 +315,25 @@ class TestAtomicWrites:
         with pytest.raises(ValueError):
             report.save(str(tmp_path / "report.json"))
         assert os.listdir(tmp_path) == []
+
+
+class TestWriteCsv:
+    def test_floats_at_full_precision_and_none_empty(self, tmp_path):
+        path = tmp_path / "out.csv"
+        hx.write_csv(str(path), ["a", "b", "c", "d"],
+                     [[1, 0.1, np.float64(2) / 3, None], ["x", 1e-300, True, 5]])
+        assert path.read_bytes() == (b"a,b,c,d\r\n1,0.10000000000000001,"
+                                     b"0.66666666666666663,\r\nx,1e-300,True,5\r\n")
+
+
+class TestStratifiedOrder:
+    def test_seeded_round_robin_over_every_window(self):
+        groups = {uid: random_windows(n) for uid, n in ((4, 3), (7, 5), (9, 1))}
+        order = fs.stratified_order(groups, 11)
+        assert order == fs.stratified_order(groups, 11)
+        assert sorted(order) == sorted((u, i) for u, w in groups.items() for i in range(len(w)))
+        assert {u for u, _ in order[:3]} == {4, 7, 9}
+        assert {u for u, _ in order[3:5]} == {4, 7}
 
 
 class TestTapeLifetime:
@@ -598,6 +617,17 @@ class TestCli:
         assert self.run_train(tmp_path) == 2
         assert "non-finite gradient for 'w_r' in batch 0" in capsys.readouterr().err
         assert glob.glob(str(tmp_path / "runs" / "*" / "report.json")) == []
+
+    def test_non_finite_rul_file_exits_2(self, tmp_path, capsys):
+        """A bad remaining-life file is an error naming its line, not a traceback."""
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(data), "--tag", "FD001", "--units", "3",
+                         "--test-units", "2", "--cycles", "20", "30"]) == 0
+        (data / "RUL_FD001.txt").write_text("12\ninf\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--dataset", "fd001", "--data-dir", str(data),
+                         "--window", "8", "--out", str(tmp_path / "runs")]) == 2
+        assert "RUL_FD001.txt:2" in capsys.readouterr().err
 
     def test_synth_command_emits_parseable_files(self, tmp_path):
         out = tmp_path / "data"

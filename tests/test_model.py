@@ -137,25 +137,30 @@ class TestDmlLayer:
 class TestModelForward:
 
     def test_paper_scale_shapes(self):
-        """30x14 window with d=32, N=6 gives 30x32 features and a scalar."""
+        """One 30x14 window with d=32, N=6 gives one 30*32 feature row and a scalar."""
         p = dm.make_variant(dm.ModelConfig(l=30, m_vars=14, d=32, n_layers=6, seed=0), "full")
         x = np.random.default_rng(12).normal(size=(30, 14))
-        features, rul = dm.forward_batch(p, Tensor(x))
-        assert features.shape == (30, 32)
+        features, rul = dm.forward_batch(p, [x])
+        assert features.shape == (1, 30 * 32)
         assert rul.shape == (1, 1)
         assert np.isfinite(rul.item())
 
     def test_input_shape_enforced(self):
+        """A window of the wrong shape, alone or among good ones, is refused."""
         p = dm.make_variant(toy_config(), "full")
         with pytest.raises(nx.ShapeError):
-            dm.forward_batch(p, Tensor(np.zeros((5, 3))))
+            dm.forward_batch(p, [np.zeros((5, 3))])
+        with pytest.raises(nx.ShapeError):
+            dm.forward_batch(p, np.zeros((2, 6, 4)))
+        with pytest.raises(nx.ShapeError):
+            dm.forward_batch(p, [np.zeros((6, 3)), np.zeros((5, 3))])
 
     def test_all_zero_head_weights_give_zero_rul(self):
         p = dm.make_variant(toy_config(), "full")
         for arr in p.arrays.values():
             arr[...] = 0.0
         x = np.random.default_rng(13).normal(size=(6, 3))
-        _, rul = dm.forward_batch(p, Tensor(x))
+        _, rul = dm.forward_batch(p, [x])
         assert rul.item() == 0.0
 
     def test_deterministic_init_and_forward(self):
@@ -166,8 +171,8 @@ class TestModelForward:
         for (ka, va), (kb, vb) in zip(a.arrays.items(), b.arrays.items()):
             assert ka == kb
             np.testing.assert_array_equal(va, vb)
-        fa, ra = dm.forward_batch(a, Tensor(x))
-        fb, rb = dm.forward_batch(b, Tensor(x))
+        fa, ra = dm.forward_batch(a, [x])
+        fb, rb = dm.forward_batch(b, [x])
         np.testing.assert_array_equal(fa.data, fb.data)
         assert ra.item() == rb.item()
 
@@ -178,11 +183,11 @@ class TestModelForward:
         x = np.random.default_rng(16).normal(size=(10, 4))
 
         def run():
-            _, rul = dm.forward_batch(p, Tensor(x), nx.Graph())
+            _, rul = dm.forward_batch(p, [x], nx.Graph())
             return rul.item()
 
         g = nx.Graph()
-        _, rul = dm.forward_batch(p, Tensor(x), g)
+        _, rul = dm.forward_batch(p, [x], g)
         got = g.backward(rul)
         want = finite_diff_grads(run, arrays)
         assert max_rel_err(got, want) < 1e-4
@@ -192,22 +197,25 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize("variant", dm.VARIANTS)
     def test_stacked_batch_matches_per_sample(self, variant):
-        """Vertically stacked windows reproduce per-sample outputs."""
+        """A batch of windows reproduces per-sample outputs, row for row."""
         cfg = toy_config(l=5, m_vars=3, d=4, n_layers=2, seed=17)
         p = dm.make_variant(cfg, variant)
         rng = np.random.default_rng(18)
         windows = [rng.normal(size=(5, 3)) for _ in range(4)]
-        feats, ruls = dm.forward_batch(p, Tensor(np.vstack(windows)))
+        feats, ruls = dm.forward_batch(p, windows)
         for i, w in enumerate(windows):
-            f_i, r_i = dm.forward_batch(p, Tensor(w))
-            np.testing.assert_allclose(feats.data[i * 5:(i + 1) * 5], f_i.data,
+            f_i, r_i = dm.forward_batch(p, [w])
+            np.testing.assert_allclose(feats.data[i:i + 1], f_i.data,
                                        rtol=1e-12, atol=1e-12)
             assert abs(ruls.data[i, 0] - r_i.item()) < 1e-12
 
     def test_batch_shape_enforced(self):
+        """The input is a non-empty 3-D stack of windows, not the
+        (n*l) x m_vars rows the model stacks them into."""
         p = dm.make_variant(toy_config(), "full")
-        with pytest.raises(nx.ShapeError):
-            dm.forward_batch(p, Tensor(np.zeros((11, 3))))
+        for bad in (np.zeros((12, 3)), [], np.zeros((0, 6, 3))):
+            with pytest.raises(nx.ShapeError):
+                dm.forward_batch(p, bad)
 
 
 def kill_gates(monkeypatch, dead):
@@ -251,13 +259,14 @@ class TestVariants:
         p = dm.make_variant(cfg, "oO")
         rng = np.random.default_rng(19)
         x = rng.normal(size=(6, 3))
-        merged, _ = dm.forward_batch(p, Tensor(x))
+        merged, _ = dm.forward_batch(p, [x])
+        merged = merged.data.reshape(cfg.l, cfg.d)
         x_t = nx.matmul(Tensor(x), Tensor(p.arrays["w_in"]))
         x_s = nx.transpose(x_t)
         for i in range(cfg.n_layers):
             x_t, x_s = dm.dml_forward(p.arrays, x_t, x_s, scope=f"layer{i}")
         want = x_t.data + x_s.data.T
-        np.testing.assert_allclose(merged.data, want, atol=1e-12)
+        np.testing.assert_allclose(merged, want, atol=1e-12)
 
     def test_dead_cross_gates_approach_the_gateless_variant(self, monkeypatch):
         """Forcing the exchange masks to ~0 reduces a full model to its
@@ -268,8 +277,8 @@ class TestVariants:
         stripped = dm.DualMixerParams(cfg, "oCm", {name: full.arrays[name]
                                                    for name, _, _ in dm.layout(cfg, "oCm")})
         x = np.random.default_rng(21).normal(size=(6, 3))
-        f_full, r_full = dm.forward_batch(full, Tensor(x))
-        f_strip, r_strip = dm.forward_batch(stripped, Tensor(x))
+        f_full, r_full = dm.forward_batch(full, [x])
+        f_strip, r_strip = dm.forward_batch(stripped, [x])
         np.testing.assert_allclose(f_full.data, f_strip.data, atol=1e-2)
         assert abs(r_full.item() - r_strip.item()) < 1e-2
 
@@ -278,8 +287,8 @@ class TestVariants:
         full = dm.make_variant(toy_config(seed=22), "full")
         kill_gates(monkeypatch, lambda scope: True)
         x = np.random.default_rng(23).normal(size=(6, 3))
-        merged, rul = dm.forward_batch(full, Tensor(x))
-        np.testing.assert_array_equal(merged.data, np.zeros((6, 4)))
+        merged, rul = dm.forward_batch(full, [x])
+        np.testing.assert_array_equal(merged.data, np.zeros((1, 6 * 4)))
         assert rul.item() == 0.0
 
 
@@ -304,8 +313,8 @@ class TestCheckpoints:
         dm.save_checkpoint(path, p)
         q = dm.load_checkpoint(path)
         x = np.random.default_rng(26).normal(size=(6, 3))
-        _, rul_p = dm.forward_batch(p, Tensor(x))
-        _, rul_q = dm.forward_batch(q, Tensor(x))
+        _, rul_p = dm.forward_batch(p, [x])
+        _, rul_q = dm.forward_batch(q, [x])
         assert rul_p.item() == rul_q.item()
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -100,6 +100,17 @@ class TestTestSplit:
             assert c.length >= int(np.ceil(u.length * 0.3))
             np.testing.assert_array_equal(c.sensors, u.sensors[:c.length])
 
+    def test_splits_are_seeded_from_one_spec(self):
+        """Training units from seed s, test units from s + 1 cut with s + 2."""
+        spec = sx.SynthSpec(n_units=3, cycles=(30, 40), n_vars=4, seed=12)
+        train, test, ruls = sx.generate_splits(spec, 2)
+        want_cut, want_ruls = sx.make_test_split(
+            sx.generate(sx.SynthSpec(n_units=2, cycles=(30, 40), n_vars=4, seed=13)), seed=14)
+        assert len(train) == 3 and ruls == want_ruls
+        for got, want in zip(train + test, sx.generate(spec) + want_cut):
+            np.testing.assert_array_equal(got.sensors, want.sensors)
+            np.testing.assert_array_equal(got.cycles, want.cycles)
+
     def test_emitted_files_survive_the_text_parser(self, tmp_path):
         spec = sx.SynthSpec(n_units=3, cycles=(30, 40), n_vars=21, seed=9)
         train = sx.generate(spec)
