@@ -168,34 +168,25 @@ def _leaf(arrays: dict[str, np.ndarray], graph: Optional[nx.Graph], name: str) -
     return graph.parameter(name, arr) if graph is not None else Tensor(arr)
 
 
-def mlp_block_forward(arrays: dict[str, np.ndarray], x: Tensor,
-                      graph: Optional[nx.Graph] = None, scope: str = "mlp") -> Tensor:
-    """GeLU(x @ W1) @ W2, shared across rows."""
-    w1 = _leaf(arrays, graph, f"{scope}.w1")
-    w2 = _leaf(arrays, graph, f"{scope}.w2")
-    return nx.matmul(nx.gelu(nx.matmul(x, w1)), w2)
-
-
 def gate_forward(arrays: dict[str, np.ndarray], x: Tensor,
                  graph: Optional[nx.Graph] = None, scope: str = "gate") -> Tensor:
     """sigmoid(x @ Wg) * x, elementwise."""
-    wg = _leaf(arrays, graph, f"{scope}.wg")
-    return nx.hadamard(nx.sigmoid(nx.matmul(x, wg)), x)
+    return nx.gate(x, _leaf(arrays, graph, f"{scope}.wg"))
 
 
-def _ln_forward(arrays, x: Tensor, graph, scope: str) -> Tensor:
-    gain = _leaf(arrays, graph, f"{scope}.gain")
-    bias = _leaf(arrays, graph, f"{scope}.bias")
-    return nx.layer_norm(x, gain, bias)
+def _norm_leaves(arrays, graph, scope: str) -> tuple[Tensor, Tensor]:
+    return _leaf(arrays, graph, f"{scope}.gain"), _leaf(arrays, graph, f"{scope}.bias")
 
 
 def _mix(arrays, x: Optional[Tensor], graph, mlp_scope: str,
          ln_scope: str) -> Optional[Tensor]:
-    """LayerNorm(MLP(x) + x), or None on a path the model does not have."""
+    """LayerNorm(GeLU(x @ W1) @ W2 + x), or None on a path the model does
+    not have."""
     if x is None:
         return None
-    return _ln_forward(arrays, nx.add(mlp_block_forward(arrays, x, graph, mlp_scope), x),
-                       graph, ln_scope)
+    return nx.mix(x, _leaf(arrays, graph, f"{mlp_scope}.w1"),
+                  _leaf(arrays, graph, f"{mlp_scope}.w2"),
+                  *_norm_leaves(arrays, graph, ln_scope))
 
 
 def dml_forward(arrays: dict[str, np.ndarray], x_t: Optional[Tensor],
@@ -218,8 +209,8 @@ def dml_forward(arrays: dict[str, np.ndarray], x_t: Optional[Tensor],
     batch = z_t.rows // z_s.cols
     from_spatial = nx.block_transpose(gate_forward(arrays, z_s, graph, f"{scope}.g2"), batch)
     from_temporal = nx.block_transpose(gate_forward(arrays, z_t, graph, f"{scope}.g1"), batch)
-    out_t = _ln_forward(arrays, nx.add(from_spatial, z_t), graph, f"{scope}.ln_t2")
-    out_s = _ln_forward(arrays, nx.add(from_temporal, z_s), graph, f"{scope}.ln_s2")
+    out_t = nx.add_norm(from_spatial, z_t, *_norm_leaves(arrays, graph, f"{scope}.ln_t2"))
+    out_s = nx.add_norm(from_temporal, z_s, *_norm_leaves(arrays, graph, f"{scope}.ln_s2"))
     return out_t, out_s
 
 

@@ -343,14 +343,116 @@ def rows_slice(a: Tensor, i0: int, i1: int) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact GeLU x * Phi(x) with Phi the standard normal CDF."""
     ad = a.data
-    cdf = 0.5 * (1.0 + erf(ad * _INV_SQRT2))
-    out = ad * cdf
+    out, cdf = _gelu_values(ad)
 
     def bwd(adj):
-        pdf = np.exp(-0.5 * ad * ad) * _INV_SQRT_2PI
-        return (adj * (cdf + ad * pdf),)
+        return (_gelu_grad(adj, ad, cdf),)
 
     return _record(a.graph, "gelu", out, (a.node_id,), bwd)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid_values(a.data)
+
+    def bwd(adj):
+        return (_sigmoid_grad(adj, out),)
+
+    return _record(a.graph, "sigmoid", out, (a.node_id,), bwd)
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization over the last axis, then affine.
+
+    gain and bias are 1 x cols; variance is the population variance with an
+    epsilon floor, so constant rows map to the bias.
+    """
+    _check_norm_params("layer_norm", a.cols, gain, bias)
+    gd = gain.data
+    out, xhat, inv = _layer_norm_values(a.data, gd, bias.data)
+    g = _resolve_graph(a, gain, bias)
+
+    def bwd(adj):
+        return _layer_norm_grad(adj, xhat, inv, gd)
+
+    return _record(g, "layer_norm", out, (_nid(g, a), _nid(g, gain), _nid(g, bias)), bwd)
+
+
+# --------------------------------------------------------------------------
+# fused mixer nodes
+# --------------------------------------------------------------------------
+#
+# Each is one tape node computing a chain of the primitives above with the
+# same value and gradient helpers, so its output is bit-identical to the
+# chain's. A backward returns an operand's contributions in the order the
+# chain's nodes delivered them (a chain's later node is swept first), and an
+# operand used twice is listed twice, so the tape also sums its adjoint in
+# the chain's order.
+
+def mix(x: Tensor, w1: Tensor, w2: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """LayerNorm(GeLU(x @ W1) @ W2 + x): a residual MLP block and its norm."""
+    if x.cols != w1.rows or w1.cols != w2.rows or w2.cols != x.cols:
+        raise ShapeError(f"mix shapes disagree: x {x.shape}, W1 {w1.shape}, W2 {w2.shape}")
+    _check_norm_params("mix", x.cols, gain, bias)
+    xd, w1d, w2d, gd = x.data, w1.data, w2.data, gain.data
+    pre = xd @ w1d
+    hidden, cdf = _gelu_values(pre)
+    out, xhat, inv = _layer_norm_values(hidden @ w2d + xd, gd, bias.data)
+    g = _resolve_graph(x, w1, w2, gain, bias)
+
+    def bwd(adj):
+        dsum, dgain, dbias = _layer_norm_grad(adj, xhat, inv, gd)
+        dpre = _gelu_grad(dsum @ w2d.T, pre, cdf)
+        return dsum, dpre @ w1d.T, xd.T @ dpre, hidden.T @ dsum, dgain, dbias
+
+    ids = (_nid(g, x), _nid(g, x), _nid(g, w1), _nid(g, w2), _nid(g, gain), _nid(g, bias))
+    return _record(g, "mix", out, ids, bwd)
+
+
+def gate(x: Tensor, wg: Tensor) -> Tensor:
+    """sigmoid(x @ Wg) * x, elementwise."""
+    if x.cols != wg.rows or wg.cols != x.cols:
+        raise ShapeError(f"gate shapes disagree: x {x.shape}, Wg {wg.shape}")
+    xd, wgd = x.data, wg.data
+    s = _sigmoid_values(xd @ wgd)
+    out = s * xd
+    g = _resolve_graph(x, wg)
+
+    def bwd(adj):
+        dz = _sigmoid_grad(adj * xd, s)
+        return adj * s, dz @ wgd.T, xd.T @ dz
+
+    return _record(g, "gate", out, (_nid(g, x), _nid(g, x), _nid(g, wg)), bwd)
+
+
+def add_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """LayerNorm(a + b)."""
+    _check_same_shape("add_norm", a, b)
+    _check_norm_params("add_norm", a.cols, gain, bias)
+    gd = gain.data
+    out, xhat, inv = _layer_norm_values(a.data + b.data, gd, bias.data)
+    g = _resolve_graph(a, b, gain, bias)
+
+    def bwd(adj):
+        dsum, dgain, dbias = _layer_norm_grad(adj, xhat, inv, gd)
+        return dsum, dsum, dgain, dbias
+
+    ids = (_nid(g, a), _nid(g, b), _nid(g, gain), _nid(g, bias))
+    return _record(g, "add_norm", out, ids, bwd)
+
+
+# --------------------------------------------------------------------------
+# value and gradient helpers shared by the primitives and the fused nodes
+# --------------------------------------------------------------------------
+
+def _gelu_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GeLU of x and the normal CDF at x, which its gradient reuses."""
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_grad(adj: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return adj * (cdf + x * pdf)
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -363,44 +465,37 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid_values(a.data)
-
-    def bwd(adj):
-        return (adj * out * (1.0 - out),)
-
-    return _record(a.graph, "sigmoid", out, (a.node_id,), bwd)
+def _sigmoid_grad(adj: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return adj * s * (1.0 - s)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row normalization over the last axis, then affine.
-
-    gain and bias are 1 x cols; variance is the population variance with an
-    epsilon floor, so constant rows map to the bias.
-    """
-    ncols = a.cols
+def _check_norm_params(op: str, ncols: int, gain: Tensor, bias: Tensor) -> None:
     for name, t in (("gain", gain), ("bias", bias)):
         if t.shape != (1, ncols):
-            raise ShapeError(f"layer_norm {name} must be 1x{ncols}, got {t.shape}")
-    mu = a.data.mean(axis=1, keepdims=True)
-    xc = a.data - mu
+            raise ShapeError(f"{op} {name} must be 1x{ncols}, got {t.shape}")
+
+
+def _layer_norm_values(x: np.ndarray, gain: np.ndarray,
+                       bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized and affine rows, plus x-hat and 1/sigma for the gradient."""
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
-    gd = gain.data
-    out = xhat * gd + bias.data
-    g = _resolve_graph(a, gain, bias)
+    return xhat * gain + bias, xhat, inv
 
-    def bwd(adj):
-        dgain = (adj * xhat).sum(axis=0, keepdims=True)
-        dbias = adj.sum(axis=0, keepdims=True)
-        dxhat = adj * gd
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgain, dbias
 
-    return _record(g, "layer_norm", out, (_nid(g, a), _nid(g, gain), _nid(g, bias)), bwd)
+def _layer_norm_grad(adj: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                     gain: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients with respect to the input rows, the gain and the bias."""
+    dgain = (adj * xhat).sum(axis=0, keepdims=True)
+    dbias = adj.sum(axis=0, keepdims=True)
+    dxhat = adj * gain
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    return dx, dgain, dbias
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:

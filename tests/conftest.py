@@ -1,5 +1,6 @@
 """Shared test helpers: a finite-difference gradient oracle, feature
-vectors with chosen cosine scores, and dataset discovery for the optional
+vectors with chosen cosine scores, the primitive chains the fused mixer
+nodes are checked against, and dataset discovery for the optional
 real-data checks."""
 
 import math
@@ -8,6 +9,7 @@ import os
 import numpy as np
 
 from dualmixer import fsgri as fs
+from dualmixer import numerics as nx
 
 # Real turbofan data is looked up here (override with CMAPSS_DIR); the
 # dataset-backed checks skip cleanly when it is absent.
@@ -75,3 +77,37 @@ def group_loss(group, params, cfg, graph=None):
     """One contrastive group's combined loss on one tape: the
     distance-weighted contrastive term plus the group's regression errors."""
     return fs._score_groups(params, [group], cfg, graph)[0]
+
+
+# --------------------------------------------------------------------------
+# the fused mixer nodes as chains of primitive tape ops
+# --------------------------------------------------------------------------
+
+def chain_mix(x, w1, w2, gain, bias):
+    """numerics.mix as matmul -> gelu -> matmul -> add -> layer_norm."""
+    return nx.layer_norm(nx.add(nx.matmul(nx.gelu(nx.matmul(x, w1)), w2), x), gain, bias)
+
+
+def chain_gate(x, wg):
+    """numerics.gate as matmul -> sigmoid -> hadamard."""
+    return nx.hadamard(nx.sigmoid(nx.matmul(x, wg)), x)
+
+
+def chain_add_norm(a, b, gain, bias):
+    """numerics.add_norm as add -> layer_norm."""
+    return nx.layer_norm(nx.add(a, b), gain, bias)
+
+
+def use_primitive_chains(monkeypatch):
+    """Make the model build every fused node from its primitive chain."""
+    monkeypatch.setattr(nx, "mix", chain_mix)
+    monkeypatch.setattr(nx, "gate", chain_gate)
+    monkeypatch.setattr(nx, "add_norm", chain_add_norm)
+
+
+def mlp_block_forward(arrays, x, graph=None, scope="mlp"):
+    """GeLU(x @ W1) @ W2, shared across rows: the MLP inside numerics.mix."""
+    def leaf(name):
+        return nx.Tensor(arrays[name]) if graph is None else graph.parameter(name, arrays[name])
+
+    return nx.matmul(nx.gelu(nx.matmul(x, leaf(f"{scope}.w1"))), leaf(f"{scope}.w2"))

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import finite_diff_grads, max_rel_err
+from conftest import finite_diff_grads, max_rel_err, mlp_block_forward, use_primitive_chains
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,7 @@ class TestMlpBlock:
     def test_zero_input_gives_zero_output(self):
         rng = np.random.default_rng(0)
         p = {"mlp.w1": rng.normal(size=(14, 64)), "mlp.w2": rng.normal(size=(64, 32))}
-        out = dm.mlp_block_forward(p, Tensor(np.zeros((30, 14))))
+        out = mlp_block_forward(p, Tensor(np.zeros((30, 14))))
         np.testing.assert_array_equal(out.data, np.zeros((30, 32)))
 
     def test_output_and_hidden_shapes(self):
@@ -33,7 +33,7 @@ class TestMlpBlock:
         rng = np.random.default_rng(1)
         p = {"mlp.w1": rng.normal(size=(14, 64)), "mlp.w2": rng.normal(size=(64, 32))}
         x = rng.normal(size=(30, 14))
-        assert dm.mlp_block_forward(p, Tensor(x)).shape == (30, 32)
+        assert mlp_block_forward(p, Tensor(x)).shape == (30, 32)
         assert (x @ p["mlp.w1"]).shape == (30, 64)
 
     def test_row_permutation_equivariance(self):
@@ -42,8 +42,8 @@ class TestMlpBlock:
         p = {"mlp.w1": rng.normal(size=(5, 8)), "mlp.w2": rng.normal(size=(8, 4))}
         x = rng.normal(size=(7, 5))
         perm = rng.permutation(7)
-        out = dm.mlp_block_forward(p, Tensor(x)).data
-        out_perm = dm.mlp_block_forward(p, Tensor(x[perm])).data
+        out = mlp_block_forward(p, Tensor(x)).data
+        out_perm = mlp_block_forward(p, Tensor(x[perm])).data
         np.testing.assert_array_equal(out_perm, out[perm])
 
     def test_duplicated_row_duplicates_output_row(self):
@@ -51,7 +51,7 @@ class TestMlpBlock:
         p = {"mlp.w1": rng.normal(size=(4, 6)), "mlp.w2": rng.normal(size=(6, 3))}
         x = rng.normal(size=(5, 4))
         x[3] = x[1]
-        out = dm.mlp_block_forward(p, Tensor(x)).data
+        out = mlp_block_forward(p, Tensor(x)).data
         np.testing.assert_array_equal(out[3], out[1])
 
 
@@ -97,10 +97,10 @@ class TestDmlLayer:
         x_s = rng.normal(size=(4, 6))
         out_t, out_s = dm.dml_forward(arrays, Tensor(x_t), Tensor(x_s))
         want_t = nx.layer_norm(
-            nx.add(dm.mlp_block_forward(arrays, Tensor(x_t), scope="layer0.m1"), Tensor(x_t)),
+            nx.add(mlp_block_forward(arrays, Tensor(x_t), scope="layer0.m1"), Tensor(x_t)),
             Tensor(arrays["layer0.ln_t1.gain"]), Tensor(arrays["layer0.ln_t1.bias"]))
         want_s = nx.layer_norm(
-            nx.add(dm.mlp_block_forward(arrays, Tensor(x_s), scope="layer0.m2"), Tensor(x_s)),
+            nx.add(mlp_block_forward(arrays, Tensor(x_s), scope="layer0.m2"), Tensor(x_s)),
             Tensor(arrays["layer0.ln_s1.gain"]), Tensor(arrays["layer0.ln_s1.bias"]))
         np.testing.assert_array_equal(out_t.data, want_t.data)
         np.testing.assert_array_equal(out_s.data, want_s.data)
@@ -130,8 +130,9 @@ class TestDmlLayer:
     def test_misspelt_name_fails_loudly(self):
         """A weight is read by name, so a wrong scope cannot go untrained."""
         arrays = dm.make_variant(toy_config(n_layers=1), "full").arrays
-        with pytest.raises(KeyError, match="layer0.m3.w1"):
-            dm.mlp_block_forward(arrays, Tensor(np.zeros((6, 4))), nx.Graph(), "layer0.m3")
+        with pytest.raises(KeyError, match="layer3.m1.w1"):
+            dm.dml_forward(arrays, Tensor(np.zeros((6, 4))), Tensor(np.zeros((4, 6))),
+                           nx.Graph(), "layer3")
 
 
 class TestModelForward:
@@ -216,6 +217,45 @@ class TestBatchedForward:
         for bad in (np.zeros((12, 3)), [], np.zeros((0, 6, 3))):
             with pytest.raises(nx.ShapeError):
                 dm.forward_batch(p, bad)
+
+
+class TestFusedNodes:
+    """The model on the fused mix, gate and add_norm nodes against the same
+    model built from their primitive chains."""
+
+    @staticmethod
+    def run(p, windows):
+        g = nx.Graph()
+        feats, life = dm.forward_batch(p, windows, g)
+        weights = np.random.default_rng(5).normal(size=feats.shape)
+        loss = nx.add(nx.sum_all(nx.hadamard(feats, Tensor(weights))), nx.sum_all(life))
+        return feats.data, life.data, g.backward(loss), g
+
+    @pytest.mark.parametrize("variant", dm.VARIANTS)
+    def test_fused_model_matches_primitive_chains(self, variant, monkeypatch):
+        """Features and estimates bit for bit; every gradient to 1e-12."""
+        p = dm.make_variant(toy_config(n_layers=2), variant)
+        windows = np.random.default_rng(3).normal(size=(4, 6, 3))
+        feats, life, grads, _ = self.run(p, windows)
+        with monkeypatch.context() as m:
+            use_primitive_chains(m)
+            want_feats, want_life, want_grads, _ = self.run(p, windows)
+        np.testing.assert_array_equal(feats, want_feats)
+        np.testing.assert_array_equal(life, want_life)
+        assert list(grads) == list(want_grads)
+        for name, want in want_grads.items():
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(grads[name] - want)) <= 1e-12 * scale, name
+
+    def test_full_layer_records_eight_op_nodes(self):
+        """Two mixes, two gates, two block transposes and two add-norms."""
+        p = dm.make_variant(toy_config(n_layers=1), "full")
+        g = nx.Graph()
+        x_t = Tensor(np.random.default_rng(4).normal(size=(12, 4)))
+        dm.dml_forward(p.arrays, x_t, nx.block_transpose(x_t, 2), g, "layer0")
+        ops = [n.op for n in g.nodes if n.op != "param"]
+        assert sorted(ops) == sorted(["mix", "mix", "gate", "gate", "block_transpose",
+                                      "block_transpose", "add_norm", "add_norm"])
 
 
 def kill_gates(monkeypatch, dead):

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from conftest import finite_diff_grads, max_rel_err
+from conftest import (chain_add_norm, chain_gate, chain_mix, finite_diff_grads,
+                      max_rel_err)
 
 from dualmixer import numerics as nx
 
@@ -376,6 +377,103 @@ class TestGradientsAgainstFiniteDifferences:
             return nx.logsumexp(terms)
 
         self.check(params, build)
+
+
+class TestFusedNodes:
+    """mix, gate and add_norm against their primitive chains and against
+    central differences."""
+
+    @staticmethod
+    def mix_params(rng, rows=7, cols=4, hidden=8):
+        return {"x": rng.normal(size=(rows, cols)),
+                "w1": rng.normal(size=(cols, hidden)),
+                "w2": rng.normal(size=(hidden, cols)),
+                "gain": rng.uniform(0.5, 1.5, size=(1, cols)),
+                "bias": rng.normal(size=(1, cols))}
+
+    CASES = {
+        "mix": (nx.mix, chain_mix, ("x", "w1", "w2", "gain", "bias"), mix_params.__func__),
+        "gate": (nx.gate, chain_gate, ("x", "wg"),
+                 lambda rng: {"x": rng.normal(size=(7, 5)),
+                              "wg": rng.normal(size=(5, 5)) * 2.0}),
+        "add_norm": (nx.add_norm, chain_add_norm, ("a", "b", "gain", "bias"),
+                     lambda rng: {"a": rng.normal(size=(6, 5)), "b": rng.normal(size=(6, 5)),
+                                  "gain": rng.uniform(0.5, 1.5, size=(1, 5)),
+                                  "bias": rng.normal(size=(1, 5))}),
+    }
+
+    @staticmethod
+    def readout(out):
+        weights = np.random.default_rng(99).normal(size=out.shape)
+        return nx.sum_all(nx.hadamard(out, nx.Tensor(weights)))
+
+    def run(self, op, names, params):
+        g = nx.Graph()
+        out = op(*(g.parameter(k, params[k]) for k in names))
+        return out, g, g.backward(self.readout(out))
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_primitive_chain(self, name):
+        """Values bit for bit, every gradient to 1e-12, one tape node."""
+        fused, chain, names, make = self.CASES[name]
+        for seed in range(3):
+            params = make(np.random.default_rng(seed))
+            out, g, got = self.run(fused, names, params)
+            want_out, _, want = self.run(chain, names, params)
+            np.testing.assert_array_equal(out.data, want_out.data)
+            for k in names:
+                scale = np.max(np.abs(want[k]))
+                assert np.max(np.abs(got[k] - want[k])) <= 1e-12 * scale, (name, k)
+            # the leaves, the fused node, then the readout's hadamard and sum
+            assert [n.op for n in g.nodes[len(names):]] == [name, "hadamard", "sum_all"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_gradients_match_finite_differences(self, name):
+        fused, _, names, make = self.CASES[name]
+        params = make(np.random.default_rng(20))
+
+        def replay():
+            return self.readout(fused(*(nx.Tensor(params[k]) for k in names))).item()
+
+        _, _, got = self.run(fused, names, params)
+        assert max_rel_err(got, finite_diff_grads(replay, params)) < 1e-4
+
+    def test_gate_input_used_elsewhere_sums_like_the_chain(self):
+        """x reaches the loss through the gate's mask, its product and a
+        third use; the tape must sum the three in the chain's order."""
+        rng = np.random.default_rng(21)
+        params = {"x": rng.normal(size=(5, 4)), "wg": rng.normal(size=(4, 4))}
+
+        def grads(gate_op):
+            g = nx.Graph()
+            x, wg = (g.parameter(k, params[k]) for k in ("x", "wg"))
+            return g.backward(self.readout(nx.add(gate_op(x, wg), nx.scale(x, 0.5))))
+
+        got, want = grads(nx.gate), grads(chain_gate)
+        for k in params:
+            np.testing.assert_array_equal(got[k], want[k])
+
+    def test_shape_errors(self):
+        t = nx.Tensor
+        x = t(np.zeros((3, 4)))
+        ok_gain, ok_bias = t(np.ones((1, 4))), t(np.zeros((1, 4)))
+        bad = [
+            lambda: nx.mix(x, t(np.zeros((5, 8))), t(np.zeros((8, 4))), ok_gain, ok_bias),
+            lambda: nx.mix(x, t(np.zeros((4, 8))), t(np.zeros((7, 4))), ok_gain, ok_bias),
+            lambda: nx.mix(x, t(np.zeros((4, 8))), t(np.zeros((8, 3))), ok_gain, ok_bias),
+            lambda: nx.mix(x, t(np.zeros((4, 8))), t(np.zeros((8, 4))), t(np.ones((1, 3))),
+                           ok_bias),
+            lambda: nx.mix(x, t(np.zeros((4, 8))), t(np.zeros((8, 4))), ok_gain,
+                           t(np.zeros((4, 1)))),
+            lambda: nx.gate(x, t(np.zeros((3, 4)))),
+            lambda: nx.gate(x, t(np.zeros((4, 3)))),
+            lambda: nx.add_norm(x, t(np.zeros((3, 5))), ok_gain, ok_bias),
+            lambda: nx.add_norm(x, x, t(np.ones((2, 4))), ok_bias),
+            lambda: nx.add_norm(x, x, ok_gain, t(np.zeros((1, 5)))),
+        ]
+        for make in bad:
+            with pytest.raises(nx.ShapeError):
+                make()
 
 
 class TestAdam:
