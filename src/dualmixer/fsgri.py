@@ -30,13 +30,15 @@ from .numerics import Tensor
 
 logger = logging.getLogger(__name__)
 
-_WARNED: set = set()
 
-
-def _warn_once(key, msg, *args):
-    if key not in _WARNED:
-        _WARNED.add(key)
-        logger.warning(msg, *args)
+def _warn_once(warned: Optional[set], key, msg, *args) -> None:
+    """Log a warning unless its key is already in ``warned``, then record
+    it there; with no set, every occurrence is logged."""
+    if warned is not None:
+        if key in warned:
+            return
+        warned.add(key)
+    logger.warning(msg, *args)
 
 
 class ShortSeriesError(ValueError):
@@ -130,7 +132,7 @@ def _draw_without_replacement(rng: np.random.Generator, probs: np.ndarray,
 
 
 def sample_negatives(rng: np.random.Generator, t: int, i: int,
-                     cfg: FsgriConfig) -> list[int]:
+                     cfg: FsgriConfig, warned: Optional[set] = None) -> list[int]:
     """m distinct negative indices for anchor i of a t-window unit.
 
     Gaussian threshold sampling: m sequential draws without replacement
@@ -138,6 +140,7 @@ def sample_negatives(rng: np.random.Generator, t: int, i: int,
     eligible indices, beta is halved until enough survive or it drops below
     1/t; past that, indices are drawn uniformly from everything except the
     anchor. Units with at most m other windows cannot be sampled at all.
+    Relaxing and the fallback are logged once per key in ``warned``.
     """
     if t - 1 < cfg.m:
         raise ShortSeriesError(f"unit has {t} windows; need more than {cfg.m}")
@@ -146,13 +149,13 @@ def sample_negatives(rng: np.random.Generator, t: int, i: int,
         probs = threshold_probabilities(t, i, beta, cfg.sigma1)
         if int(np.count_nonzero(probs)) >= cfg.m:
             if beta != cfg.beta:
-                _warn_once(("relaxed", t), "relaxed exclusion band to beta=%g "
+                _warn_once(warned, ("relaxed", t), "relaxed exclusion band to beta=%g "
                            "for %d-window units", beta, t)
             return _draw_without_replacement(rng, probs, cfg.m)
         beta /= 2.0
         if beta < 1.0 / t:
             break
-    _warn_once(("uniform", t), "falling back to uniform negative sampling "
+    _warn_once(warned, ("uniform", t), "falling back to uniform negative sampling "
                "for %d-window units", t)
     others = np.delete(np.arange(t), i)
     return [int(k) for k in rng.permutation(others)[:cfg.m]]
@@ -165,13 +168,13 @@ def make_positive(rng: np.random.Generator, anchor: np.ndarray,
 
 
 def build_group(rng: np.random.Generator, unit_windows: Sequence[WindowSample],
-                i: int, cfg: FsgriConfig) -> ContrastiveGroup:
+                i: int, cfg: FsgriConfig, warned: Optional[set] = None) -> ContrastiveGroup:
     """Sample one anchor's group from its unit's ordered window list.
 
     Draw order is fixed (negatives first, then positive noise) so a given
     rng state always yields the same group.
     """
-    neg_idx = sample_negatives(rng, len(unit_windows), i, cfg)
+    neg_idx = sample_negatives(rng, len(unit_windows), i, cfg, warned)
     anchor = unit_windows[i]
     positive = make_positive(rng, anchor.values, cfg.sigma2)
     return ContrastiveGroup(anchor=anchor, positive=positive,
@@ -349,7 +352,7 @@ def stratified_order(groups: dict[int, list[WindowSample]],
 
 def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample],
                       cfg: FsgriConfig, optimizer: nx.AdamState,
-                      epoch_seed: int) -> EpochStats:
+                      epoch_seed: int, warned: Optional[set] = None) -> EpochStats:
     """One pass over all usable anchors.
 
     Anchors are grouped into batches of b // (m+1); each batch stacks every
@@ -358,8 +361,12 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     is keyed by (epoch_seed, unit, window index), so a rerun with the same
     seed reproduces the epoch bit-for-bit regardless of execution order.
     A non-finite batch loss or gradient raises ValueError before any update.
+    Each short-unit or sampler warning is logged once per key in
+    ``warned``; pass one set to every epoch of a run to log it once per run.
     """
     cfg.validate()
+    if warned is None:
+        warned = set()
     if not samples:
         raise ValueError("empty training set")
     groups = group_by_unit(samples)
@@ -367,7 +374,7 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     skipped = 0
     for uid, windows in sorted(groups.items()):
         if len(windows) - 1 < cfg.m:
-            _warn_once(("unit", uid), "unit %d has only %d windows; need more "
+            _warn_once(warned, ("unit", uid), "unit %d has only %d windows; need more "
                        "than %d for negative sampling; skipped", uid,
                        len(windows), cfg.m)
             skipped += len(windows)
@@ -382,7 +389,7 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     for start in range(0, len(order), batch_size):
         chunk = order[start:start + batch_size]
         batch_groups = [build_group(np.random.default_rng((epoch_seed, uid, i)),
-                                    usable[uid], i, cfg) for uid, i in chunk]
+                                    usable[uid], i, cfg, warned) for uid, i in chunk]
         batch_sum, contrastive, regression = _score_groups(params, batch_groups, cfg,
                                                            nx.Graph())
         nx.descend(optimizer, params.arrays, batch_sum, cfg.b,

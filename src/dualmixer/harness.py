@@ -18,6 +18,7 @@ import logging
 import os
 import subprocess
 import time
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
@@ -140,8 +141,38 @@ class RunReport:
 
     @classmethod
     def load(cls, path: str) -> "RunReport":
-        with open(path) as f:
-            return cls(**json.load(f))
+        """Read a saved report. A file that is not JSON, or whose fields are
+        missing, unknown or of the wrong type, raises ValueError naming the
+        file and the cause."""
+        try:
+            with open(path) as f:
+                raw = json.load(f)
+        except ValueError as exc:  # also undecodable bytes
+            raise ValueError(f"{path}: report is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: report is not a JSON object")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        missing = [name for name, f in fields.items()
+                   if name not in raw and f.default is dataclasses.MISSING]
+        unknown = sorted(set(raw) - set(fields))
+        if missing or unknown:
+            raise ValueError(f"{path}: malformed report: missing fields {missing}, "
+                             f"unknown fields {unknown}")
+        hints = typing.get_type_hints(cls)
+        for name, value in raw.items():
+            allowed = _json_types(hints[name])
+            if not isinstance(value, allowed) or (isinstance(value, bool)
+                                                  and bool not in allowed):
+                raise ValueError(f"{path}: malformed report: field {name!r} holds "
+                                 f"{type(value).__name__}, expected {hints[name]}")
+        return cls(**raw)
+
+
+def _json_types(hint) -> tuple:
+    """The JSON value types a field annotated ``hint`` may hold; a float
+    written without a fraction reads back as an int."""
+    args = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+    return tuple(t for a in args for t in ((int, float) if a is float else (a,)))
 
 
 @contextmanager
@@ -321,13 +352,14 @@ def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
 def train_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample],
                 cfg: RunConfig) -> list[dict]:
     """Contrastive training: one fsgri epoch per epoch, recording both loss
-    components."""
+    components. Each sampler or short-unit warning is logged once per call."""
     opt = nx.AdamState(lr=cfg.lr)
     fcfg = cfg.fsgri_config()
+    warned: set = set()
     history = []
     for epoch in range(cfg.epochs):
         stats = fs.train_epoch_fsgri(params, samples, fcfg, opt,
-                                     _epoch_seed(cfg.seed, epoch))
+                                     _epoch_seed(cfg.seed, epoch), warned)
         history.append({"epoch": epoch, "loss": stats.mean_loss,
                         "contrastive": stats.mean_contrastive,
                         "regression": stats.mean_regression,

@@ -30,6 +30,11 @@ has no layer{i}.g1.wg. With a graph, the arrays are registered on the
 tape under those same names, which also key the gradients and the
 optimizer state.
 
+Each path's residual block is one numerics.mix node, each gate one
+numerics.gate node, and each cross-path merge one numerics.add_norm node,
+so a full layer records 8 tape ops: two of each, plus the two block
+transposes that carry gated features to the other orientation.
+
 All linear maps are bias-free; layer norms carry gain and bias.
 """
 

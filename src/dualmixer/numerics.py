@@ -6,6 +6,13 @@ topologically ordered by construction), and every operation carries its own
 local backward rule. One graph per loss evaluation; graphs are single
 threaded, independent graphs may run in parallel. backward returns fresh
 gradients; descend is the one checked training step built on it and Adam.
+
+Besides the primitives, three fused nodes carry the mixer: mix
+(LayerNorm(GeLU(x W1) W2 + x)), gate (sigmoid(x Wg) * x) and add_norm
+(LayerNorm(a + b)). Each is one tape node with a closed-form backward. They
+and the primitives gelu, sigmoid and layer_norm compute through the same
+module-level value and gradient helpers, so a fused node's output is
+bit-identical to its primitive chain, which the tests keep as the oracle.
 """
 
 from __future__ import annotations

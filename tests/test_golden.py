@@ -8,7 +8,7 @@ taken at the trainers' own call of numerics.descend.
 
 Each array is compared within GOLDEN_TOL of its own largest magnitude.
 Reordered floating-point work (a faster kernel, a fused node) moves these
-values by about 1e-15 relative; a change in what the program computes
+values by under 1e-14 of that scale; a change in what the program computes
 moves them by far more than 1e-10. Multi-epoch loss traces are left out on
 purpose: training amplifies ulp-level differences to about 1e-2 within two
 epochs, so a trace cannot tell the two apart.
@@ -19,6 +19,7 @@ the program's meaning changes on purpose, and say why in CHANGES.md.
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +73,8 @@ def compute(monkeypatch, variant: str, tmp_path: Path) -> dict:
     out = {"dmix_sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
            "features": feats.data, "life": life.data}
     for mode in hx.MODES:
-        step = first_batch(monkeypatch, dm.make_variant(model_cfg, variant), train,
-                           golden_config(mode, variant))
-        out[mode] = step
+        out[mode] = first_batch(monkeypatch, dm.make_variant(model_cfg, variant), train,
+                                golden_config(mode, variant))
     return out
 
 
@@ -117,8 +117,6 @@ def test_variant_matches_golden(variant, golden, monkeypatch, tmp_path):
 
 
 def record() -> None:
-    import tempfile
-
     record_patch = pytest.MonkeyPatch()
     try:
         with tempfile.TemporaryDirectory() as tmp:

@@ -317,6 +317,56 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == []
 
 
+class TestReportLoad:
+    DROP = object()  # marks a field to delete from the saved file
+
+    def saved(self, tmp_path, **over):
+        report = hx.RunReport(config={"d": 4}, config_hash="0", seed=1, git_describe="x",
+                              epoch_losses=[0.5], epoch_detail=[{"epoch": 0}], rmse=0.5,
+                              mape=None, wall_clock_sec=1.0, param_count=10)
+        path = tmp_path / "report.json"
+        report.save(str(path))
+        if over:
+            raw = json.loads(path.read_text())
+            for key, value in over.items():
+                if value is self.DROP:
+                    del raw[key]
+                else:
+                    raw[key] = value
+            path.write_text(json.dumps(raw))
+        return report, str(path)
+
+    def test_round_trip(self, tmp_path):
+        report, path = self.saved(tmp_path)
+        assert hx.RunReport.load(path) == report
+
+    @pytest.mark.parametrize("over, cause", [
+        ({"rmse": DROP}, "missing fields ['rmse']"),
+        ({"banana": 1}, "unknown fields ['banana']"),
+        ({"rmse": "0.5"}, "field 'rmse' holds str"),
+        ({"seed": 1.5}, "field 'seed' holds float"),
+        ({"param_count": True}, "field 'param_count' holds bool"),
+        ({"epoch_losses": {}}, "field 'epoch_losses' holds dict"),
+        ({"mape": []}, "field 'mape' holds list"),
+    ])
+    def test_malformed_field_names_file_and_cause(self, tmp_path, over, cause):
+        _, path = self.saved(tmp_path, **over)
+        with pytest.raises(ValueError) as err:
+            hx.RunReport.load(path)
+        assert path in str(err.value) and cause in str(err.value)
+
+    @pytest.mark.parametrize("text", ['{"rmse": ', "[1, 2]", "\xff\xfe"])
+    def test_not_a_json_object(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match="report.json"):
+            hx.RunReport.load(str(path))
+
+    def test_integral_float_and_optional_values_accepted(self, tmp_path):
+        _, path = self.saved(tmp_path, rmse=1, mape=2.5, anchor_batch_size=None)
+        assert hx.RunReport.load(path).rmse == 1
+
+
 class TestWriteCsv:
     def test_floats_at_full_precision_and_none_empty(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -445,6 +495,23 @@ class TestRunOne:
         rmse, mape = hx.evaluate(params, test)
         assert rmse == report.rmse
         assert mape == report.mape
+
+
+    def test_every_run_logs_its_own_sampler_warnings(self, monkeypatch, tmp_path, caplog):
+        """A sweep runs many trainings in one process; the warnings of the
+        second run must not be swallowed by the first."""
+        shrink_synth(monkeypatch)
+        caplog.set_level("WARNING", logger=fs.logger.name)
+        runs = []
+        for out in ("a", "b"):
+            caplog.clear()
+            hx.run_one(tiny_cfg(tmp_path, mode="fsgri", m=10, epochs=2,
+                                out_dir=str(tmp_path / out)))
+            runs.append([r.getMessage() for r in caplog.records
+                         if "need more than 10" in r.getMessage()])
+        assert runs[0] and runs[0] == runs[1]
+        # each short unit is reported once per run, not once per epoch
+        assert len(set(runs[0])) == len(runs[0])
 
 
 class TestAblation:
@@ -617,6 +684,22 @@ class TestCli:
         assert self.run_train(tmp_path) == 2
         assert "non-finite gradient for 'w_r' in batch 0" in capsys.readouterr().err
         assert glob.glob(str(tmp_path / "runs" / "*" / "report.json")) == []
+
+    def test_resume_from_malformed_report_exits_2(self, monkeypatch, tmp_path, capsys):
+        """A finished run whose report lost a field is an error naming the
+        file, not a traceback."""
+        shrink_synth(monkeypatch)
+        assert self.run_train(tmp_path) == 0
+        report_path = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))[0]
+        with open(report_path) as f:
+            raw = json.load(f)
+        del raw["rmse"]
+        with open(report_path, "w") as f:
+            json.dump(raw, f)
+        capsys.readouterr()
+        assert self.run_train(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert report_path in err and "rmse" in err
 
     def test_non_finite_rul_file_exits_2(self, tmp_path, capsys):
         """A bad remaining-life file is an error naming its line, not a traceback."""

@@ -383,16 +383,13 @@ class TestFusedNodes:
     """mix, gate and add_norm against their primitive chains and against
     central differences."""
 
-    @staticmethod
-    def mix_params(rng, rows=7, cols=4, hidden=8):
-        return {"x": rng.normal(size=(rows, cols)),
-                "w1": rng.normal(size=(cols, hidden)),
-                "w2": rng.normal(size=(hidden, cols)),
-                "gain": rng.uniform(0.5, 1.5, size=(1, cols)),
-                "bias": rng.normal(size=(1, cols))}
-
+    # op, its primitive chain, operand names, random operands
     CASES = {
-        "mix": (nx.mix, chain_mix, ("x", "w1", "w2", "gain", "bias"), mix_params.__func__),
+        "mix": (nx.mix, chain_mix, ("x", "w1", "w2", "gain", "bias"),
+                lambda rng: {"x": rng.normal(size=(7, 4)), "w1": rng.normal(size=(4, 8)),
+                             "w2": rng.normal(size=(8, 4)),
+                             "gain": rng.uniform(0.5, 1.5, size=(1, 4)),
+                             "bias": rng.normal(size=(1, 4))}),
         "gate": (nx.gate, chain_gate, ("x", "wg"),
                  lambda rng: {"x": rng.normal(size=(7, 5)),
                               "wg": rng.normal(size=(5, 5)) * 2.0}),
