@@ -105,9 +105,7 @@ def use_primitive_chains(monkeypatch):
     monkeypatch.setattr(nx, "add_norm", chain_add_norm)
 
 
-def mlp_block_forward(arrays, x, graph=None, scope="mlp"):
+def mlp_block_forward(arrays, x, scope="mlp"):
     """GeLU(x @ W1) @ W2, shared across rows: the MLP inside numerics.mix."""
-    def leaf(name):
-        return nx.Tensor(arrays[name]) if graph is None else graph.parameter(name, arrays[name])
-
-    return nx.matmul(nx.gelu(nx.matmul(x, leaf(f"{scope}.w1"))), leaf(f"{scope}.w2"))
+    w1, w2 = nx.Tensor(arrays[f"{scope}.w1"]), nx.Tensor(arrays[f"{scope}.w2"])
+    return nx.matmul(nx.gelu(nx.matmul(x, w1)), w2)

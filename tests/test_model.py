@@ -229,17 +229,17 @@ class TestFusedNodes:
         feats, life = dm.forward_batch(p, windows, g)
         weights = np.random.default_rng(5).normal(size=feats.shape)
         loss = nx.add(nx.sum_all(nx.hadamard(feats, Tensor(weights))), nx.sum_all(life))
-        return feats.data, life.data, g.backward(loss), g
+        return feats.data, life.data, g.backward(loss)
 
     @pytest.mark.parametrize("variant", dm.VARIANTS)
     def test_fused_model_matches_primitive_chains(self, variant, monkeypatch):
         """Features and estimates bit for bit; every gradient to 1e-12."""
         p = dm.make_variant(toy_config(n_layers=2), variant)
         windows = np.random.default_rng(3).normal(size=(4, 6, 3))
-        feats, life, grads, _ = self.run(p, windows)
+        feats, life, grads = self.run(p, windows)
         with monkeypatch.context() as m:
             use_primitive_chains(m)
-            want_feats, want_life, want_grads, _ = self.run(p, windows)
+            want_feats, want_life, want_grads = self.run(p, windows)
         np.testing.assert_array_equal(feats, want_feats)
         np.testing.assert_array_equal(life, want_life)
         assert list(grads) == list(want_grads)
