@@ -8,11 +8,12 @@ error of all group members. Far-in-life negatives get their contrastive
 logits amplified, so the feature space is pushed to order itself by
 remaining life rather than merely separating neighbors from strangers.
 
-A training batch stacks every group's windows into one forward_batch call
-and scores all groups with batch_loss, a single tape node with a
-closed-form backward. dw_info_nce and mse_all compute the same terms for
-one group from scalar tape ops; they are the reference batch_loss is
-tested against.
+build_group returns a group as its m + 2 windows and labels in slot order
+(anchor, positive, negatives). A training batch concatenates its groups'
+rows into one forward_batch call and scores all groups with batch_loss, a
+single tape node (put there by numerics.record) with a closed-form
+backward. dw_info_nce and mse_all compute the same terms for one group
+from scalar tape ops; they are the reference batch_loss is tested against.
 """
 
 from __future__ import annotations
@@ -85,20 +86,6 @@ class FsgriConfig:
         return self.b // (self.m + 1)
 
 
-@dataclass
-class ContrastiveGroup:
-    """An anchor, its noise-augmented positive, and m same-unit negatives
-    drawn outside the anchor's excluded band, all distinct."""
-
-    anchor: WindowSample
-    positive: np.ndarray
-    negatives: list[WindowSample]
-
-    @property
-    def negative_labels(self) -> list[float]:
-        return [n.label for n in self.negatives]
-
-
 # --------------------------------------------------------------------------
 # negative sampling
 # --------------------------------------------------------------------------
@@ -161,24 +148,23 @@ def sample_negatives(rng: np.random.Generator, t: int, i: int,
     return [int(k) for k in rng.permutation(others)[:cfg.m]]
 
 
-def make_positive(rng: np.random.Generator, anchor: np.ndarray,
-                  sigma2: float) -> np.ndarray:
-    """Anchor plus i.i.d. Gaussian noise, elementwise."""
-    return anchor + rng.normal(0.0, sigma2, size=anchor.shape)
-
-
 def build_group(rng: np.random.Generator, unit_windows: Sequence[WindowSample],
-                i: int, cfg: FsgriConfig, warned: Optional[set] = None) -> ContrastiveGroup:
+                i: int, cfg: FsgriConfig, warned: Optional[set] = None
+                ) -> tuple[list[np.ndarray], list[float]]:
     """Sample one anchor's group from its unit's ordered window list.
 
-    Draw order is fixed (negatives first, then positive noise) so a given
-    rng state always yields the same group.
+    Returns the group's m + 2 windows and labels in slot order: the anchor,
+    its positive (the anchor plus N(0, sigma2^2) noise per entry, with the
+    anchor's label), then the m negatives. Draw order is fixed (negatives
+    first, then the positive's noise) so a given rng state always yields
+    the same group.
     """
     neg_idx = sample_negatives(rng, len(unit_windows), i, cfg, warned)
     anchor = unit_windows[i]
-    positive = make_positive(rng, anchor.values, cfg.sigma2)
-    return ContrastiveGroup(anchor=anchor, positive=positive,
-                            negatives=[unit_windows[k] for k in neg_idx])
+    positive = anchor.values + rng.normal(0.0, cfg.sigma2, size=anchor.values.shape)
+    negatives = [unit_windows[k] for k in neg_idx]
+    return ([anchor.values, positive] + [n.values for n in negatives],
+            [anchor.label, anchor.label] + [n.label for n in negatives])
 
 
 # --------------------------------------------------------------------------
@@ -193,21 +179,11 @@ def distance_weights(anchor_rul: float, neg_ruls: Sequence[float],
     return lam * gaps ** 2
 
 
-def info_nce(zi: Tensor, zi_pos: Tensor, z_negs: Sequence[Tensor],
-             tau: float) -> Tensor:
-    """Contrastive loss over cosine scores, log-sum-exp stabilized."""
-    pos = nx.scale(nx.cosine_similarity(zi, zi_pos), 1.0 / tau)
-    logits = [pos] + [nx.scale(nx.cosine_similarity(zi, zn), 1.0 / tau)
-                      for zn in z_negs]
-    return nx.sub(nx.logsumexp(logits), pos)
-
-
 def dw_info_nce(zi: Tensor, zi_pos: Tensor, z_negs: Sequence[Tensor],
                 anchor_rul: float, neg_ruls: Sequence[float],
                 lam: float, tau: float) -> Tensor:
     """InfoNCE with each negative logit scaled by its life-gap weight; the
-    positive term is left unweighted. Reduces to info_nce when all weights
-    are 1."""
+    positive term is left unweighted."""
     if len(neg_ruls) != len(z_negs):
         raise ValueError(f"{len(z_negs)} negative features but {len(neg_ruls)} labels")
     alphas = distance_weights(anchor_rul, neg_ruls, lam)
@@ -294,21 +270,7 @@ def batch_loss(feats: Tensor, ruls: Tensor, labels: np.ndarray,
         druls[:, 2:] *= inv_m
         return dz.reshape(fshape), druls.reshape(-1, 1)
 
-    g = nx._resolve_graph(feats, ruls)
-    loss = nx._record(g, "fsgri_batch_loss", out, (nx._nid(g, feats), nx._nid(g, ruls)), bwd)
-    return loss, contrastive, regression
-
-
-def _score_groups(params: dm.DualMixerParams, groups: Sequence[ContrastiveGroup],
-                  cfg: FsgriConfig, graph: Optional[nx.Graph]
-                  ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Run every group member through one forward and score it with batch_loss."""
-    windows, labels = [], []
-    for grp in groups:
-        windows += [grp.anchor.values, grp.positive] + [n.values for n in grp.negatives]
-        labels.append([grp.anchor.label, grp.anchor.label] + grp.negative_labels)
-    feats, ruls = dm.forward_batch(params, windows, graph)
-    return batch_loss(feats, ruls, np.array(labels), cfg)
+    return nx.record("fsgri_batch_loss", out, (feats, ruls), bwd), contrastive, regression
 
 
 # --------------------------------------------------------------------------
@@ -388,10 +350,14 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     batches = anchors = 0
     for start in range(0, len(order), batch_size):
         chunk = order[start:start + batch_size]
-        batch_groups = [build_group(np.random.default_rng((epoch_seed, uid, i)),
-                                    usable[uid], i, cfg, warned) for uid, i in chunk]
-        batch_sum, contrastive, regression = _score_groups(params, batch_groups, cfg,
-                                                           nx.Graph())
+        windows, labels = [], []
+        for uid, i in chunk:
+            group_windows, group_labels = build_group(
+                np.random.default_rng((epoch_seed, uid, i)), usable[uid], i, cfg, warned)
+            windows += group_windows
+            labels.append(group_labels)
+        feats, ruls = dm.forward_batch(params, windows, nx.Graph())
+        batch_sum, contrastive, regression = batch_loss(feats, ruls, np.array(labels), cfg)
         nx.descend(optimizer, params.arrays, batch_sum, cfg.b,
                    f"batch {batches} of the epoch with seed {epoch_seed}")
         total_con += float(contrastive.sum())

@@ -112,11 +112,13 @@ class RunConfig:
 
 
 def config_from_dict(values: dict) -> RunConfig:
-    """Build a RunConfig from exactly its own field names."""
+    """Build a RunConfig from exactly its own field names, each holding a
+    JSON value of its field's type (see _check_json_types)."""
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    _check_json_types(RunConfig, values)
     return RunConfig(**values)
 
 
@@ -158,13 +160,10 @@ class RunReport:
         if missing or unknown:
             raise ValueError(f"{path}: malformed report: missing fields {missing}, "
                              f"unknown fields {unknown}")
-        hints = typing.get_type_hints(cls)
-        for name, value in raw.items():
-            allowed = _json_types(hints[name])
-            if not isinstance(value, allowed) or (isinstance(value, bool)
-                                                  and bool not in allowed):
-                raise ValueError(f"{path}: malformed report: field {name!r} holds "
-                                 f"{type(value).__name__}, expected {hints[name]}")
+        try:
+            _check_json_types(cls, raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed report: {exc}") from None
         return cls(**raw)
 
 
@@ -173,6 +172,17 @@ def _json_types(hint) -> tuple:
     written without a fraction reads back as an int."""
     args = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
     return tuple(t for a in args for t in ((int, float) if a is float else (a,)))
+
+
+def _check_json_types(cls, values: dict) -> None:
+    """ValueError naming the first of ``values`` whose JSON type does not fit
+    its field of dataclass ``cls``; a bool is not an int, an int fits a float."""
+    hints = typing.get_type_hints(cls)
+    for name, value in values.items():
+        allowed = _json_types(hints[name])
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            raise ValueError(f"field {name!r} holds {type(value).__name__}, "
+                             f"expected {hints[name]}")
 
 
 @contextmanager
@@ -212,7 +222,7 @@ def git_describe() -> str:
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # TimeoutExpired: a hung git
         pass
     return "unknown"
 
@@ -249,12 +259,18 @@ def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]
     holdout=True, 10% of the training units long enough to window (seeded
     pick) replace the test split: the stats are fitted on the remaining
     units, and the held-out units' windows become the evaluation samples.
+    A ValueError naming w is raised when too few training units (one, or
+    two with holdout) have at least w cycles.
     """
     loader = _load_synth if cfg.dataset == "synth" else _load_cmapss
     train_series, test_series, ruls = loader(cfg)
+    units = sorted({s.unit_id for s in train_series if s.length >= cfg.w})
+    need = 2 if cfg.holdout else 1  # holdout keeps at least one unit to train on
+    if len(units) < need:
+        raise ValueError(f"{len(units)} training units have at least w={cfg.w} cycles; "
+                         f"{need} needed")
     held: set[int] = set()
     if cfg.holdout:
-        units = sorted({s.unit_id for s in train_series if s.length >= cfg.w})
         rng = np.random.default_rng((cfg.seed, 0x401D))
         n_held = max(1, len(units) // 10)
         held = {int(u) for u in rng.choice(units, size=n_held, replace=False)}
@@ -381,12 +397,10 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
     if resume and os.path.isfile(report_path):
         logger.info("reusing finished run %s", run_dir)
         return RunReport.load(report_path)
-    os.makedirs(run_dir, exist_ok=True)
     started = time.perf_counter()
     train, test = load_dataset(cfg)
-    m_vars = train[0].values.shape[1] if train else SYNTH_VARS
-    params = dm.make_variant(dm.ModelConfig(l=cfg.w, m_vars=m_vars, d=cfg.d,
-                                            n_layers=cfg.n_layers, seed=cfg.seed),
+    params = dm.make_variant(dm.ModelConfig(l=cfg.w, m_vars=train[0].values.shape[1],
+                                            d=cfg.d, n_layers=cfg.n_layers, seed=cfg.seed),
                              cfg.variant)
     if cfg.mode == "standard":
         history = train_standard(params, train, cfg)
@@ -402,6 +416,7 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
                        wall_clock_sec=time.perf_counter() - started,
                        param_count=dm.count_params(params),
                        anchor_batch_size=anchor_batch)
+    os.makedirs(run_dir, exist_ok=True)
     write_json(os.path.join(run_dir, "config.json"), cfg.to_dict())
     keys = ["epoch", "loss"] + (["contrastive", "regression"] if cfg.mode == "fsgri" else [])
     write_csv(os.path.join(run_dir, "metrics.csv"), keys,

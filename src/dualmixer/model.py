@@ -313,7 +313,9 @@ def load_checkpoint(path: str) -> DualMixerParams:
         if any(type(v) is not int for v in shape.values()):
             raise ValueError(f"non-integer model shape {shape}")
         config = ModelConfig(**shape)
-        listed = [(str(name), int(rows), int(cols)) for name, rows, cols in header["arrays"]]
+        listed = [tuple(entry) for entry in header["arrays"]]
+        if any([type(v) for v in entry] != [str, int, int] for entry in listed):
+            raise ValueError("array entries must be [name, rows, cols] with integer sizes")
         # every layer owns several arrays; this bounds the layout walk below
         if config.n_layers > len(listed):
             raise ValueError(f"{config.n_layers} layers but {len(listed)} arrays")

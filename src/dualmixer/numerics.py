@@ -3,9 +3,12 @@
 Everything here is deliberately small: matrices are plain numpy arrays in
 row-major order, the tape is an append-only list of nodes (so it is
 topologically ordered by construction), and every operation carries its own
-local backward rule. One graph per loss evaluation; graphs are single
-threaded, independent graphs may run in parallel. backward returns fresh
-gradients; descend is the one checked training step built on it and Adam.
+local backward rule. record is the one way a node joins the tape: every op
+here, and any op defined elsewhere (fsgri.batch_loss), hands it the result,
+the operand tensors and the backward rule. One graph per loss evaluation;
+graphs are single threaded, independent graphs may run in parallel.
+backward returns fresh gradients; descend is the one checked training step
+built on it and Adam.
 
 Besides the primitives, three fused nodes carry the mixer: mix
 (LayerNorm(GeLU(x W1) W2 + x)), gate (sigmoid(x Wg) * x) and add_norm
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -171,23 +174,25 @@ class Graph:
 # op plumbing
 # --------------------------------------------------------------------------
 
-def _resolve_graph(*tensors: Tensor) -> Optional[Graph]:
+def record(op: str, out: np.ndarray, inputs: Sequence[Tensor], bwd) -> Tensor:
+    """Put an op's result on the tape its operands live on.
+
+    ``bwd`` maps the output adjoint to one contribution per entry of
+    ``inputs``, in order; an operand listed twice gets its contributions
+    summed in that order. Operands off the tape are constants (id -1).
+    With no operand on a tape the result is a plain Tensor; operands on
+    two different tapes raise GraphError.
+    """
     g = None
-    for t in tensors:
-        if t.graph is not None:
-            if g is None:
-                g = t.graph
-            elif g is not t.graph:
+    for t in inputs:
+        if t.graph is not None and t.graph is not g:
+            if g is not None:
                 raise GraphError("operands belong to different graphs")
-    return g
-
-def _nid(g: Graph, t: Tensor) -> int:
-    return t.node_id if t.graph is g else -1
-
-def _record(g: Optional[Graph], op: str, out: np.ndarray, input_ids, bwd) -> Tensor:
+            g = t.graph
     if g is None:
         return Tensor(out)
-    return Tensor(out, g, g._add_node(op, tuple(input_ids), bwd))
+    ids = tuple(t.node_id if t.graph is g else -1 for t in inputs)
+    return Tensor(out, g, g._add_node(op, ids, bwd))
 
 def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
@@ -203,13 +208,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.cols != b.rows:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     out = a.data @ b.data
-    g = _resolve_graph(a, b)
     ad, bd = a.data, b.data
 
     def bwd(adj):
         return adj @ bd.T, ad.T @ adj
 
-    return _record(g, "matmul", out, (_nid(g, a), _nid(g, b)), bwd)
+    return record("matmul", out, (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -218,7 +222,7 @@ def transpose(a: Tensor) -> Tensor:
     def bwd(adj):
         return (np.ascontiguousarray(adj.T),)
 
-    return _record(a.graph, "transpose", out, (a.node_id,), bwd)
+    return record("transpose", out, (a,), bwd)
 
 
 def block_transpose(a: Tensor, blocks: int) -> Tensor:
@@ -239,42 +243,39 @@ def block_transpose(a: Tensor, blocks: int) -> Tensor:
         back = adj.reshape(blocks, c, r).transpose(0, 2, 1).reshape(blocks * r, c)
         return (np.ascontiguousarray(back),)
 
-    return _record(a.graph, "block_transpose", out, (a.node_id,), bwd)
+    return record("block_transpose", out, (a,), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("add", a, b)
     out = a.data + b.data
-    g = _resolve_graph(a, b)
 
     def bwd(adj):
         return adj, adj
 
-    return _record(g, "add", out, (_nid(g, a), _nid(g, b)), bwd)
+    return record("add", out, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape("sub", a, b)
     out = a.data - b.data
-    g = _resolve_graph(a, b)
 
     def bwd(adj):
         return adj, -adj
 
-    return _record(g, "sub", out, (_nid(g, a), _nid(g, b)), bwd)
+    return record("sub", out, (a, b), bwd)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product."""
     _check_same_shape("hadamard", a, b)
     out = a.data * b.data
-    g = _resolve_graph(a, b)
     ad, bd = a.data, b.data
 
     def bwd(adj):
         return adj * bd, adj * ad
 
-    return _record(g, "hadamard", out, (_nid(g, a), _nid(g, b)), bwd)
+    return record("hadamard", out, (a, b), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -285,7 +286,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def bwd(adj):
         return (adj * c,)
 
-    return _record(a.graph, "scale", out, (a.node_id,), bwd)
+    return record("scale", out, (a,), bwd)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -296,7 +297,7 @@ def exp(a: Tensor) -> Tensor:
     def bwd(adj):
         return (adj * out,)
 
-    return _record(a.graph, "exp", out, (a.node_id,), bwd)
+    return record("exp", out, (a,), bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -306,7 +307,7 @@ def log(a: Tensor) -> Tensor:
     def bwd(adj):
         return (adj / ad,)
 
-    return _record(a.graph, "log", out, (a.node_id,), bwd)
+    return record("log", out, (a,), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -317,7 +318,7 @@ def sum_all(a: Tensor) -> Tensor:
     def bwd(adj):
         return (np.full(shape, float(adj[0, 0])),)
 
-    return _record(a.graph, "sum_all", out, (a.node_id,), bwd)
+    return record("sum_all", out, (a,), bwd)
 
 
 def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
@@ -329,7 +330,7 @@ def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     def bwd(adj):
         return (np.ascontiguousarray(adj).reshape(shape),)
 
-    return _record(a.graph, "reshape", out, (a.node_id,), bwd)
+    return record("reshape", out, (a,), bwd)
 
 
 def rows_slice(a: Tensor, i0: int, i1: int) -> Tensor:
@@ -344,7 +345,7 @@ def rows_slice(a: Tensor, i0: int, i1: int) -> Tensor:
         full[i0:i1] = adj
         return (full,)
 
-    return _record(a.graph, "rows_slice", out, (a.node_id,), bwd)
+    return record("rows_slice", out, (a,), bwd)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -355,7 +356,7 @@ def gelu(a: Tensor) -> Tensor:
     def bwd(adj):
         return (_gelu_grad(adj, ad, cdf),)
 
-    return _record(a.graph, "gelu", out, (a.node_id,), bwd)
+    return record("gelu", out, (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -364,7 +365,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(adj):
         return (_sigmoid_grad(adj, out),)
 
-    return _record(a.graph, "sigmoid", out, (a.node_id,), bwd)
+    return record("sigmoid", out, (a,), bwd)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -376,12 +377,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     _check_norm_params("layer_norm", a.cols, gain, bias)
     gd = gain.data
     out, xhat, inv = _layer_norm_values(a.data, gd, bias.data)
-    g = _resolve_graph(a, gain, bias)
 
     def bwd(adj):
         return _layer_norm_grad(adj, xhat, inv, gd)
 
-    return _record(g, "layer_norm", out, (_nid(g, a), _nid(g, gain), _nid(g, bias)), bwd)
+    return record("layer_norm", out, (a, gain, bias), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -404,15 +404,13 @@ def mix(x: Tensor, w1: Tensor, w2: Tensor, gain: Tensor, bias: Tensor) -> Tensor
     pre = xd @ w1d
     hidden, cdf = _gelu_values(pre)
     out, xhat, inv = _layer_norm_values(hidden @ w2d + xd, gd, bias.data)
-    g = _resolve_graph(x, w1, w2, gain, bias)
 
     def bwd(adj):
         dsum, dgain, dbias = _layer_norm_grad(adj, xhat, inv, gd)
         dpre = _gelu_grad(dsum @ w2d.T, pre, cdf)
         return dsum, dpre @ w1d.T, xd.T @ dpre, hidden.T @ dsum, dgain, dbias
 
-    ids = (_nid(g, x), _nid(g, x), _nid(g, w1), _nid(g, w2), _nid(g, gain), _nid(g, bias))
-    return _record(g, "mix", out, ids, bwd)
+    return record("mix", out, (x, x, w1, w2, gain, bias), bwd)
 
 
 def gate(x: Tensor, wg: Tensor) -> Tensor:
@@ -422,13 +420,12 @@ def gate(x: Tensor, wg: Tensor) -> Tensor:
     xd, wgd = x.data, wg.data
     s = _sigmoid_values(xd @ wgd)
     out = s * xd
-    g = _resolve_graph(x, wg)
 
     def bwd(adj):
         dz = _sigmoid_grad(adj * xd, s)
         return adj * s, dz @ wgd.T, xd.T @ dz
 
-    return _record(g, "gate", out, (_nid(g, x), _nid(g, x), _nid(g, wg)), bwd)
+    return record("gate", out, (x, x, wg), bwd)
 
 
 def add_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -437,14 +434,12 @@ def add_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     _check_norm_params("add_norm", a.cols, gain, bias)
     gd = gain.data
     out, xhat, inv = _layer_norm_values(a.data + b.data, gd, bias.data)
-    g = _resolve_graph(a, b, gain, bias)
 
     def bwd(adj):
         dsum, dgain, dbias = _layer_norm_grad(adj, xhat, inv, gd)
         return dsum, dsum, dgain, dbias
 
-    ids = (_nid(g, a), _nid(g, b), _nid(g, gain), _nid(g, bias))
-    return _record(g, "add_norm", out, ids, bwd)
+    return record("add_norm", out, (a, b, gain, bias), bwd)
 
 
 # --------------------------------------------------------------------------
@@ -546,7 +541,6 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
         raise DegenerateVectorError("cosine_similarity of a zero-norm vector")
     s = float(uf @ vf) / (nu * nv)
     out = np.array([[s]])
-    g = _resolve_graph(u, v)
     ushape, vshape = u.shape, v.shape
 
     def bwd(adj):
@@ -555,7 +549,7 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
         dv = (uf / (nu * nv) - s * vf / (nv * nv)) * a0
         return du.reshape(ushape), dv.reshape(vshape)
 
-    return _record(g, "cosine_similarity", out, (_nid(g, u), _nid(g, v)), bwd)
+    return record("cosine_similarity", out, (u, v), bwd)
 
 
 def logsumexp(terms: list[Tensor]) -> Tensor:

@@ -1,7 +1,7 @@
 """Shared test helpers: a finite-difference gradient oracle, feature
-vectors with chosen cosine scores, the primitive chains the fused mixer
-nodes are checked against, and dataset discovery for the optional
-real-data checks."""
+vectors with chosen cosine scores, one group's loss and plain InfoNCE, the
+primitive chains the fused mixer nodes are checked against, and dataset
+discovery for the optional real-data checks."""
 
 import math
 import os
@@ -9,6 +9,7 @@ import os
 import numpy as np
 
 from dualmixer import fsgri as fs
+from dualmixer import model as dm
 from dualmixer import numerics as nx
 
 # Real turbofan data is looked up here (override with CMAPSS_DIR); the
@@ -75,8 +76,20 @@ def features_with_scores(rng, n, scores):
 
 def group_loss(group, params, cfg, graph=None):
     """One contrastive group's combined loss on one tape: the
-    distance-weighted contrastive term plus the group's regression errors."""
-    return fs._score_groups(params, [group], cfg, graph)[0]
+    distance-weighted contrastive term plus the group's regression errors.
+    ``group`` is build_group's (windows, labels) pair."""
+    windows, labels = group
+    feats, ruls = dm.forward_batch(params, windows, graph)
+    return fs.batch_loss(feats, ruls, np.array([labels]), cfg)[0]
+
+
+def info_nce(zi, zi_pos, z_negs, tau):
+    """Plain InfoNCE over cosine scores, log-sum-exp stabilized: the
+    reference fsgri.dw_info_nce reduces to when every weight is 1."""
+    pos = nx.scale(nx.cosine_similarity(zi, zi_pos), 1.0 / tau)
+    logits = [pos] + [nx.scale(nx.cosine_similarity(zi, zn), 1.0 / tau)
+                      for zn in z_negs]
+    return nx.sub(nx.logsumexp(logits), pos)
 
 
 # --------------------------------------------------------------------------

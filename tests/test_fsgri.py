@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (features_with_scores, finite_diff_grads, group_loss, max_rel_err,
-                      unit_vec)
+from conftest import (features_with_scores, finite_diff_grads, group_loss, info_nce,
+                      max_rel_err, unit_vec)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,17 +122,26 @@ class TestThresholdSampling:
             assert all(abs(k - i) > t * beta / 2.0 for k in idx)
 
 
+def positive_of(windows, i, sigma2, seed):
+    """The positive build_group makes for anchor i, and the anchor."""
+    cfg = fs.FsgriConfig(m=1, beta=0.0, sigma2=sigma2)
+    rows, _ = fs.build_group(np.random.default_rng(seed), windows, i, cfg)
+    return rows[1], rows[0]
+
+
 class TestPositives:
 
     def test_zero_noise_copies_the_anchor(self):
-        anchor = np.random.default_rng(4).normal(size=(6, 3))
-        out = fs.make_positive(np.random.default_rng(5), anchor, 0.0)
-        np.testing.assert_array_equal(out, anchor)
+        windows = fake_windows(4, 6, w=6, m_vars=3)
+        positive, anchor = positive_of(windows, 2, 0.0, 5)
+        np.testing.assert_array_equal(positive, anchor)
 
     def test_noise_moments_match(self):
         """1e5 noise entries: mean near 0, std within 2% of sigma2."""
-        anchor = np.zeros((200, 500))
-        diff = fs.make_positive(np.random.default_rng(6), anchor, 0.15) - anchor
+        windows = [WindowSample(values=np.zeros((200, 500)), label=1.0 - j / 2, unit_id=1,
+                                anchor_index=j, true_rul_cycles=2 - j) for j in range(3)]
+        positive, anchor = positive_of(windows, 1, 0.15, 6)
+        diff = positive - anchor
         assert abs(diff.mean()) < 3 * 0.15 / math.sqrt(diff.size)
         assert abs(diff.std() - 0.15) < 0.02 * 0.15
 
@@ -142,39 +151,42 @@ class TestGroupBuilding:
     def test_group_members_come_from_the_anchor_unit(self):
         windows = fake_windows(7, 30)
         cfg = fs.FsgriConfig(m=3, beta=0.4, sigma1=0.3, sigma2=0.1)
-        grp = fs.build_group(np.random.default_rng(7), windows, 12, cfg)
-        assert grp.anchor is windows[12]
-        assert len(grp.negatives) == 3
+        rows, labels = fs.build_group(np.random.default_rng(7), windows, 12, cfg)
+        assert len(rows) == len(labels) == 5
+        assert rows[0] is windows[12].values
+        assert labels[:2] == [windows[12].label] * 2
         seen = set()
-        for n in grp.negatives:
-            assert n.unit_id == 7
-            assert abs(n.anchor_index - 12) > 30 * cfg.beta / 2.0
-            assert n.anchor_index not in seen
-            seen.add(n.anchor_index)
-        assert grp.positive.shape == grp.anchor.values.shape
+        for row, label in zip(rows[2:], labels[2:]):
+            (k,) = [j for j, s in enumerate(windows) if s.values is row]
+            assert windows[k].unit_id == 7 and label == windows[k].label
+            assert abs(k - 12) > 30 * cfg.beta / 2.0
+            assert k not in seen
+            seen.add(k)
+        assert rows[1].shape == rows[0].shape
 
     def test_same_rng_state_reproduces_the_group(self):
         windows = fake_windows(7, 30)
         cfg = fs.FsgriConfig(m=3, beta=0.4, sigma1=0.3, sigma2=0.1)
-        a = fs.build_group(np.random.default_rng(8), windows, 5, cfg)
-        b = fs.build_group(np.random.default_rng(8), windows, 5, cfg)
-        assert [n.anchor_index for n in a.negatives] == [n.anchor_index for n in b.negatives]
-        np.testing.assert_array_equal(a.positive, b.positive)
+        a_rows, a_labels = fs.build_group(np.random.default_rng(8), windows, 5, cfg)
+        b_rows, b_labels = fs.build_group(np.random.default_rng(8), windows, 5, cfg)
+        assert a_labels == b_labels
+        assert all(a is b for a, b in zip(a_rows[2:], b_rows[2:]))
+        np.testing.assert_array_equal(a_rows[1], b_rows[1])
 
 
 class TestInfoNce:
 
     def test_equal_logits_give_log_two(self):
         v = Tensor(np.random.default_rng(9).normal(size=(1, 6)))
-        loss = fs.info_nce(v, v, [v], tau=1.0)
+        loss = info_nce(v, v, [v], tau=1.0)
         assert abs(loss.item() - math.log(2.0)) < 1e-12
 
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(10)
         _, feats = features_with_scores(rng, 8, [1.0, 0.9, 0.5, 0.2])
         zi = Tensor(feats[0][None, :])
-        loss = fs.info_nce(zi, Tensor(feats[1][None, :]),
-                           [Tensor(f[None, :]) for f in feats[2:]], tau=0.5)
+        loss = info_nce(zi, Tensor(feats[1][None, :]),
+                        [Tensor(f[None, :]) for f in feats[2:]], tau=0.5)
         want = info_nce_oracle(0.9, [0.5, 0.2], 0.5)
         assert abs(loss.item() - want) < 1e-10
 
@@ -184,15 +196,15 @@ class TestInfoNce:
         for s_pos in (0.2, 0.5, 0.9):
             _, feats = features_with_scores(rng, 8, [1.0, s_pos, 0.3, 0.1])
             zi = Tensor(feats[0][None, :])
-            losses.append(fs.info_nce(zi, Tensor(feats[1][None, :]),
-                                      [Tensor(f[None, :]) for f in feats[2:]],
-                                      tau=0.5).item())
+            losses.append(info_nce(zi, Tensor(feats[1][None, :]),
+                                   [Tensor(f[None, :]) for f in feats[2:]],
+                                   tau=0.5).item())
         assert losses[0] > losses[1] > losses[2]
 
     def test_zero_feature_rejected(self):
         v = Tensor(np.ones((1, 4)))
         with pytest.raises(nx.DegenerateVectorError):
-            fs.info_nce(v, Tensor(np.zeros((1, 4))), [v], tau=1.0)
+            info_nce(v, Tensor(np.zeros((1, 4))), [v], tau=1.0)
 
 
 class TestDistanceWeighting:
@@ -213,7 +225,7 @@ class TestDistanceWeighting:
         negs = [Tensor(f[None, :]) for f in feats[2:]]
         dw = fs.dw_info_nce(zi, pos, negs, anchor_rul=1.0, neg_ruls=[0.0, 0.0, 0.0],
                             lam=1.0, tau=0.1)
-        plain = fs.info_nce(zi, pos, negs, tau=0.1)
+        plain = info_nce(zi, pos, negs, tau=0.1)
         assert abs(dw.item() - plain.item()) < 1e-12
 
     def test_finite_at_extreme_scores_and_small_temperature(self):
@@ -346,6 +358,13 @@ class TestBatchLoss:
         with pytest.raises(nx.DegenerateVectorError):
             fs.batch_loss(Tensor(feats), Tensor(ruls), labels, fs.FsgriConfig(m=2))
 
+    def test_operands_on_two_graphs_rejected(self):
+        rng = np.random.default_rng(124)
+        feats, ruls, labels = self.random_batch(rng, 2, 2)
+        with pytest.raises(nx.GraphError):
+            fs.batch_loss(nx.Graph().parameter("f", feats), nx.Graph().parameter("r", ruls),
+                          labels, fs.FsgriConfig(m=2))
+
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(123)
         feats, ruls, labels = self.random_batch(rng, 2, 2)
@@ -372,16 +391,16 @@ class TestCombinedLoss:
         grp, cfg = self.build_group()
         params = dm.make_variant(dm.ModelConfig(l=5, m_vars=2, d=3, n_layers=1, seed=17), "full")
         total = group_loss(grp, params, cfg).item()
+        rows, labels = grp
         feats = []
         preds = []
-        for values in [grp.anchor.values, grp.positive] + [n.values for n in grp.negatives]:
+        for values in rows:
             f, r = dm.forward_batch(params, [values])
             feats.append(f)
             preds.append(r)
-        dw = fs.dw_info_nce(feats[0], feats[1], feats[2:], grp.anchor.label,
-                            grp.negative_labels, cfg.lam, cfg.tau)
-        reg = fs.mse_all(preds[0], preds[1], preds[2:], grp.anchor.label,
-                         grp.negative_labels)
+        dw = fs.dw_info_nce(feats[0], feats[1], feats[2:], labels[0], labels[2:],
+                            cfg.lam, cfg.tau)
+        reg = fs.mse_all(preds[0], preds[1], preds[2:], labels[0], labels[2:])
         assert abs(total - (dw.item() + reg.item())) < 1e-9
 
     def test_gradients_match_finite_differences(self):

@@ -73,6 +73,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             hx.config_from_dict({"w": 30, "nonsense": 1})
 
+    @pytest.mark.parametrize("field,value,held", [
+        ("d", "32", "str"), ("w", 30.0, "float"), ("seed", 1.5, "float"),
+        ("holdout", "yes", "str"), ("epochs", True, "bool"),
+    ])
+    def test_from_dict_rejects_mistyped_fields(self, field, value, held):
+        """A JSON value of the wrong type names its field; a bool is not an int."""
+        with pytest.raises(ValueError, match=f"field '{field}' holds {held}"):
+            hx.config_from_dict({field: value})
+
+    def test_from_dict_accepts_an_int_for_a_float_field(self):
+        assert hx.config_from_dict({"lr": 1, "holdout": True}).lr == 1
+
     def test_fsgri_config_carries_fields(self):
         fc = hx.RunConfig(m=3, b=40, tau=0.25).fsgri_config()
         assert (fc.m, fc.b, fc.tau) == (3, 40, 0.25)
@@ -440,6 +452,13 @@ class TestTrainFsgri:
 
 
 class TestRunOne:
+    def test_hung_git_gives_unknown(self, monkeypatch):
+        """A git that times out must not crash the run after training."""
+        def hang(cmd, **kwargs):
+            raise hx.subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+        monkeypatch.setattr(hx.subprocess, "run", hang)
+        assert hx.git_describe() == "unknown"
+
     def test_artifacts_and_report(self, monkeypatch, tmp_path):
         """One run leaves a report, resolved config, metrics, checkpoint."""
         shrink_synth(monkeypatch)
@@ -632,6 +651,22 @@ class TestCli:
         cfg_path.write_text(json.dumps({"banana": 1}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert "unknown config fields" in capsys.readouterr().err
+
+    def test_mistyped_config_file_exits_2_without_a_run_dir(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"d": "32", "out_dir": str(tmp_path / "runs")}))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert "field 'd' holds str" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--holdout"]])
+    def test_window_longer_than_every_unit_exits_2(self, monkeypatch, tmp_path, capsys,
+                                                   extra):
+        """No unit has 200 cycles: a named error, and no run directory."""
+        shrink_synth(monkeypatch)
+        assert self.run_train(tmp_path, "--window", "200", *extra) == 2
+        assert "w=200" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_eval_and_export_from_checkpoint(self, monkeypatch, tmp_path, capsys):
         shrink_synth(monkeypatch)

@@ -532,18 +532,37 @@ class TestParameterTable:
         path.write_bytes(b"DMIX" + tail)
         loads_or_value_error(path)
 
+    def with_header(self, tmp_path, edit):
+        """A valid checkpoint whose JSON header ``edit`` changed in place."""
+        blob = reference_checkpoint(SMALL, "full", reference_arrays(SMALL, "full"))
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + hlen])
+        edit(header)
+        body = json.dumps(header).encode("utf-8")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"DMIX" + struct.pack("<II", 1, len(body)) + body + blob[12 + hlen:])
+        return str(path)
+
     @pytest.mark.parametrize("field,value", [
         ("n_layers", 10**12), ("l", 3.0), ("d", "2"), ("seed", -1),
     ])
     def test_bad_shape_field_rejected(self, tmp_path, field, value):
         """A corrupt shape field is refused; a huge layer count before the
         layout is walked."""
-        blob = reference_checkpoint(SMALL, "full", reference_arrays(SMALL, "full"))
-        (hlen,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12:12 + hlen])
-        header[field] = value
-        body = json.dumps(header).encode("utf-8")
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(b"DMIX" + struct.pack("<II", 1, len(body)) + body + blob[12 + hlen:])
+        path = self.with_header(tmp_path, lambda header: header.update({field: value}))
         with pytest.raises(ValueError, match="malformed"):
-            dm.load_checkpoint(str(path))
+            dm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("slot,value", [
+        (1, 2.9), (1, "2"), (2, 2.0), (2, True), (0, 7), (3, 1),
+    ])
+    def test_bad_array_entry_rejected(self, tmp_path, slot, value):
+        """Array entries are [name, rows, cols] with a string name and JSON
+        integer sizes: a fractional, quoted, float or bool size, a
+        non-string name or a fourth field is refused, not coerced."""
+        def edit(header):
+            entry = header["arrays"][0]
+            entry[slot:slot + 1] = [value]
+        path = self.with_header(tmp_path, edit)
+        with pytest.raises(ValueError, match="malformed checkpoint header"):
+            dm.load_checkpoint(path)

@@ -215,6 +215,29 @@ class TestTape:
         with pytest.raises(nx.GraphError):
             nx.add(a, b)
 
+    def test_record_puts_one_node_on_the_operands_tape(self):
+        """record finds the operands' graph, gives an off-tape operand the
+        id -1, keeps a repeated operand twice, and leaves a result with no
+        taped operand plain."""
+        g = nx.Graph()
+        w = g.parameter("w", np.ones((1, 2)))
+        c = nx.Tensor(np.ones((1, 2)))
+
+        def bwd(adj):
+            return adj, adj, 2.0 * adj
+
+        out = nx.record("probe", np.zeros((1, 2)), (c, w, w), bwd)
+        assert out.graph is g and out.node_id == len(g.nodes) - 1
+        assert (g.nodes[-1].op, g.nodes[-1].inputs) == ("probe", (-1, w.node_id, w.node_id))
+        np.testing.assert_array_equal(g.backward(nx.sum_all(out))["w"], [[3.0, 3.0]])
+        plain = nx.record("probe", np.zeros((1, 2)), (c, c), bwd)
+        assert plain.graph is None and plain.node_id == -1
+        other = nx.Graph().parameter("v", np.ones((1, 2)))
+        before = len(g.nodes)
+        with pytest.raises(nx.GraphError):
+            nx.record("probe", np.zeros((1, 2)), (c, w, other), bwd)
+        assert len(g.nodes) == before
+
     def test_backward_requires_scalar_on_graph(self):
         g = nx.Graph()
         a = g.parameter("a", np.ones((2, 2)))
