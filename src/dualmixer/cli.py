@@ -2,18 +2,20 @@
 
 Subcommands: train, eval, ablate, grid, export, synth. Every run-shaped
 command resolves its configuration the same way: dataclass defaults, then
-an optional JSON config file, then explicit flags.
+an optional JSON config file, then explicit flags. Each run flag's dest is
+the RunConfig field it sets, and that one RunConfig carries every setting
+of the run, fsgri's contrastive knobs included.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
 
-from . import data as dd
 from . import harness as hx
 from . import model as dm
 from . import synthdata as sx
@@ -50,8 +52,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="evaluate on 10%% of training units instead of the test split")
     defaults = hx.RunConfig()
     for flag, field in _HYPER_FLAGS.items():
-        parser.add_argument(f"--{flag}", dest=f"hp_{field}",
-                            type=type(getattr(defaults, field)))
+        parser.add_argument(f"--{flag}", dest=field, type=type(getattr(defaults, field)))
 
 
 def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
@@ -62,15 +63,10 @@ def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         values.update(loaded)
-    for name in ("dataset", "data_dir", "mode", "variant", "seed", "out_dir",
-                 "holdout"):
-        got = getattr(args, name, None)
+    for field in dataclasses.fields(hx.RunConfig):
+        got = getattr(args, field.name, None)
         if got is not None:
-            values[name] = got
-    for field in _HYPER_FLAGS.values():
-        got = getattr(args, f"hp_{field}", None)
-        if got is not None:
-            values[field] = got
+            values[field.name] = got
     cfg = hx.config_from_dict(values)
     cfg.validate()
     return cfg
@@ -212,7 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, dd.ParseError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,13 +14,16 @@ rows into one forward_batch call and scores all groups with batch_loss, a
 single tape node (put there by numerics.record) with a closed-form
 backward. dw_info_nce and mse_all compute the same terms for one group
 from scalar tape ops; they are the reference batch_loss is tested against.
+
+The knobs (m, beta, sigma1, sigma2, lam, tau and the batch size b) are read
+from the run's harness.RunConfig, which also checks them.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +31,9 @@ from . import model as dm
 from . import numerics as nx
 from .data import WindowSample, group_by_unit
 from .numerics import Tensor
+
+if TYPE_CHECKING:  # harness imports fsgri, so only type checkers import it back
+    from .harness import RunConfig
 
 logger = logging.getLogger(__name__)
 
@@ -44,46 +50,6 @@ def _warn_once(warned: Optional[set], key, msg, *args) -> None:
 
 class ShortSeriesError(ValueError):
     """A unit has too few windows to supply the requested negatives."""
-
-
-@dataclass(frozen=True)
-class FsgriConfig:
-    """Contrastive-training knobs.
-
-    m: negatives per anchor. beta: excluded-band width as a fraction of the
-    unit's window count. sigma1: sampling std as a fraction of the window
-    count. sigma2: positive-noise std in normalized-data units. lam: scale
-    of the squared-life-gap logit weights. tau: temperature. b: nominal
-    batch size; the anchor batch is b // (m + 1).
-    """
-
-    m: int = 5
-    beta: float = 0.4
-    sigma1: float = 0.3
-    sigma2: float = 0.15
-    lam: float = 2.0
-    tau: float = 0.1
-    b: int = 128
-
-    def validate(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must be in [0, 1)")
-        if self.sigma1 <= 0.0:
-            raise ValueError("sigma1 must be > 0")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be >= 0")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be > 0")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be > 0")
-        if self.anchor_batch < 1:
-            raise ValueError(f"b={self.b} with m={self.m} gives an empty anchor batch")
-
-    @property
-    def anchor_batch(self) -> int:
-        return self.b // (self.m + 1)
 
 
 # --------------------------------------------------------------------------
@@ -119,7 +85,7 @@ def _draw_without_replacement(rng: np.random.Generator, probs: np.ndarray,
 
 
 def sample_negatives(rng: np.random.Generator, t: int, i: int,
-                     cfg: FsgriConfig, warned: Optional[set] = None) -> list[int]:
+                     cfg: RunConfig, warned: Optional[set] = None) -> list[int]:
     """m distinct negative indices for anchor i of a t-window unit.
 
     Gaussian threshold sampling: m sequential draws without replacement
@@ -149,7 +115,7 @@ def sample_negatives(rng: np.random.Generator, t: int, i: int,
 
 
 def build_group(rng: np.random.Generator, unit_windows: Sequence[WindowSample],
-                i: int, cfg: FsgriConfig, warned: Optional[set] = None
+                i: int, cfg: RunConfig, warned: Optional[set] = None
                 ) -> tuple[list[np.ndarray], list[float]]:
     """Sample one anchor's group from its unit's ordered window list.
 
@@ -216,7 +182,7 @@ def mse_all(pred_anchor: Tensor, pred_pos: Tensor, pred_negs: Sequence[Tensor],
 
 
 def batch_loss(feats: Tensor, ruls: Tensor, labels: np.ndarray,
-               cfg: FsgriConfig) -> tuple[Tensor, np.ndarray, np.ndarray]:
+               cfg: RunConfig) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """dw_info_nce + mse_all summed over G groups, as one tape node.
 
     feats holds one feature row per window and ruls one prediction per
@@ -313,7 +279,7 @@ def stratified_order(groups: dict[int, list[WindowSample]],
 
 
 def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample],
-                      cfg: FsgriConfig, optimizer: nx.AdamState,
+                      cfg: RunConfig, optimizer: nx.AdamState,
                       epoch_seed: int, warned: Optional[set] = None) -> EpochStats:
     """One pass over all usable anchors.
 

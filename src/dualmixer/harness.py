@@ -38,14 +38,11 @@ logger = logging.getLogger(__name__)
 DATASETS = ("fd001", "fd002", "fd003", "fd004", "synth")
 MODES = ("standard", "fsgri")
 
-# Built-in synthetic benchmark dimensions (dataset="synth"); the generator
-# seeds derive from the run seed so both training modes see identical data.
-SYNTH_TRAIN_UNITS = 20
+# The built-in synthetic dataset (dataset="synth"): SynthSpec's defaults,
+# with the generator seed derived from the run seed so both training modes
+# see identical data, and this many test units.
+SYNTH = sx.SynthSpec()
 SYNTH_TEST_UNITS = 10
-SYNTH_CYCLES = (90, 140)
-SYNTH_VARS = 14
-SYNTH_GAMMA = 2.0
-SYNTH_NOISE = 0.05
 
 # Windows evaluated per stacked forward in the shared prediction path.
 PREDICT_CHUNK = 256
@@ -54,10 +51,22 @@ PREDICT_CHUNK = 256
 # metric; end-of-life labels are 0 and would divide by zero.
 MAPE_FLOOR = 0.01
 
+# Format of report.json; resume reuses only a report of this version.
+REPORT_VERSION = 1
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run's full recipe; defaults follow the reference setup."""
+    """One run's full recipe; defaults follow the reference setup.
+
+    fsgri reads its contrastive knobs from this config. m: negatives per
+    anchor. beta: excluded-band width as a fraction of the unit's window
+    count. sigma1: sampling std as a fraction of the window count. sigma2:
+    positive-noise std in normalized-data units. lam: scale of the
+    squared-life-gap logit weights. tau: temperature. b: nominal batch size;
+    a standard batch holds b windows, and the fsgri anchor batch is
+    b // (m + 1).
+    """
 
     dataset: str = "synth"
     data_dir: str = "data/CMAPSS"
@@ -92,12 +101,30 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        self.fsgri_config().validate()
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
+        if not 0.0 <= self.beta < 1.0:
+            raise ValueError("beta must be in [0, 1)")
+        if self.sigma1 <= 0.0:
+            raise ValueError("sigma1 must be > 0")
+        if self.sigma2 < 0.0:
+            raise ValueError("sigma2 must be >= 0")
+        if self.lam <= 0.0:
+            raise ValueError("lam must be > 0")
+        if self.tau <= 0.0:
+            raise ValueError("tau must be > 0")
+        if self.anchor_batch < 1:
+            raise ValueError(f"b={self.b} with m={self.m} gives an empty anchor batch")
 
-    def fsgri_config(self) -> fs.FsgriConfig:
-        return fs.FsgriConfig(m=self.m, beta=self.beta, sigma1=self.sigma1,
-                              sigma2=self.sigma2, lam=self.lam, tau=self.tau,
-                              b=self.b)
+    @property
+    def anchor_batch(self) -> int:
+        return self.b // (self.m + 1)
+
+    def fsgri_config(self) -> RunConfig:
+        """The config itself, which fsgri reads; kept for bench/workloads.py."""
+        return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -119,7 +146,10 @@ def config_from_dict(values: dict) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     _check_json_types(RunConfig, values)
-    return RunConfig(**values)
+    # an int stored as a float, so {"lr": 1} hashes like --lr 1
+    hints = typing.get_type_hints(RunConfig)
+    return RunConfig(**{name: float(value) if hints[name] is float else value
+                        for name, value in values.items()})
 
 
 @dataclass
@@ -137,15 +167,16 @@ class RunReport:
     wall_clock_sec: float
     param_count: int
     anchor_batch_size: Optional[int] = None
+    report_version: int = REPORT_VERSION
 
     def save(self, path: str) -> None:
         write_json(path, dataclasses.asdict(self))
 
     @classmethod
     def load(cls, path: str) -> "RunReport":
-        """Read a saved report. A file that is not JSON, or whose fields are
-        missing, unknown or of the wrong type, raises ValueError naming the
-        file and the cause."""
+        """Read a saved report. A file that is not JSON, that was written in
+        another format version, or whose fields are missing, unknown or of
+        the wrong type, raises ValueError naming the file and the cause."""
         try:
             with open(path) as f:
                 raw = json.load(f)
@@ -153,6 +184,10 @@ class RunReport:
             raise ValueError(f"{path}: report is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: report is not a JSON object")
+        version = raw.get("report_version", "missing")
+        if version != REPORT_VERSION:
+            raise ValueError(f"{path}: report format version {version}, expected "
+                             f"{REPORT_VERSION}; rerun with --force to retrain")
         fields = {f.name: f for f in dataclasses.fields(cls)}
         missing = [name for name, f in fields.items()
                    if name not in raw and f.default is dataclasses.MISSING]
@@ -247,9 +282,7 @@ def _load_cmapss(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list
 
 
 def _load_synth(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
-    return sx.generate_splits(sx.SynthSpec(
-        n_units=SYNTH_TRAIN_UNITS, cycles=SYNTH_CYCLES, n_vars=SYNTH_VARS,
-        gamma=SYNTH_GAMMA, noise_std=SYNTH_NOISE, seed=cfg.seed * 7919), SYNTH_TEST_UNITS)
+    return sx.generate_splits(replace(SYNTH, seed=cfg.seed * 7919), SYNTH_TEST_UNITS)
 
 
 def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]]:
@@ -370,11 +403,10 @@ def train_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample],
     """Contrastive training: one fsgri epoch per epoch, recording both loss
     components. Each sampler or short-unit warning is logged once per call."""
     opt = nx.AdamState(lr=cfg.lr)
-    fcfg = cfg.fsgri_config()
     warned: set = set()
     history = []
     for epoch in range(cfg.epochs):
-        stats = fs.train_epoch_fsgri(params, samples, fcfg, opt,
+        stats = fs.train_epoch_fsgri(params, samples, cfg, opt,
                                      _epoch_seed(cfg.seed, epoch), warned)
         history.append({"epoch": epoch, "loss": stats.mean_loss,
                         "contrastive": stats.mean_contrastive,
@@ -407,7 +439,7 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
         anchor_batch = None
     else:
         history = train_fsgri(params, train, cfg)
-        anchor_batch = cfg.fsgri_config().anchor_batch
+        anchor_batch = cfg.anchor_batch
     rmse, mape = evaluate(params, test)
     report = RunReport(config=cfg.to_dict(), config_hash=cfg.config_hash(),
                        seed=cfg.seed, git_describe=git_describe(),

@@ -10,6 +10,7 @@ import math
 import os
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestPropertySuite:
             fd_check(params, build)
 
         windows = make_unit(12, w=8, m_vars=3, seed=2)
-        cfg = fs.FsgriConfig(m=2, b=18)
+        cfg = hx.RunConfig(m=2, b=18)
         group = fs.build_group(np.random.default_rng(5), windows, 6, cfg)
         params = dm.make_variant(
             dm.ModelConfig(l=8, m_vars=3, d=4, n_layers=1, seed=9), "full")
@@ -116,7 +117,7 @@ class TestPropertySuite:
         with distance on both sides."""
         started = time.perf_counter()
         rng = np.random.default_rng(123)
-        cfg = fs.FsgriConfig(m=5, beta=0.4, sigma1=0.3)
+        cfg = hx.RunConfig(m=5, beta=0.4, sigma1=0.3)
         counts = np.zeros(100)
         for _ in range(2000):
             for k in fs.sample_negatives(rng, 100, 50, cfg):
@@ -183,7 +184,7 @@ class TestPropertySuite:
     def test_algorithm_accounting(self):
         """b=128, m=5 gives 21 anchors and 147 encodings per full batch,
         measured by the epoch counters."""
-        cfg = fs.FsgriConfig(m=5, b=128)
+        cfg = hx.RunConfig(m=5, b=128)
         assert cfg.anchor_batch == 21
         samples = make_unit(126, w=4, m_vars=2, seed=11)
         params = dm.make_variant(
@@ -271,11 +272,9 @@ class TestPropertySuite:
 
 @pytest.fixture
 def noisy_synth(monkeypatch):
-    monkeypatch.setattr(hx, "SYNTH_TRAIN_UNITS", 6)
+    monkeypatch.setattr(hx, "SYNTH", replace(hx.SYNTH, n_units=6, cycles=(40, 60),
+                                             n_vars=8, noise_std=0.15))
     monkeypatch.setattr(hx, "SYNTH_TEST_UNITS", 4)
-    monkeypatch.setattr(hx, "SYNTH_CYCLES", (40, 60))
-    monkeypatch.setattr(hx, "SYNTH_VARS", 8)
-    monkeypatch.setattr(hx, "SYNTH_NOISE", 0.15)
 
 
 class TestSyntheticDirection:

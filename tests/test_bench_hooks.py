@@ -1,15 +1,27 @@
-"""The benchmark's traced run wraps program functions by name.
+"""The benchmark's entry points into the program.
 
 bench/tracing.py replaces module attributes such as ``numerics.matmul`` or
 ``fsgri.dw_info_nce`` for the duration of a traced run, and reads the
 ``graph`` and ``scope`` arguments of the model forwards. Deleting or
 renaming one of them breaks ``bench/run.py --trace 1`` with an
 AttributeError, which nothing else in this suite runs; these tests catch it.
+
+An untraced run calls the program through bench/workloads.py. The last
+test makes each workload's first call at the benchmark's check seed and
+shape ``tiny``, and compares it with bench/reference.json at the
+benchmark's own tolerance, so a changed signature, field or number fails
+here rather than only when the benchmark runs.
 """
 
+import ast
 import inspect
+import json
+import sys
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import dualmixer.data as dd
 import dualmixer.fsgri as fs
@@ -18,7 +30,9 @@ import dualmixer.model as dm
 import dualmixer.numerics as nx
 import dualmixer.synthdata as sx
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+WORKLOADS = BENCH / "workloads.py"
 MODULES = {"numerics": nx, "model": dm, "fsgri": fs, "harness": hx,
            "data": dd, "synthdata": sx}
 
@@ -55,3 +69,42 @@ def test_model_forwards_take_graph_and_scope():
     assert "graph" in inspect.signature(dm.forward_batch).parameters
     layer = inspect.signature(dm.dml_forward).parameters
     assert "graph" in layer and "scope" in layer
+
+
+def load_workloads():
+    # executed from source like tracing.py; registered in sys.modules only
+    # while it runs, since its dataclasses look their module up there
+    module = types.ModuleType("bench_workloads")
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def check_tolerance() -> tuple[float, float]:
+    """CHECK_RTOL and CHECK_ATOL as bench/run.py sets them; run.py itself is
+    not run, as it sets BLAS thread variables and extends sys.path."""
+    tree = ast.parse((BENCH / "run.py").read_text())
+    found = {target.id: ast.literal_eval(node.value)
+             for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Name) and target.id.startswith("CHECK_")}
+    return found["CHECK_RTOL"], found["CHECK_ATOL"]
+
+
+@pytest.mark.parametrize("name", ["fsgri_train", "standard_train", "predict"])
+def test_workload_first_call_matches_reference(name):
+    workloads = load_workloads()
+    reference = json.loads((BENCH / "reference.json").read_text())
+    assert reference["seed"] == workloads.CHECK_SEED
+    rtol, atol = check_tolerance()
+    work = workloads.WORKLOADS[name](MODULES, workloads.SHAPES["tiny"],
+                                     workloads.CHECK_SEED)
+    _, parts = work.call(0)
+    expect = reference["shapes"]["tiny"][name]
+    assert all(work.outputs_ok(parts))
+    assert len(parts) == len(expect)
+    for got, want in zip(parts, expect):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualmixer import fsgri as fs
+from dualmixer import harness as hx
 from dualmixer import model as dm
 from dualmixer import numerics as nx
 from dualmixer.data import WindowSample
@@ -33,15 +34,15 @@ def fake_windows(unit_id, count, w=4, m_vars=3, seed=0):
 class TestConfig:
 
     def test_anchor_batch_floor(self):
-        assert fs.FsgriConfig(b=128, m=5).anchor_batch == 21
+        assert hx.RunConfig(b=128, m=5).anchor_batch == 21
 
     def test_field_validation(self):
         good = dict(m=5, beta=0.4, sigma1=0.3, sigma2=0.15, lam=2.0, tau=0.1, b=128)
-        fs.FsgriConfig(**good).validate()
+        hx.RunConfig(**good).validate()
         for bad in (dict(m=0), dict(beta=1.0), dict(beta=-0.1), dict(sigma1=0.0),
                     dict(sigma2=-0.1), dict(lam=0.0), dict(tau=0.0), dict(b=5)):
             with pytest.raises(ValueError):
-                fs.FsgriConfig(**{**good, **bad}).validate()
+                hx.RunConfig(**{**good, **bad}).validate()
 
 
 class TestThresholdSampling:
@@ -66,7 +67,7 @@ class TestThresholdSampling:
 
     def test_draws_are_distinct_eligible_and_outside_band(self):
         rng = np.random.default_rng(0)
-        cfg = fs.FsgriConfig(m=5, beta=0.4, sigma1=0.3)
+        cfg = hx.RunConfig(m=5, beta=0.4, sigma1=0.3)
         for trial in range(50):
             t = int(rng.integers(50, 120))
             i = int(rng.integers(0, t))
@@ -78,7 +79,7 @@ class TestThresholdSampling:
     def test_fallback_relaxes_the_band(self):
         """When the band starves the pool, beta halves until m fit."""
         rng = np.random.default_rng(2)
-        cfg = fs.FsgriConfig(m=5, beta=0.75, sigma1=0.3)
+        cfg = hx.RunConfig(m=5, beta=0.75, sigma1=0.3)
         idx = fs.sample_negatives(rng, 8, 4, cfg)
         assert sorted(set(idx)) == sorted(idx)
         assert set(idx) <= {0, 1, 2, 6, 7}  # eligible at the first workable beta
@@ -86,11 +87,11 @@ class TestThresholdSampling:
     def test_unit_too_small_to_sample(self):
         rng = np.random.default_rng(3)
         with pytest.raises(fs.ShortSeriesError):
-            fs.sample_negatives(rng, 5, 2, fs.FsgriConfig(m=5))
+            fs.sample_negatives(rng, 5, 2, hx.RunConfig(m=5))
 
     @pytest.mark.parametrize("t,i,cfg", [
-        (7, 3, fs.FsgriConfig(m=5, beta=0.9)),          # the band covers the unit
-        (200, 0, fs.FsgriConfig(m=5, sigma1=0.001)),    # the density underflows
+        (7, 3, hx.RunConfig(m=5, beta=0.9)),        # the band covers the unit
+        (200, 0, hx.RunConfig(m=5, sigma1=0.001)),  # the density underflows
     ])
     def test_no_eligible_index_relaxes_instead_of_raising(self, t, i, cfg):
         """An all-zero density is a starved pool like any other: beta is
@@ -110,7 +111,7 @@ class TestThresholdSampling:
         the configured band whenever that band leaves m indices with
         nonzero probability."""
         i = data.draw(st.integers(0, t - 1))
-        cfg = fs.FsgriConfig(m=m, beta=beta, sigma1=sigma1)
+        cfg = hx.RunConfig(m=m, beta=beta, sigma1=sigma1)
         if t - 1 < m:
             with pytest.raises(fs.ShortSeriesError):
                 fs.sample_negatives(np.random.default_rng(seed), t, i, cfg)
@@ -124,7 +125,7 @@ class TestThresholdSampling:
 
 def positive_of(windows, i, sigma2, seed):
     """The positive build_group makes for anchor i, and the anchor."""
-    cfg = fs.FsgriConfig(m=1, beta=0.0, sigma2=sigma2)
+    cfg = hx.RunConfig(m=1, beta=0.0, sigma2=sigma2)
     rows, _ = fs.build_group(np.random.default_rng(seed), windows, i, cfg)
     return rows[1], rows[0]
 
@@ -150,7 +151,7 @@ class TestGroupBuilding:
 
     def test_group_members_come_from_the_anchor_unit(self):
         windows = fake_windows(7, 30)
-        cfg = fs.FsgriConfig(m=3, beta=0.4, sigma1=0.3, sigma2=0.1)
+        cfg = hx.RunConfig(m=3, beta=0.4, sigma1=0.3, sigma2=0.1)
         rows, labels = fs.build_group(np.random.default_rng(7), windows, 12, cfg)
         assert len(rows) == len(labels) == 5
         assert rows[0] is windows[12].values
@@ -166,7 +167,7 @@ class TestGroupBuilding:
 
     def test_same_rng_state_reproduces_the_group(self):
         windows = fake_windows(7, 30)
-        cfg = fs.FsgriConfig(m=3, beta=0.4, sigma1=0.3, sigma2=0.1)
+        cfg = hx.RunConfig(m=3, beta=0.4, sigma1=0.3, sigma2=0.1)
         a_rows, a_labels = fs.build_group(np.random.default_rng(8), windows, 5, cfg)
         b_rows, b_labels = fs.build_group(np.random.default_rng(8), windows, 5, cfg)
         assert a_labels == b_labels
@@ -302,7 +303,7 @@ class TestBatchLoss:
     @pytest.mark.parametrize("groups,m", [(1, 1), (3, 1), (1, 5), (4, 2), (21, 5)])
     def test_matches_the_scalar_reference(self, groups, m):
         rng = np.random.default_rng(100 + 10 * groups + m)
-        cfg = fs.FsgriConfig(m=m, lam=2.0, tau=0.1)
+        cfg = hx.RunConfig(m=m, lam=2.0, tau=0.1)
         for _ in range(3):
             feats, ruls, labels = self.random_batch(rng, groups, m)
             g1 = nx.Graph()
@@ -327,7 +328,7 @@ class TestBatchLoss:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(120)
-        cfg = fs.FsgriConfig(m=2, lam=2.0, tau=0.5)
+        cfg = hx.RunConfig(m=2, lam=2.0, tau=0.5)
         feats, ruls, labels = self.random_batch(rng, 2, 2)
         arrays = {"f": feats, "r": ruls}
         g = nx.Graph()
@@ -348,7 +349,7 @@ class TestBatchLoss:
         feats, ruls = dm.forward_batch(params, windows, graph)
         before = len(graph.nodes)
         labels = rng.uniform(size=(groups, m + 2))
-        fs.batch_loss(feats, ruls, labels, fs.FsgriConfig(m=m))
+        fs.batch_loss(feats, ruls, labels, hx.RunConfig(m=m))
         assert len(graph.nodes) == before + 1
 
     def test_zero_feature_rejected(self):
@@ -356,27 +357,27 @@ class TestBatchLoss:
         feats, ruls, labels = self.random_batch(rng, 2, 2)
         feats[7] = 0.0  # the second group's second negative
         with pytest.raises(nx.DegenerateVectorError):
-            fs.batch_loss(Tensor(feats), Tensor(ruls), labels, fs.FsgriConfig(m=2))
+            fs.batch_loss(Tensor(feats), Tensor(ruls), labels, hx.RunConfig(m=2))
 
     def test_operands_on_two_graphs_rejected(self):
         rng = np.random.default_rng(124)
         feats, ruls, labels = self.random_batch(rng, 2, 2)
         with pytest.raises(nx.GraphError):
             fs.batch_loss(nx.Graph().parameter("f", feats), nx.Graph().parameter("r", ruls),
-                          labels, fs.FsgriConfig(m=2))
+                          labels, hx.RunConfig(m=2))
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(123)
         feats, ruls, labels = self.random_batch(rng, 2, 2)
         with pytest.raises(nx.ShapeError):
-            fs.batch_loss(Tensor(feats), Tensor(ruls[:-1]), labels, fs.FsgriConfig(m=2))
+            fs.batch_loss(Tensor(feats), Tensor(ruls[:-1]), labels, hx.RunConfig(m=2))
 
 
 class TestCombinedLoss:
 
     def build_group(self, m=2, l=5, m_vars=2, seed=15):
         windows = fake_windows(1, 12, w=l, m_vars=m_vars, seed=seed)
-        cfg = fs.FsgriConfig(m=m, beta=0.3, sigma1=0.3, sigma2=0.1, b=24)
+        cfg = hx.RunConfig(m=m, beta=0.3, sigma1=0.3, sigma2=0.1, b=24)
         grp = fs.build_group(np.random.default_rng(seed), windows, 6, cfg)
         return grp, cfg
 
@@ -423,7 +424,7 @@ class TestTrainEpoch:
         if extra_small:
             samples += fake_windows(9, 4)
         params = dm.make_variant(dm.ModelConfig(l=4, m_vars=3, d=4, n_layers=1, seed=19), "full")
-        cfg = fs.FsgriConfig(m=5, beta=0.4, sigma1=0.3, sigma2=0.1, b=128)
+        cfg = hx.RunConfig(m=5, beta=0.4, sigma1=0.3, sigma2=0.1, b=128)
         return params, samples, cfg
 
     def test_batch_accounting(self):

@@ -6,6 +6,7 @@ import glob
 import json
 import os
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,8 @@ import dualmixer.synthdata as sx
 
 
 def shrink_synth(monkeypatch):
-    monkeypatch.setattr(hx, "SYNTH_TRAIN_UNITS", 4)
+    monkeypatch.setattr(hx, "SYNTH", replace(hx.SYNTH, n_units=4, cycles=(24, 32)))
     monkeypatch.setattr(hx, "SYNTH_TEST_UNITS", 3)
-    monkeypatch.setattr(hx, "SYNTH_CYCLES", (24, 32))
 
 
 def tiny_cfg(tmp_path, **over):
@@ -60,9 +60,15 @@ class TestRunConfig:
         cfg = hx.RunConfig()
         assert cfg.config_hash() in cfg.run_name()
 
+    def test_default_recipes_hashes_are_pinned(self):
+        """A field edit that changes these would orphan every existing run
+        directory, since resume finds a run by its hash."""
+        assert hx.RunConfig().config_hash() == "8663ce4bd55a"
+        assert hx.RunConfig(mode="fsgri").config_hash() == "6d5620371eda"
+
     @pytest.mark.parametrize("field,value", [
         ("dataset", "fd009"), ("mode", "both"), ("variant", "oX"),
-        ("epochs", 0), ("lr", 0.0), ("b", 5),
+        ("epochs", 0), ("lr", 0.0), ("b", 5), ("seed", -1),
     ])
     def test_validate_rejects(self, field, value):
         """Each field is checked; b=5 breaks the anchor batch floor."""
@@ -84,6 +90,13 @@ class TestRunConfig:
 
     def test_from_dict_accepts_an_int_for_a_float_field(self):
         assert hx.config_from_dict({"lr": 1, "holdout": True}).lr == 1
+
+    def test_int_in_a_file_hashes_like_the_flag(self):
+        """{"lr": 1} and --lr 1 are one recipe, so they name one run."""
+        from_file = hx.config_from_dict({"lr": 1})
+        from_flag = cli.resolve_config(cli.build_parser().parse_args(["train", "--lr", "1"]))
+        assert isinstance(from_file.lr, float)
+        assert from_file.config_hash() == from_flag.config_hash()
 
     def test_fsgri_config_carries_fields(self):
         fc = hx.RunConfig(m=3, b=40, tau=0.25).fsgri_config()
@@ -261,7 +274,7 @@ class TestNonFiniteLoss:
         before = {k: v.copy() for k, v in params.arrays.items()}
         opt = nx.AdamState()
         with pytest.raises(ValueError, match="non-finite loss .* batch 0 of the epoch with seed 7"):
-            fs.train_epoch_fsgri(params, random_windows(30), fs.FsgriConfig(m=2, b=12), opt, 7)
+            fs.train_epoch_fsgri(params, random_windows(30), hx.RunConfig(m=2, b=12), opt, 7)
         assert opt.step_count == 0
         for name, arr in before.items():
             np.testing.assert_array_equal(params.arrays[name], arr)
@@ -300,7 +313,7 @@ class TestNonFiniteGradient:
         opt = nx.AdamState()
         with pytest.raises(ValueError, match="non-finite gradient for 'w_r' in batch 0 "
                                              "of the epoch with seed 7"):
-            fs.train_epoch_fsgri(params, random_windows(30), fs.FsgriConfig(m=2, b=12), opt, 7)
+            fs.train_epoch_fsgri(params, random_windows(30), hx.RunConfig(m=2, b=12), opt, 7)
         assert opt.step_count == 0
         for name, arr in before.items():
             np.testing.assert_array_equal(params.arrays[name], arr)
@@ -360,6 +373,8 @@ class TestReportLoad:
         ({"param_count": True}, "field 'param_count' holds bool"),
         ({"epoch_losses": {}}, "field 'epoch_losses' holds dict"),
         ({"mape": []}, "field 'mape' holds list"),
+        ({"report_version": DROP}, "format version missing, expected 1; rerun with --force"),
+        ({"report_version": 2}, "format version 2, expected 1; rerun with --force"),
     ])
     def test_malformed_field_names_file_and_cause(self, tmp_path, over, cause):
         _, path = self.saved(tmp_path, **over)
@@ -425,7 +440,7 @@ class TestTapeLifetime:
     def test_fsgri_epoch_frees_every_graph(self, monkeypatch):
         samples = random_windows(30, l=6)
         params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
-        cfg = fs.FsgriConfig(m=2, b=12)
+        cfg = hx.RunConfig(m=2, b=12)
         assert self.graphs_left_after(monkeypatch, lambda: fs.train_epoch_fsgri(
             params, samples, cfg, nx.AdamState(), 0)) == 0
 
@@ -659,6 +674,30 @@ class TestCli:
         assert "field 'd' holds str" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_config_file_and_flags_name_one_run(self, monkeypatch, tmp_path):
+        """A run trained from a file with an int lr is reused by --lr 1."""
+        shrink_synth(monkeypatch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "dataset": "synth", "seed": 2, "epochs": 1, "w": 8, "sl": 2,
+            "d": 4, "n_layers": 1, "b": 16, "m": 2, "lr": 1,
+            "out_dir": str(tmp_path / "runs")}))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        stamp = os.path.getmtime(report_path)
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("retrained"))
+        assert self.run_train(tmp_path, "--lr", "1") == 0
+        assert glob.glob(str(tmp_path / "runs" / "*" / "report.json")) == [report_path]
+        assert os.path.getmtime(report_path) == stamp
+
+    @pytest.mark.parametrize("extra", [[], ["--holdout"]])
+    def test_negative_seed_exits_2_before_loading_data(self, monkeypatch, tmp_path,
+                                                       capsys, extra):
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("data loaded"))
+        assert self.run_train(tmp_path, "--seed", "-1", *extra) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("extra", [[], ["--holdout"]])
     def test_window_longer_than_every_unit_exits_2(self, monkeypatch, tmp_path, capsys,
                                                    extra):
@@ -735,6 +774,36 @@ class TestCli:
         assert self.run_train(tmp_path) == 2
         err = capsys.readouterr().err
         assert report_path in err and "rmse" in err
+
+    @pytest.mark.parametrize("version, found", [(None, "missing"), (2, "2")])
+    def test_resume_from_other_report_version_exits_2(self, monkeypatch, tmp_path,
+                                                      capsys, version, found):
+        """A report without the current format version is not reused; one
+        with it is."""
+        shrink_synth(monkeypatch)
+        assert self.run_train(tmp_path) == 0
+        report_path = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))[0]
+        with open(report_path) as f:
+            raw = json.load(f)
+        if version is None:
+            del raw["report_version"]
+        else:
+            raw["report_version"] = version
+        with open(report_path, "w") as f:
+            json.dump(raw, f)
+        capsys.readouterr()
+        assert self.run_train(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert report_path in err
+        assert f"report format version {found}, expected 1" in err and "--force" in err
+        # --force writes a current report, which the next run reuses
+        assert self.run_train(tmp_path, "--force") == 0
+        with open(report_path) as f:
+            assert json.load(f)["report_version"] == 1
+        stamp = os.path.getmtime(report_path)
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("retrained"))
+        assert self.run_train(tmp_path) == 0
+        assert os.path.getmtime(report_path) == stamp
 
     def test_non_finite_rul_file_exits_2(self, tmp_path, capsys):
         """A bad remaining-life file is an error naming its line, not a traceback."""
