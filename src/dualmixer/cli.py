@@ -67,9 +67,7 @@ def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
         got = getattr(args, field.name, None)
         if got is not None:
             values[field.name] = got
-    cfg = hx.config_from_dict(values)
-    cfg.validate()
-    return cfg
+    return hx.config_from_dict(values)
 
 
 def _load_checkpoint_and_data(args) -> tuple:

@@ -292,7 +292,6 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     Each short-unit or sampler warning is logged once per key in
     ``warned``; pass one set to every epoch of a run to log it once per run.
     """
-    cfg.validate()
     if warned is None:
         warned = set()
     if not samples:

@@ -89,7 +89,12 @@ class RunConfig:
     tau: float = 0.1
     holdout: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # an int given for a float field is stored as a float, so
+        # RunConfig(lr=1) names the same run as --lr 1
+        for f in dataclasses.fields(self):
+            if type(f.default) is float and type(getattr(self, f.name)) is int:
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if self.mode not in MODES:
@@ -146,10 +151,7 @@ def config_from_dict(values: dict) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     _check_json_types(RunConfig, values)
-    # an int stored as a float, so {"lr": 1} hashes like --lr 1
-    hints = typing.get_type_hints(RunConfig)
-    return RunConfig(**{name: float(value) if hints[name] is float else value
-                        for name, value in values.items()})
+    return RunConfig(**values)
 
 
 @dataclass
@@ -423,7 +425,6 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
     With resume=True an existing report for this exact configuration is
     returned untouched, which is what lets sweeps skip finished cells.
     """
-    cfg.validate()
     run_dir = os.path.join(cfg.out_dir, cfg.run_name())
     report_path = os.path.join(run_dir, "report.json")
     if resume and os.path.isfile(report_path):
@@ -467,7 +468,6 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
 
 def run_ablation(cfg: RunConfig) -> list[RunReport]:
     """All six variants under the same seed and data; writes ablation.csv."""
-    cfg.validate()
     reports = []
     for variant in dm.VARIANTS:
         reports.append(run_one(replace(cfg, variant=variant)))
@@ -484,7 +484,6 @@ def grid_search(cfg: RunConfig, n_list: Sequence[int],
     """RMSE for every (n_layers, d) pair at a fixed seed; one row per layer
     count in grid.csv, plus grid.json with the axes and the cell matching
     the configured defaults. Finished cells are skipped on rerun."""
-    cfg.validate()
     if not n_list or not d_list:
         raise ValueError("empty grid axis")
     matrix = np.zeros((len(n_list), len(d_list)))

@@ -66,7 +66,7 @@ class ModelConfig:
     n_layers: int
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("l", "m_vars", "d", "n_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"ModelConfig.{name} must be >= 1")
@@ -106,7 +106,6 @@ def layout(config: ModelConfig, variant: str) -> list[tuple[str, int, int]]:
     """
     if variant not in _VARIANT_PARTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    config.validate()
     temporal, spatial, cross, out_gates = _VARIANT_PARTS[variant]
     l, d = config.l, config.d
 

@@ -31,7 +31,7 @@ class SynthSpec:
     noise_std: float = 0.05
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         lo, hi = self.cycles
         if self.n_units < 1:
             raise ValueError("n_units must be >= 1")
@@ -43,11 +43,12 @@ class SynthSpec:
             raise ValueError("gamma must be > 0")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def generate(spec: SynthSpec) -> list[RawSeries]:
     """Deterministically generate spec.n_units run-to-failure series."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.cycles
     units = []

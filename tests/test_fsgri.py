@@ -38,11 +38,11 @@ class TestConfig:
 
     def test_field_validation(self):
         good = dict(m=5, beta=0.4, sigma1=0.3, sigma2=0.15, lam=2.0, tau=0.1, b=128)
-        hx.RunConfig(**good).validate()
+        hx.RunConfig(**good)
         for bad in (dict(m=0), dict(beta=1.0), dict(beta=-0.1), dict(sigma1=0.0),
                     dict(sigma2=-0.1), dict(lam=0.0), dict(tau=0.0), dict(b=5)):
             with pytest.raises(ValueError):
-                hx.RunConfig(**{**good, **bad}).validate()
+                hx.RunConfig(**{**good, **bad})
 
 
 class TestThresholdSampling:

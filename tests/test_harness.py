@@ -48,7 +48,7 @@ class TestRunConfig:
         assert (cfg.epochs, cfg.n_layers, cfg.d) == (100, 6, 32)
         assert (cfg.m, cfg.beta, cfg.sigma1, cfg.sigma2) == (5, 0.4, 0.3, 0.15)
         assert (cfg.lam, cfg.tau) == (2.0, 0.1)
-        cfg.validate()
+        assert replace(cfg) == cfg  # rebuilt, and so checked again, unchanged
 
     def test_hash_stable_and_sensitive(self):
         """The hash is a pure function of the field values."""
@@ -73,7 +73,7 @@ class TestRunConfig:
     def test_validate_rejects(self, field, value):
         """Each field is checked; b=5 breaks the anchor batch floor."""
         with pytest.raises(ValueError):
-            hx.RunConfig(**{field: value}).validate()
+            hx.RunConfig(**{field: value})
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown config fields"):
