@@ -4,7 +4,9 @@ Subcommands: train, eval, ablate, grid, export, synth. Every run-shaped
 command resolves its configuration the same way: dataclass defaults, then
 an optional JSON config file, then explicit flags. Each run flag's dest is
 the RunConfig field it sets, and that one RunConfig carries every setting
-of the run, fsgri's contrastive knobs included.
+of the run, fsgri's contrastive knobs included. Building it checks every
+field, as SynthSpec checks synth's, and grid builds every cell's config
+before any cell trains, so a bad value exits 2 before anything is written.
 """
 
 from __future__ import annotations
@@ -53,6 +55,14 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     defaults = hx.RunConfig()
     for flag, field in _HYPER_FLAGS.items():
         parser.add_argument(f"--{flag}", dest=field, type=type(getattr(defaults, field)))
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
@@ -116,12 +126,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = resolve_config(args)
-    n_list = [int(v) for v in args.n_list.split(",")]
-    d_list = [int(v) for v in args.d_list.split(",")]
-    matrix = hx.grid_search(cfg, n_list, d_list)
-    header = "N\\d  " + "  ".join(f"{d:>8d}" for d in d_list)
+    matrix = hx.grid_search(cfg, args.n_list, args.d_list)
+    header = "N\\d  " + "  ".join(f"{d:>8d}" for d in args.d_list)
     print(header)
-    for i, n in enumerate(n_list):
+    for i, n in enumerate(args.n_list):
         print(f"{n:<4d} " + "  ".join(f"{v:8.5f}" for v in matrix[i]))
     print(f"wrote {os.path.join(cfg.out_dir, 'grid.csv')}")
     return 0
@@ -173,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="sweep layer count and model width")
     _add_run_flags(p)
-    p.add_argument("--n-list", default="2,4,6,8,10,12",
+    p.add_argument("--n-list", type=_int_list, default="2,4,6,8,10,12",
                    help="comma-separated layer counts")
-    p.add_argument("--d-list", default="16,32,64,128",
+    p.add_argument("--d-list", type=_int_list, default="16,32,64,128",
                    help="comma-separated model widths")
     p.set_defaults(func=cmd_grid)
 

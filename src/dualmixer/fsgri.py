@@ -16,7 +16,7 @@ backward. dw_info_nce and mse_all compute the same terms for one group
 from scalar tape ops; they are the reference batch_loss is tested against.
 
 The knobs (m, beta, sigma1, sigma2, lam, tau and the batch size b) are read
-from the run's harness.RunConfig, which also checks them.
+from the run's harness.RunConfig, which checks them when it is built.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Run orchestration: dataset loading, the two training modes, evaluation,
 ablation and grid runners, and feature export.
 
-A run is fully described by a RunConfig; its SHA-derived hash names the run
-directory, ties reports to configurations, and lets interrupted sweeps
-resume by skipping cells whose reports already exist. Every artifact is
-written atomically, training stops with a ValueError on a non-finite loss
-or gradient, and reruns of the same (config, seed) reproduce metrics exactly.
+A run is fully described by a RunConfig, which checks itself when built;
+its SHA-derived hash names the run directory, ties reports to
+configurations, and lets interrupted sweeps resume by skipping cells whose
+reports already exist. Every artifact is written atomically, training stops
+with a ValueError on a non-finite loss or gradient, and reruns of the same
+(config, seed) reproduce metrics exactly.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class RunConfig:
     squared-life-gap logit weights. tau: temperature. b: nominal batch size;
     a standard batch holds b windows, and the fsgri anchor batch is
     b // (m + 1).
+
+    Building one, directly or through dataclasses.replace, raises a
+    ValueError naming the first out-of-range field, and stores an int given
+    for a float field as a float, so RunConfig(lr=1) names the --lr 1 run.
     """
 
     dataset: str = "synth"
@@ -90,8 +95,6 @@ class RunConfig:
     holdout: bool = False
 
     def __post_init__(self) -> None:
-        # an int given for a float field is stored as a float, so
-        # RunConfig(lr=1) names the same run as --lr 1
         for f in dataclasses.fields(self):
             if type(f.default) is float and type(getattr(self, f.name)) is int:
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
@@ -483,14 +486,12 @@ def grid_search(cfg: RunConfig, n_list: Sequence[int],
                 d_list: Sequence[int]) -> np.ndarray:
     """RMSE for every (n_layers, d) pair at a fixed seed; one row per layer
     count in grid.csv, plus grid.json with the axes and the cell matching
-    the configured defaults. Finished cells are skipped on rerun."""
+    the configured defaults. Finished cells are skipped on rerun, and every
+    cell's config is built, and so checked, before the first one trains."""
     if not n_list or not d_list:
         raise ValueError("empty grid axis")
-    matrix = np.zeros((len(n_list), len(d_list)))
-    for i, n in enumerate(n_list):
-        for j, d in enumerate(d_list):
-            rep = run_one(replace(cfg, n_layers=int(n), d=int(d)))
-            matrix[i, j] = rep.rmse
+    cells = [[replace(cfg, n_layers=int(n), d=int(d)) for d in d_list] for n in n_list]
+    matrix = np.array([[run_one(cell).rmse for cell in row] for row in cells])
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "grid.csv"),
               ["n_layers"] + [f"d{d}" for d in d_list],

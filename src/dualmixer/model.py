@@ -58,7 +58,8 @@ CHECKPOINT_VERSION = 1
 @dataclass(frozen=True)
 class ModelConfig:
     """Shape hyperparameters: window length l, input variables m_vars,
-    embedding width d, layer count n_layers, and the init seed."""
+    embedding width d, layer count n_layers, and the init seed; checked
+    when built."""
 
     l: int
     m_vars: int
@@ -291,8 +292,8 @@ def load_checkpoint(path: str) -> DualMixerParams:
 
     The header's array list must equal layout() for its config and variant.
     Any file that does not hold exactly one well-formed checkpoint (bad
-    magic or version, a cut or malformed header, missing array data, or
-    bytes after the last array) raises ValueError.
+    magic or version, a cut or malformed header, missing array data, a NaN
+    or infinite weight, or bytes after the last array) raises ValueError.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -332,6 +333,8 @@ def load_checkpoint(path: str) -> DualMixerParams:
             raise ValueError(f"{path}: truncated array data for {name}")
         arrays[name] = np.frombuffer(blob, dtype="<f8", count=rows * cols,
                                      offset=offset).reshape(rows, cols).astype(np.float64)
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: non-finite values in array {name}")
         offset += nbytes
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last array")

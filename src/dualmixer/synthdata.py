@@ -22,7 +22,8 @@ TEST_CUT_MIN_FRAC = 0.3
 @dataclass(frozen=True)
 class SynthSpec:
     """Generator knobs: unit count, inclusive cycle-length range, channel
-    count, degradation exponent, observation noise, and the seed."""
+    count, degradation exponent, observation noise, and the seed. An
+    out-of-range knob raises ValueError naming it when the spec is built."""
 
     n_units: int = 20
     cycles: tuple[int, int] = (90, 140)

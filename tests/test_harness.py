@@ -1,6 +1,7 @@
 """Run orchestration tests: config handling, the two trainers, metrics,
 sweeps, export, and the command line."""
 
+import dataclasses
 import gc
 import glob
 import json
@@ -68,12 +69,20 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("dataset", "fd009"), ("mode", "both"), ("variant", "oX"),
-        ("epochs", 0), ("lr", 0.0), ("b", 5), ("seed", -1),
+        ("epochs", 0), ("lr", 0.0), ("b", 5), ("seed", -1), ("lr", -1.0),
+        ("ModelConfig.d", 0), ("SynthSpec.seed", -1),
     ])
     def test_validate_rejects(self, field, value):
-        """Each field is checked; b=5 breaks the anchor batch floor."""
-        with pytest.raises(ValueError):
-            hx.RunConfig(**{field: value})
+        """Each field is checked when its config is built, by the constructor
+        and by replace, and the error names it; b=5 breaks the anchor batch
+        floor. A field without a class prefix is a RunConfig field."""
+        kind, _, name = field.rpartition(".")
+        valid = {"": hx.RunConfig(), "SynthSpec": sx.SynthSpec(),
+                 "ModelConfig": dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1)}[kind]
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            type(valid)(**{**dataclasses.asdict(valid), name: value})
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            replace(valid, **{name: value})
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown config fields"):
@@ -97,6 +106,10 @@ class TestRunConfig:
         from_flag = cli.resolve_config(cli.build_parser().parse_args(["train", "--lr", "1"]))
         assert isinstance(from_file.lr, float)
         assert from_file.config_hash() == from_flag.config_hash()
+        # and so does an int given in Python, to the constructor or to replace
+        for built in (hx.RunConfig(lr=1), replace(hx.RunConfig(), lr=1)):
+            assert isinstance(built.lr, float)
+            assert built.config_hash() == from_flag.config_hash() == "ed3e031c7140"
 
     def test_fsgri_config_carries_fields(self):
         fc = hx.RunConfig(m=3, b=40, tau=0.25).fsgri_config()
@@ -697,6 +710,48 @@ class TestCli:
         assert self.run_train(tmp_path, "--seed", "-1", *extra) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("n_list, d_list, cause", [
+        ("1,0", "4", "n_layers must be >= 1"), ("1", "4,0", "d must be >= 1"),
+    ])
+    def test_bad_grid_cell_exits_2_before_any_cell_trains(self, monkeypatch, tmp_path,
+                                                          capsys, n_list, d_list, cause):
+        """The first cell is valid, but none trains: no run dir, no grid.csv."""
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("data loaded"))
+        assert cli.main(["grid", "--n-list", n_list, "--d-list", d_list, "--epochs", "1",
+                         "--window", "8", "--out", str(tmp_path / "runs")]) == 2
+        assert cause in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("flag", ["--n-list", "--d-list"])
+    def test_malformed_grid_list_names_the_flag(self, monkeypatch, tmp_path, capsys, flag):
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("data loaded"))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["grid", flag, "1,x", "--out", str(tmp_path / "runs")])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: expected comma-separated integers, got '1,x'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_synth_negative_seed_exits_2_by_name(self, tmp_path, capsys):
+        assert cli.main(["synth", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_non_finite_checkpoint_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                              command):
+        """No metric or feature row comes from NaN weights."""
+        params = dm.make_variant(dm.ModelConfig(l=8, m_vars=14, d=4, n_layers=1), "full")
+        params.arrays["w_r"][0, 0] = np.nan
+        ckpt = str(tmp_path / "model.ckpt")
+        dm.save_checkpoint(ckpt, params)
+        assert cli.main([command, "--dataset", "synth", "--seed", "2", "--window", "8",
+                         "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert f"{ckpt}: non-finite values in array w_r" in captured.err
+        assert "rmse" not in captured.out
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--holdout"]])
     def test_window_longer_than_every_unit_exits_2(self, monkeypatch, tmp_path, capsys,

@@ -400,6 +400,17 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="trailing"):
             dm.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        """A NaN or infinite weight is refused, naming the file and the array."""
+        p = dm.make_variant(toy_config(seed=29), "full")
+        p.arrays["w_r"][0, 0] = value
+        path = str(tmp_path / "model.ckpt")
+        dm.save_checkpoint(path, p)
+        with pytest.raises(ValueError, match="non-finite values in array w_r") as exc:
+            dm.load_checkpoint(path)
+        assert str(exc.value).startswith(path)
+
 
 # --------------------------------------------------------------------------
 # the parameter table against a hand-written reference, and the loader fed

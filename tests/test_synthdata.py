@@ -13,9 +13,10 @@ class TestSpecValidation:
         base = dict(n_units=3, cycles=(50, 60), n_vars=4, gamma=2.0,
                     noise_std=0.05, seed=0)
         for bad in (dict(n_units=0), dict(cycles=(60, 50)), dict(cycles=(1, 50)),
-                    dict(n_vars=1), dict(gamma=0.0), dict(noise_std=-0.1)):
+                    dict(n_vars=1), dict(gamma=0.0), dict(noise_std=-0.1),
+                    dict(seed=-1)):
             with pytest.raises(ValueError):
-                sx.generate(sx.SynthSpec(**{**base, **bad}))
+                sx.SynthSpec(**{**base, **bad})
 
 
 class TestGenerate:
