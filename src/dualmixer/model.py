@@ -30,10 +30,11 @@ has no layer{i}.g1.wg. With a graph, the arrays are registered on the
 tape under those same names, which also key the gradients and the
 optimizer state.
 
-Each path's residual block is one numerics.mix node, each gate one
-numerics.gate node, and each cross-path merge one numerics.add_norm node,
-so a full layer records 8 tape ops: two of each, plus the two block
-transposes that carry gated features to the other orientation.
+Each path's residual block is LayerNorm(GeLU(x W1) W2 + x), each gate
+sigmoid(x Wg) * x and each cross-path merge LayerNorm(a + b), all written
+as numerics primitives, so a full layer records 22 tape ops: 10 for the
+two residual blocks, 6 for the two cross gates, 2 block transposes that
+carry gated features to the other orientation, and 4 for the two merges.
 
 All linear maps are bias-free; layer norms carry gain and bias.
 """
@@ -176,11 +177,13 @@ def _leaf(arrays: dict[str, np.ndarray], graph: Optional[nx.Graph], name: str) -
 def gate_forward(arrays: dict[str, np.ndarray], x: Tensor,
                  graph: Optional[nx.Graph] = None, scope: str = "gate") -> Tensor:
     """sigmoid(x @ Wg) * x, elementwise."""
-    return nx.gate(x, _leaf(arrays, graph, f"{scope}.wg"))
+    return nx.hadamard(nx.sigmoid(nx.matmul(x, _leaf(arrays, graph, f"{scope}.wg"))), x)
 
 
-def _norm_leaves(arrays, graph, scope: str) -> tuple[Tensor, Tensor]:
-    return _leaf(arrays, graph, f"{scope}.gain"), _leaf(arrays, graph, f"{scope}.bias")
+def _norm(arrays, x: Tensor, graph, scope: str) -> Tensor:
+    """LayerNorm of x with the gain and bias under scope."""
+    return nx.layer_norm(x, _leaf(arrays, graph, f"{scope}.gain"),
+                         _leaf(arrays, graph, f"{scope}.bias"))
 
 
 def _mix(arrays, x: Optional[Tensor], graph, mlp_scope: str,
@@ -189,9 +192,9 @@ def _mix(arrays, x: Optional[Tensor], graph, mlp_scope: str,
     not have."""
     if x is None:
         return None
-    return nx.mix(x, _leaf(arrays, graph, f"{mlp_scope}.w1"),
-                  _leaf(arrays, graph, f"{mlp_scope}.w2"),
-                  *_norm_leaves(arrays, graph, ln_scope))
+    hidden = nx.gelu(nx.matmul(x, _leaf(arrays, graph, f"{mlp_scope}.w1")))
+    residual = nx.add(nx.matmul(hidden, _leaf(arrays, graph, f"{mlp_scope}.w2")), x)
+    return _norm(arrays, residual, graph, ln_scope)
 
 
 def dml_forward(arrays: dict[str, np.ndarray], x_t: Optional[Tensor],
@@ -214,8 +217,8 @@ def dml_forward(arrays: dict[str, np.ndarray], x_t: Optional[Tensor],
     batch = z_t.rows // z_s.cols
     from_spatial = nx.block_transpose(gate_forward(arrays, z_s, graph, f"{scope}.g2"), batch)
     from_temporal = nx.block_transpose(gate_forward(arrays, z_t, graph, f"{scope}.g1"), batch)
-    out_t = nx.add_norm(from_spatial, z_t, *_norm_leaves(arrays, graph, f"{scope}.ln_t2"))
-    out_s = nx.add_norm(from_temporal, z_s, *_norm_leaves(arrays, graph, f"{scope}.ln_s2"))
+    out_t = _norm(arrays, nx.add(from_spatial, z_t), graph, f"{scope}.ln_t2")
+    out_s = _norm(arrays, nx.add(from_temporal, z_s), graph, f"{scope}.ln_s2")
     return out_t, out_s
 
 

@@ -10,12 +10,9 @@ graphs are single threaded, independent graphs may run in parallel.
 backward returns fresh gradients; descend is the one checked training step
 built on it and Adam.
 
-Besides the primitives, three fused nodes carry the mixer: mix
-(LayerNorm(GeLU(x W1) W2 + x)), gate (sigmoid(x Wg) * x) and add_norm
-(LayerNorm(a + b)). Each is one tape node with a closed-form backward. They
-and the primitives gelu, sigmoid and layer_norm compute through the same
-module-level value and gradient helpers, so a fused node's output is
-bit-identical to its primitive chain, which the tests keep as the oracle.
+The dual-path mixer is built from these primitives (matmul, gelu, add,
+layer_norm, sigmoid, hadamard); gelu, sigmoid and layer_norm compute
+through module-level value and gradient helpers.
 """
 
 from __future__ import annotations
@@ -136,7 +133,9 @@ class Graph:
 
         Returns a fresh dict from every registered parameter's name to its
         gradient, in registration order; parameters unreachable from the
-        loss get zeros, and no two gradients share storage.
+        loss get zeros, and no two gradients share storage. A node's adjoint
+        is dropped once its rule has read it, so the sweep holds only the
+        adjoints still to be swept and those of the leaves.
         """
         if loss.graph is not self or loss.node_id < 0:
             raise GraphError("loss tensor is not recorded on this graph")
@@ -154,6 +153,7 @@ class Graph:
             node = self.nodes[nid]
             if node.backward is None:
                 continue
+            adjoint[nid] = None
             for iid, contrib in zip(node.inputs, node.backward(adj)):
                 if iid < 0 or contrib is None:
                     continue
@@ -385,65 +385,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# fused mixer nodes
-# --------------------------------------------------------------------------
-#
-# Each is one tape node computing a chain of the primitives above with the
-# same value and gradient helpers, so its output is bit-identical to the
-# chain's. A backward returns an operand's contributions in the order the
-# chain's nodes delivered them (a chain's later node is swept first), and an
-# operand used twice is listed twice, so the tape also sums its adjoint in
-# the chain's order.
-
-def mix(x: Tensor, w1: Tensor, w2: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """LayerNorm(GeLU(x @ W1) @ W2 + x): a residual MLP block and its norm."""
-    if x.cols != w1.rows or w1.cols != w2.rows or w2.cols != x.cols:
-        raise ShapeError(f"mix shapes disagree: x {x.shape}, W1 {w1.shape}, W2 {w2.shape}")
-    _check_norm_params("mix", x.cols, gain, bias)
-    xd, w1d, w2d, gd = x.data, w1.data, w2.data, gain.data
-    pre = xd @ w1d
-    hidden, cdf = _gelu_values(pre)
-    out, xhat, inv = _layer_norm_values(hidden @ w2d + xd, gd, bias.data)
-
-    def bwd(adj):
-        dsum, dgain, dbias = _layer_norm_grad(adj, xhat, inv, gd)
-        dpre = _gelu_grad(dsum @ w2d.T, pre, cdf)
-        return dsum, dpre @ w1d.T, xd.T @ dpre, hidden.T @ dsum, dgain, dbias
-
-    return record("mix", out, (x, x, w1, w2, gain, bias), bwd)
-
-
-def gate(x: Tensor, wg: Tensor) -> Tensor:
-    """sigmoid(x @ Wg) * x, elementwise."""
-    if x.cols != wg.rows or wg.cols != x.cols:
-        raise ShapeError(f"gate shapes disagree: x {x.shape}, Wg {wg.shape}")
-    xd, wgd = x.data, wg.data
-    s = _sigmoid_values(xd @ wgd)
-    out = s * xd
-
-    def bwd(adj):
-        dz = _sigmoid_grad(adj * xd, s)
-        return adj * s, dz @ wgd.T, xd.T @ dz
-
-    return record("gate", out, (x, x, wg), bwd)
-
-
-def add_norm(a: Tensor, b: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """LayerNorm(a + b)."""
-    _check_same_shape("add_norm", a, b)
-    _check_norm_params("add_norm", a.cols, gain, bias)
-    gd = gain.data
-    out, xhat, inv = _layer_norm_values(a.data + b.data, gd, bias.data)
-
-    def bwd(adj):
-        dsum, dgain, dbias = _layer_norm_grad(adj, xhat, inv, gd)
-        return dsum, dsum, dgain, dbias
-
-    return record("add_norm", out, (a, b, gain, bias), bwd)
-
-
-# --------------------------------------------------------------------------
-# value and gradient helpers shared by the primitives and the fused nodes
+# value and gradient helpers of gelu, sigmoid and layer_norm
 # --------------------------------------------------------------------------
 
 def _gelu_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Shared test helpers: a finite-difference gradient oracle, feature
 vectors with chosen cosine scores, one group's loss and plain InfoNCE, the
-primitive chains the fused mixer nodes are checked against, and dataset
-discovery for the optional real-data checks."""
+MLP of a mixer path's residual block, and dataset discovery for the
+optional real-data checks."""
 
 import math
 import os
@@ -92,33 +92,8 @@ def info_nce(zi, zi_pos, z_negs, tau):
     return nx.sub(nx.logsumexp(logits), pos)
 
 
-# --------------------------------------------------------------------------
-# the fused mixer nodes as chains of primitive tape ops
-# --------------------------------------------------------------------------
-
-def chain_mix(x, w1, w2, gain, bias):
-    """numerics.mix as matmul -> gelu -> matmul -> add -> layer_norm."""
-    return nx.layer_norm(nx.add(nx.matmul(nx.gelu(nx.matmul(x, w1)), w2), x), gain, bias)
-
-
-def chain_gate(x, wg):
-    """numerics.gate as matmul -> sigmoid -> hadamard."""
-    return nx.hadamard(nx.sigmoid(nx.matmul(x, wg)), x)
-
-
-def chain_add_norm(a, b, gain, bias):
-    """numerics.add_norm as add -> layer_norm."""
-    return nx.layer_norm(nx.add(a, b), gain, bias)
-
-
-def use_primitive_chains(monkeypatch):
-    """Make the model build every fused node from its primitive chain."""
-    monkeypatch.setattr(nx, "mix", chain_mix)
-    monkeypatch.setattr(nx, "gate", chain_gate)
-    monkeypatch.setattr(nx, "add_norm", chain_add_norm)
-
-
 def mlp_block_forward(arrays, x, scope="mlp"):
-    """GeLU(x @ W1) @ W2, shared across rows: the MLP inside numerics.mix."""
+    """GeLU(x @ W1) @ W2, shared across rows: the MLP inside a mixer path's
+    residual block."""
     w1, w2 = nx.Tensor(arrays[f"{scope}.w1"]), nx.Tensor(arrays[f"{scope}.w2"])
     return nx.matmul(nx.gelu(nx.matmul(x, w1)), w2)

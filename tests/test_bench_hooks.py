@@ -5,6 +5,8 @@ bench/tracing.py replaces module attributes such as ``numerics.matmul`` or
 ``graph`` and ``scope`` arguments of the model forwards. Deleting or
 renaming one of them breaks ``bench/run.py --trace 1`` with an
 AttributeError, which nothing else in this suite runs; these tests catch it.
+They also check that every tape op a training step records is one the
+tracer wraps.
 
 An untraced run calls the program through bench/workloads.py. The last
 test makes each workload's first call at the benchmark's check seed and
@@ -108,3 +110,34 @@ def test_workload_first_call_matches_reference(name):
     assert len(parts) == len(expect)
     for got, want in zip(parts, expect):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+
+
+class _Recorded(Exception):
+    """Stops a trainer at its first optimizer step."""
+
+
+@pytest.mark.parametrize("mode", ["fsgri", "standard"])
+def test_tracer_sees_every_tape_op(mode, monkeypatch):
+    """Every node a training step puts on the tape is a leaf, the FSGRI
+    loss node (charged to the loss) or a numerics op the tracer wraps by
+    name. An op it does not know would run untimed and uncounted, and its
+    backward would land in numerics.other_ops."""
+    tracing = load_tracing()
+    cfg = hx.RunConfig(dataset="synth", mode=mode, variant="full", seed=0, w=8,
+                       d=4, n_layers=2, b=12, m=2, epochs=1)
+    train, _ = hx.load_dataset(cfg)
+    params = dm.make_variant(
+        dm.ModelConfig(l=cfg.w, m_vars=train[0].values.shape[1], d=cfg.d,
+                       n_layers=cfg.n_layers, seed=cfg.seed), cfg.variant)
+    ops = set()
+
+    def record_step(state, arrays, loss, divisor, where):
+        ops.update(node.op for node in loss.graph.nodes)
+        raise _Recorded
+
+    monkeypatch.setattr(nx, "descend", record_step)
+    trainer = hx.train_fsgri if mode == "fsgri" else hx.train_standard
+    with pytest.raises(_Recorded):
+        trainer(params, train, cfg)
+    assert sorted(ops - {"param", "fsgri_batch_loss"} - set(tracing.OPS)) == []
+    assert {"matmul", "gelu", "sigmoid", "layer_norm"} <= ops

@@ -4,10 +4,11 @@ forward, checkpoints."""
 import json
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import finite_diff_grads, max_rel_err, mlp_block_forward, use_primitive_chains
+from conftest import finite_diff_grads, max_rel_err, mlp_block_forward
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +128,19 @@ class TestDmlLayer:
         want = finite_diff_grads(lambda: run(nx.Graph()).item(), arrays)
         assert max_rel_err(got, want) < 1e-4
 
+    def test_full_layer_records_twenty_two_op_nodes(self):
+        """Per path a residual block (matmul, gelu, matmul, add, layer_norm)
+        and a cross gate (matmul, sigmoid, hadamard); two block transposes;
+        two merges (add, layer_norm)."""
+        p = dm.make_variant(toy_config(n_layers=1), "full")
+        g = nx.Graph()
+        x_t = Tensor(np.random.default_rng(4).normal(size=(12, 4)))
+        dm.dml_forward(p.arrays, x_t, nx.block_transpose(x_t, 2), g, "layer0")
+        ops = Counter(n.op for n in g.nodes if n.op != "param")
+        assert ops == {"matmul": 6, "gelu": 2, "add": 4, "layer_norm": 4,
+                       "sigmoid": 2, "hadamard": 2, "block_transpose": 2}
+        assert sum(ops.values()) == 22
+
     def test_misspelt_name_fails_loudly(self):
         """A weight is read by name, so a wrong scope cannot go untrained."""
         arrays = dm.make_variant(toy_config(n_layers=1), "full").arrays
@@ -217,45 +231,6 @@ class TestBatchedForward:
         for bad in (np.zeros((12, 3)), [], np.zeros((0, 6, 3))):
             with pytest.raises(nx.ShapeError):
                 dm.forward_batch(p, bad)
-
-
-class TestFusedNodes:
-    """The model on the fused mix, gate and add_norm nodes against the same
-    model built from their primitive chains."""
-
-    @staticmethod
-    def run(p, windows):
-        g = nx.Graph()
-        feats, life = dm.forward_batch(p, windows, g)
-        weights = np.random.default_rng(5).normal(size=feats.shape)
-        loss = nx.add(nx.sum_all(nx.hadamard(feats, Tensor(weights))), nx.sum_all(life))
-        return feats.data, life.data, g.backward(loss)
-
-    @pytest.mark.parametrize("variant", dm.VARIANTS)
-    def test_fused_model_matches_primitive_chains(self, variant, monkeypatch):
-        """Features and estimates bit for bit; every gradient to 1e-12."""
-        p = dm.make_variant(toy_config(n_layers=2), variant)
-        windows = np.random.default_rng(3).normal(size=(4, 6, 3))
-        feats, life, grads = self.run(p, windows)
-        with monkeypatch.context() as m:
-            use_primitive_chains(m)
-            want_feats, want_life, want_grads = self.run(p, windows)
-        np.testing.assert_array_equal(feats, want_feats)
-        np.testing.assert_array_equal(life, want_life)
-        assert list(grads) == list(want_grads)
-        for name, want in want_grads.items():
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(grads[name] - want)) <= 1e-12 * scale, name
-
-    def test_full_layer_records_eight_op_nodes(self):
-        """Two mixes, two gates, two block transposes and two add-norms."""
-        p = dm.make_variant(toy_config(n_layers=1), "full")
-        g = nx.Graph()
-        x_t = Tensor(np.random.default_rng(4).normal(size=(12, 4)))
-        dm.dml_forward(p.arrays, x_t, nx.block_transpose(x_t, 2), g, "layer0")
-        ops = [n.op for n in g.nodes if n.op != "param"]
-        assert sorted(ops) == sorted(["mix", "mix", "gate", "gate", "block_transpose",
-                                      "block_transpose", "add_norm", "add_norm"])
 
 
 def kill_gates(monkeypatch, dead):
