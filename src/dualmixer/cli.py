@@ -149,8 +149,8 @@ def cmd_synth(args) -> int:
     if args.vars != 21:
         raise ValueError("emitting the 26-column file format requires 21 sensor columns")
     train, test, ruls = sx.generate_splits(sx.SynthSpec(
-        n_units=args.units, cycles=tuple(args.cycles), n_vars=args.vars,
-        gamma=args.gamma, noise_std=args.noise, seed=args.seed), args.test_units)
+        n_units=args.units, test_units=args.test_units, cycles=tuple(args.cycles),
+        n_vars=args.vars, gamma=args.gamma, noise_std=args.noise, seed=args.seed))
     os.makedirs(args.out_dir, exist_ok=True)
     paths = sx.emit_cmapss(args.out_dir, args.tag, train, test, ruls)
     for kind, path in paths.items():

@@ -41,9 +41,8 @@ MODES = ("standard", "fsgri")
 
 # The built-in synthetic dataset (dataset="synth"): SynthSpec's defaults,
 # with the generator seed derived from the run seed so both training modes
-# see identical data, and this many test units.
+# see identical data.
 SYNTH = sx.SynthSpec()
-SYNTH_TEST_UNITS = 10
 
 # Windows evaluated per stacked forward in the shared prediction path.
 PREDICT_CHUNK = 256
@@ -69,8 +68,9 @@ class RunConfig:
     b // (m + 1).
 
     Building one, directly or through dataclasses.replace, raises a
-    ValueError naming the first out-of-range field, and stores an int given
-    for a float field as a float, so RunConfig(lr=1) names the --lr 1 run.
+    ValueError naming the first field of the wrong type (a bool is not an
+    int) or out of range, and stores an int given for a float field as a
+    float, so RunConfig(lr=1) names the --lr 1 run.
     """
 
     dataset: str = "synth"
@@ -95,6 +95,7 @@ class RunConfig:
     holdout: bool = False
 
     def __post_init__(self) -> None:
+        _check_json_types(RunConfig, vars(self))
         for f in dataclasses.fields(self):
             if type(f.default) is float and type(getattr(self, f.name)) is int:
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
@@ -148,12 +149,11 @@ class RunConfig:
 
 def config_from_dict(values: dict) -> RunConfig:
     """Build a RunConfig from exactly its own field names, each holding a
-    JSON value of its field's type (see _check_json_types)."""
+    JSON value of its field's type (which RunConfig checks)."""
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    _check_json_types(RunConfig, values)
     return RunConfig(**values)
 
 
@@ -287,7 +287,7 @@ def _load_cmapss(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list
 
 
 def _load_synth(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
-    return sx.generate_splits(replace(SYNTH, seed=cfg.seed * 7919), SYNTH_TEST_UNITS)
+    return sx.generate_splits(replace(SYNTH, seed=cfg.seed * 7919))
 
 
 def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]]:

@@ -21,11 +21,13 @@ TEST_CUT_MIN_FRAC = 0.3
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Generator knobs: unit count, inclusive cycle-length range, channel
-    count, degradation exponent, observation noise, and the seed. An
-    out-of-range knob raises ValueError naming it when the spec is built."""
+    """Generator knobs: training and test unit counts, inclusive
+    cycle-length range, channel count, degradation exponent, observation
+    noise, and the seed. An out-of-range knob raises ValueError naming it
+    when the spec is built."""
 
     n_units: int = 20
+    test_units: int = 10
     cycles: tuple[int, int] = (90, 140)
     n_vars: int = 14
     gamma: float = 2.0
@@ -36,6 +38,8 @@ class SynthSpec:
         lo, hi = self.cycles
         if self.n_units < 1:
             raise ValueError("n_units must be >= 1")
+        if self.test_units < 1:
+            raise ValueError("test_units must be >= 1")
         if not (2 <= lo <= hi):
             raise ValueError(f"bad cycle range {self.cycles}")
         if self.n_vars < 2:
@@ -91,13 +95,13 @@ def make_test_split(units: list[RawSeries],
     return truncated, ruls
 
 
-def generate_splits(spec: SynthSpec, test_units: int
+def generate_splits(spec: SynthSpec
                     ) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
     """A training split of spec.n_units units, and a test split of
-    test_units units cut before failure with their true RULs. The three
-    draws are seeded with spec.seed, spec.seed + 1 and spec.seed + 2."""
+    spec.test_units units cut before failure with their true RULs. The
+    three draws are seeded with spec.seed, spec.seed + 1 and spec.seed + 2."""
     train = generate(spec)
-    full_test = generate(replace(spec, n_units=test_units, seed=spec.seed + 1))
+    full_test = generate(replace(spec, n_units=spec.test_units, seed=spec.seed + 1))
     test, ruls = make_test_split(full_test, seed=spec.seed + 2)
     return train, test, ruls
 

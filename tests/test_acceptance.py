@@ -272,9 +272,8 @@ class TestPropertySuite:
 
 @pytest.fixture
 def noisy_synth(monkeypatch):
-    monkeypatch.setattr(hx, "SYNTH", replace(hx.SYNTH, n_units=6, cycles=(40, 60),
-                                             n_vars=8, noise_std=0.15))
-    monkeypatch.setattr(hx, "SYNTH_TEST_UNITS", 4)
+    monkeypatch.setattr(hx, "SYNTH", replace(hx.SYNTH, n_units=6, test_units=4,
+                                             cycles=(40, 60), n_vars=8, noise_std=0.15))
 
 
 class TestSyntheticDirection:

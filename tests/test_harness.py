@@ -22,8 +22,8 @@ import dualmixer.synthdata as sx
 
 
 def shrink_synth(monkeypatch):
-    monkeypatch.setattr(hx, "SYNTH", replace(hx.SYNTH, n_units=4, cycles=(24, 32)))
-    monkeypatch.setattr(hx, "SYNTH_TEST_UNITS", 3)
+    monkeypatch.setattr(hx, "SYNTH", replace(hx.SYNTH, n_units=4, test_units=3,
+                                             cycles=(24, 32)))
 
 
 def tiny_cfg(tmp_path, **over):
@@ -71,11 +71,14 @@ class TestRunConfig:
         ("dataset", "fd009"), ("mode", "both"), ("variant", "oX"),
         ("epochs", 0), ("lr", 0.0), ("b", 5), ("seed", -1), ("lr", -1.0),
         ("ModelConfig.d", 0), ("SynthSpec.seed", -1),
+        pytest.param("b", "5", id="b-str"), ("holdout", "no"), ("seed", True),
+        ("epochs", 2.5),
     ])
     def test_validate_rejects(self, field, value):
         """Each field is checked when its config is built, by the constructor
         and by replace, and the error names it; b=5 breaks the anchor batch
-        floor. A field without a class prefix is a RunConfig field."""
+        floor, and a str, a bool for an int or a fraction for an int is the
+        wrong type. A field without a class prefix is a RunConfig field."""
         kind, _, name = field.rpartition(".")
         valid = {"": hx.RunConfig(), "SynthSpec": sx.SynthSpec(),
                  "ModelConfig": dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1)}[kind]
@@ -737,6 +740,12 @@ class TestCli:
         assert cli.main(["synth", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+    def test_synth_no_units_exits_2_naming_the_flags_field(self, tmp_path, capsys):
+        for flag, field in (("--test-units", "test_units"), ("--units", "n_units")):
+            assert cli.main(["synth", "--out", str(tmp_path / "data"), flag, "0"]) == 2
+            assert f"{field} must be >= 1" in capsys.readouterr().err
+            assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_non_finite_checkpoint_exits_2_and_writes_nothing(self, tmp_path, capsys,

@@ -14,7 +14,7 @@ class TestSpecValidation:
                     noise_std=0.05, seed=0)
         for bad in (dict(n_units=0), dict(cycles=(60, 50)), dict(cycles=(1, 50)),
                     dict(n_vars=1), dict(gamma=0.0), dict(noise_std=-0.1),
-                    dict(seed=-1)):
+                    dict(seed=-1), dict(test_units=0)):
             with pytest.raises(ValueError):
                 sx.SynthSpec(**{**base, **bad})
 
@@ -103,8 +103,8 @@ class TestTestSplit:
 
     def test_splits_are_seeded_from_one_spec(self):
         """Training units from seed s, test units from s + 1 cut with s + 2."""
-        spec = sx.SynthSpec(n_units=3, cycles=(30, 40), n_vars=4, seed=12)
-        train, test, ruls = sx.generate_splits(spec, 2)
+        spec = sx.SynthSpec(n_units=3, test_units=2, cycles=(30, 40), n_vars=4, seed=12)
+        train, test, ruls = sx.generate_splits(spec)
         want_cut, want_ruls = sx.make_test_split(
             sx.generate(sx.SynthSpec(n_units=2, cycles=(30, 40), n_vars=4, seed=13)), seed=14)
         assert len(train) == 3 and ruls == want_ruls
