@@ -374,7 +374,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     gain and bias are 1 x cols; variance is the population variance with an
     epsilon floor, so constant rows map to the bias.
     """
-    _check_norm_params("layer_norm", a.cols, gain, bias)
+    for name, t in (("gain", gain), ("bias", bias)):
+        if t.shape != (1, a.cols):
+            raise ShapeError(f"layer_norm {name} must be 1x{a.cols}, got {t.shape}")
     gd = gain.data
     out, xhat, inv = _layer_norm_values(a.data, gd, bias.data)
 
@@ -425,12 +427,6 @@ def _sigmoid_grad(adj: np.ndarray, s: np.ndarray) -> np.ndarray:
     d = adj * s
     d *= 1.0 - s
     return d
-
-
-def _check_norm_params(op: str, ncols: int, gain: Tensor, bias: Tensor) -> None:
-    for name, t in (("gain", gain), ("bias", bias)):
-        if t.shape != (1, ncols):
-            raise ShapeError(f"{op} {name} must be 1x{ncols}, got {t.shape}")
 
 
 # Row sums go through einsum: numpy's axis-1 reductions are slow on rows
