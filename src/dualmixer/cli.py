@@ -18,9 +18,16 @@ import logging
 import os
 import sys
 
-from . import harness as hx
-from . import model as dm
-from . import synthdata as sx
+# numerics.descend runs a training step's shards on threads of their own,
+# one per usable CPU; a BLAS thread pool under each of them would
+# oversubscribe the CPUs. Set before numpy is imported; a value the user
+# sets wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import harness as hx  # noqa: E402
+from . import model as dm  # noqa: E402
+from . import synthdata as sx  # noqa: E402
 
 logger = logging.getLogger(__name__)
 

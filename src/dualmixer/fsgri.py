@@ -9,11 +9,12 @@ logits amplified, so the feature space is pushed to order itself by
 remaining life rather than merely separating neighbors from strangers.
 
 build_group returns a group as its m + 2 windows and labels in slot order
-(anchor, positive, negatives). A training batch concatenates its groups'
-rows into one forward_batch call and scores all groups with batch_loss, a
-single tape node (put there by numerics.record) with a closed-form
-backward. dw_info_nce and mse_all compute the same terms for one group
-from scalar tape ops; they are the reference batch_loss is tested against.
+(anchor, positive, negatives). A training batch is split by group into
+numerics.descend's shards; each shard concatenates its groups' rows into
+one forward_batch call and scores its groups with batch_loss, a single
+tape node (put there by numerics.record) with a closed-form backward.
+dw_info_nce and mse_all compute the same terms for one group from scalar
+tape ops; they are the reference batch_loss is tested against.
 
 The knobs (m, beta, sigma1, sigma2, lam, tau and the batch size b) are read
 from the run's harness.RunConfig, which checks them when it is built.
@@ -283,9 +284,10 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
                       epoch_seed: int, warned: Optional[set] = None) -> EpochStats:
     """One pass over all usable anchors.
 
-    Anchors are grouped into batches of b // (m+1); each batch stacks every
-    group member into one forward, sums the per-anchor losses, divides by
-    the nominal batch size b, and takes one optimizer step. Group sampling
+    Anchors are grouped into batches of b // (m+1); each batch's groups are
+    split into numerics.descend's shards, each shard stacks its group
+    members into one forward and sums its per-anchor losses, and the step
+    divides the batch's sum by the nominal batch size b. Group sampling
     is keyed by (epoch_seed, unit, window index), so a rerun with the same
     seed reproduces the epoch bit-for-bit regardless of execution order.
     A non-finite batch loss or gradient raises ValueError before any update.
@@ -311,22 +313,27 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
         raise ValueError("no unit has enough windows for negative sampling")
     order = stratified_order(usable, epoch_seed)
     batch_size = cfg.anchor_batch
+    group_size = (cfg.m + 2) * params.config.l * params.config.d
+
+    def group_loss(shard):
+        windows = [w for group_windows, _ in shard for w in group_windows]
+        feats, ruls = dm.forward_batch(params, windows, nx.Graph())
+        batch_sum, contrastive, regression = batch_loss(
+            feats, ruls, np.array([group_labels for _, group_labels in shard]), cfg)
+        return batch_sum, (contrastive, regression)
+
     total_con = total_reg = 0.0
     batches = anchors = 0
     for start in range(0, len(order), batch_size):
         chunk = order[start:start + batch_size]
-        windows, labels = [], []
-        for uid, i in chunk:
-            group_windows, group_labels = build_group(
-                np.random.default_rng((epoch_seed, uid, i)), usable[uid], i, cfg, warned)
-            windows += group_windows
-            labels.append(group_labels)
-        feats, ruls = dm.forward_batch(params, windows, nx.Graph())
-        batch_sum, contrastive, regression = batch_loss(feats, ruls, np.array(labels), cfg)
-        nx.descend(optimizer, params.arrays, batch_sum, cfg.b,
-                   f"batch {batches} of the epoch with seed {epoch_seed}")
-        total_con += float(contrastive.sum())
-        total_reg += float(regression.sum())
+        groups = [build_group(np.random.default_rng((epoch_seed, uid, i)), usable[uid], i,
+                              cfg, warned)
+                  for uid, i in chunk]
+        shards = nx.split(groups, nx.shard_count(len(groups) * group_size))
+        _, terms = nx.descend(optimizer, params.arrays, shards, group_loss, cfg.b,
+                              f"batch {batches} of the epoch with seed {epoch_seed}")
+        total_con += float(np.concatenate([c for c, _ in terms]).sum())
+        total_reg += float(np.concatenate([r for _, r in terms]).sum())
         batches += 1
         anchors += len(chunk)
     return EpochStats(mean_loss=(total_con + total_reg) / anchors,

@@ -380,25 +380,30 @@ def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
     """Plain mean-squared-error training over shuffled batches of b windows.
 
     Returns per-epoch stats; the reported loss is the epoch's mean squared
-    error per window. A non-finite batch loss or gradient raises ValueError
-    before any update.
+    error per window. Each batch runs as numerics.descend's shards of
+    windows. A non-finite batch loss or gradient raises ValueError before
+    any update.
     """
     if not samples:
         raise ValueError("empty training set")
     opt = nx.AdamState(lr=cfg.lr)
     groups = dd.group_by_unit(samples)
+    window_size = params.config.l * params.config.d
+
+    def squared_error(shard: Sequence[WindowSample]) -> tuple[Tensor, None]:
+        _, preds = dm.forward_batch(params, [s.values for s in shard], nx.Graph())
+        err = nx.sub(preds, Tensor(np.array([[s.label] for s in shard])))
+        return nx.sum_all(nx.hadamard(err, err)), None
+
     history = []
     for epoch in range(cfg.epochs):
         order = fs.stratified_order(groups, _epoch_seed(cfg.seed, epoch))
         sq_sum = 0.0
         for start in range(0, len(order), cfg.b):
             chunk = [groups[uid][i] for uid, i in order[start:start + cfg.b]]
-            _, preds = dm.forward_batch(params, [s.values for s in chunk], nx.Graph())
-            labels = Tensor(np.array([[s.label] for s in chunk]))
-            err = nx.sub(preds, labels)
-            sq = nx.sum_all(nx.hadamard(err, err))
-            sq_sum += nx.descend(opt, params.arrays, sq, len(chunk),
-                                 f"batch {start // cfg.b} of epoch {epoch}")
+            shards = nx.split(chunk, nx.shard_count(len(chunk) * window_size))
+            sq_sum += nx.descend(opt, params.arrays, shards, squared_error, len(chunk),
+                                 f"batch {start // cfg.b} of epoch {epoch}")[0]
         history.append({"epoch": epoch, "loss": sq_sum / len(order)})
     return history
 

@@ -10,6 +10,17 @@ graphs are single threaded, independent graphs may run in parallel.
 backward returns fresh gradients; descend is the one checked training step
 built on it and Adam.
 
+A training loss is a sum over independent rows (windows, or FSGRI groups),
+so descend takes a batch as shards: each shard's forward and backward run
+on a graph of their own, the shards other than the first on threads of
+their own, and the step sums their losses and gradients. numpy, scipy's
+erf and OpenBLAS release the GIL on arrays of the model's size, so on a
+multi-CPU host the shards run at once. shard_count picks one shard per
+usable CPU, but none smaller than MIN_SHARD_ACTIVATION; one shard is the
+unsharded step bit for bit. With shard threads BLAS should run one thread
+per call (OPENBLAS_NUM_THREADS=1), or the two kinds of threads contend
+for the same CPUs.
+
 The dual-path mixer is built from these primitives (matmul, gelu, add,
 layer_norm, sigmoid, hadamard); gelu, sigmoid and layer_norm compute
 through module-level value and gradient helpers.
@@ -18,6 +29,8 @@ through module-level value and gradient helpers.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -550,17 +563,103 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
-def descend(state: AdamState, params: dict[str, np.ndarray], loss: Tensor,
-            divisor: float, where: str) -> float:
-    """One Adam step on ``loss / divisor``; returns the undivided loss. A
-    non-finite loss or gradient raises ValueError naming ``where`` (the
-    batch) before ``params`` or ``state`` change."""
+# --------------------------------------------------------------------------
+# the training step
+# --------------------------------------------------------------------------
+
+# Fewest stacked activation values (windows x l x d) worth a shard of its
+# own. A thread per shard passes the GIL back and forth on every op, so
+# splitting only pays once each shard's ops are large enough to run with
+# the GIL released. Measured with train_standard at N6 on a 2-CPU x86-64
+# host, one BLAS thread, as the step rate of 2 shards relative to 1, by
+# the values each shard holds: 0.42x at 2,048 (w16 d8 b32), 0.92x at 7,680
+# (w30 d32 b16), 1.00x to 1.25x at 9,600 to 10,560 (w16 and w30 shapes),
+# 1.33x at 11,520, 1.84x at 30,720 and 2.19x at 61,440 (w30 d32 b128).
+MIN_SHARD_ACTIVATION = 10240
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has
+    one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this OS
+        return os.cpu_count() or 1
+
+
+def shard_count(activation: int, cpus: Optional[int] = None) -> int:
+    """How many shards a batch of ``activation`` stacked values runs as:
+    one per usable CPU (``cpus``, by default usable_cpus()), but never so
+    many that a shard holds under MIN_SHARD_ACTIVATION; at least one."""
+    if cpus is None:
+        cpus = usable_cpus()
+    return max(1, min(cpus, activation // MIN_SHARD_ACTIVATION))
+
+
+def split(items: Sequence, parts: int) -> list:
+    """``items`` cut into ``parts`` contiguous runs (fewer if there are
+    fewer items, so none is empty), in order, whose lengths differ by at
+    most one."""
+    parts = max(1, min(parts, len(items)))
+    bounds = [k * len(items) // parts for k in range(parts + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _shard_step(loss_of: Callable, shard, divisor: float) -> tuple:
+    """One shard's loss value, gradients of loss / divisor and by-product;
+    no backward (gradients None) when the loss is not finite."""
+    loss, aux = loss_of(shard)
     value = loss.item()
     if not math.isfinite(value):
+        return value, None, aux
+    return value, loss.graph.backward(scale(loss, 1.0 / divisor)), aux
+
+
+def descend(state: AdamState, params: dict[str, np.ndarray], shards: Sequence,
+            loss_of: Callable, divisor: float, where: str) -> tuple[float, list]:
+    """One Adam step on the sum over ``shards`` of their losses, divided by
+    ``divisor``. Returns the undivided total loss and, in shard order, each
+    shard's by-product.
+
+    ``loss_of(shard)`` builds one shard's scalar loss on a graph of its own
+    and returns it with a by-product (anything the caller wants back). The
+    first shard runs on the calling thread and each other shard's forward
+    and backward on a thread of its own; every thread is joined, and an
+    exception raised in any shard reaches the caller. Losses and gradients
+    are then summed in shard order, so one shard is the unsharded step bit
+    for bit and a rerun gives the same sums. A non-finite loss or gradient
+    raises ValueError naming ``where`` (the batch) before ``params`` or
+    ``state`` change.
+    """
+    results: list = [None] * len(shards)
+
+    def run(k: int) -> None:
+        try:
+            results[k] = _shard_step(loss_of, shards[k], divisor)
+        except BaseException as exc:  # re-raised on the calling thread
+            results[k] = exc
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, len(shards))]
+    for worker in workers:
+        worker.start()
+    try:
+        results[0] = _shard_step(loss_of, shards[0], divisor)
+    finally:
+        for worker in workers:
+            worker.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    value, grads, _ = results[0]
+    for more, _, _ in results[1:]:
+        value += more
+    if not math.isfinite(value):
         raise ValueError(f"non-finite loss {value} in {where}")
-    grads = loss.graph.backward(scale(loss, 1.0 / divisor))
+    for _, more, _ in results[1:]:
+        for name, gr in more.items():
+            grads[name] += gr
     for name, gr in grads.items():
         if not np.isfinite(gr).all():
             raise ValueError(f"non-finite gradient for {name!r} in {where}")
     adam_step(state, params, grads)
-    return value
+    return value, [aux for _, _, aux in results]

@@ -131,8 +131,9 @@ def test_tracer_sees_every_tape_op(mode, monkeypatch):
                        n_layers=cfg.n_layers, seed=cfg.seed), cfg.variant)
     ops = set()
 
-    def record_step(state, arrays, loss, divisor, where):
-        ops.update(node.op for node in loss.graph.nodes)
+    def record_step(state, arrays, shards, loss_of, divisor, where):
+        for shard in shards:
+            ops.update(node.op for node in loss_of(shard)[0].graph.nodes)
         raise _Recorded
 
     monkeypatch.setattr(nx, "descend", record_step)

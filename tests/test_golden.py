@@ -45,12 +45,18 @@ def golden_config(mode: str, variant: str) -> hx.RunConfig:
 
 
 def first_batch(monkeypatch, params, train, cfg) -> dict:
-    """Loss and gradients of the trainer's first step; nothing is updated."""
+    """Loss and gradients of the trainer's first step, summed over its
+    shards; nothing is updated."""
     seen = {}
 
-    def capture(state, arrays, loss, divisor, where):
-        grads = loss.graph.backward(nx.scale(loss, 1.0 / divisor))
-        seen.update(loss=loss.item(), divisor=divisor, grads=grads)
+    def capture(state, arrays, shards, loss_of, divisor, where):
+        total, grads = 0.0, None
+        for shard in shards:
+            loss, _ = loss_of(shard)
+            total += loss.item()
+            more = loss.graph.backward(nx.scale(loss, 1.0 / divisor))
+            grads = more if grads is None else {k: grads[k] + more[k] for k in grads}
+        seen.update(loss=total, divisor=divisor, grads=grads)
         raise _FirstBatch
 
     with monkeypatch.context() as m:

@@ -6,6 +6,8 @@ import gc
 import glob
 import json
 import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -335,6 +337,109 @@ class TestNonFiniteGradient:
             np.testing.assert_array_equal(params.arrays[name], arr)
 
 
+def force_shards(monkeypatch, parts):
+    """Run every training batch as ``parts`` shards, whatever its size."""
+    monkeypatch.setattr(nx, "shard_count", lambda activation, cpus=None: parts)
+
+
+class _Stop(Exception):
+    """Stops a trainer after its first optimizer step."""
+
+
+def spy_descend(monkeypatch, seen, stop=False):
+    """Record each step's state and shards in ``seen``, and the loss and
+    the gradients descend hands to Adam; with ``stop``, raise _Stop after
+    the first step, leaving the parameters as they were."""
+    descend = nx.descend
+
+    def spy(state, params, shards, loss_of, divisor, where):
+        seen.update(state=state, shards=shards)
+        if stop:
+            monkeypatch.setattr(nx, "adam_step", lambda s, p, grads: seen.update(grads=grads))
+        seen["loss"] = descend(state, params, shards, loss_of, divisor, where)[0]
+        if stop:
+            raise _Stop
+        return seen["loss"], []
+
+    monkeypatch.setattr(nx, "descend", spy)
+
+
+class TestShardedTraining:
+    """A batch split into shards trains like the whole batch."""
+
+    def first_step(self, monkeypatch, mode, parts):
+        seen = {}
+        params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
+        with monkeypatch.context() as patch, pytest.raises(_Stop):
+            force_shards(patch, parts)
+            spy_descend(patch, seen, stop=True)
+            if mode == "standard":
+                hx.train_standard(params, random_windows(24), hx.RunConfig(b=24, w=6, m=2))
+            else:
+                fs.train_epoch_fsgri(params, random_windows(30), hx.RunConfig(m=2, b=12),
+                                     nx.AdamState(), 7)
+        assert len(seen["shards"]) == parts
+        return seen
+
+    @pytest.mark.parametrize("mode", hx.MODES)
+    def test_two_shards_give_one_shards_loss_and_gradients(self, monkeypatch, mode):
+        one = self.first_step(monkeypatch, mode, 1)
+        two = self.first_step(monkeypatch, mode, 2)
+        assert abs(two["loss"] - one["loss"]) <= 1e-12 * abs(one["loss"])
+        assert list(two["grads"]) == list(one["grads"])
+        for name, want in one["grads"].items():
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(two["grads"][name] - want)) <= 1e-12 * scale, name
+
+    def test_fsgri_epoch_terms_do_not_depend_on_sharding(self, monkeypatch):
+        stats = []
+        for parts in (1, 3):
+            force_shards(monkeypatch, parts)
+            params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
+            stats.append(fs.train_epoch_fsgri(params, random_windows(12), hx.RunConfig(m=2, b=12),
+                                              nx.AdamState(), 7))
+        assert stats[1].batches == stats[0].batches == 3
+        for field in ("mean_loss", "mean_contrastive", "mean_regression"):
+            assert abs(getattr(stats[1], field) - getattr(stats[0], field)) <= \
+                1e-12 * abs(getattr(stats[0], field))
+
+    def test_sharded_reruns_give_byte_equal_weights(self, monkeypatch):
+        """At 80 windows of 8 x 32 a batch holds two shards' worth of
+        activation, so two usable CPUs run it as two shards."""
+        monkeypatch.setattr(nx, "usable_cpus", lambda: 2)
+        seen = {}
+        spy_descend(monkeypatch, seen)
+        runs = []
+        for _ in range(2):
+            params = dm.make_variant(
+                dm.ModelConfig(l=8, m_vars=3, d=32, n_layers=1, seed=4), "full")
+            hx.train_standard(params, random_windows(160, l=8),
+                              hx.RunConfig(b=80, epochs=2, w=8, d=32, m=2, seed=4))
+            runs.append({k: v.tobytes() for k, v in params.arrays.items()})
+        assert len(seen["shards"]) == 2
+        assert runs[0] == runs[1]
+
+    def test_nan_window_in_the_second_shard_stops_before_the_update(self, monkeypatch):
+        force_shards(monkeypatch, 2)
+        seen = {}
+        spy_descend(monkeypatch, seen)
+        samples = random_windows(12)
+        cfg = hx.RunConfig(b=12, w=6, m=2)
+        uid, i = fs.stratified_order(dd.group_by_unit(samples), hx._epoch_seed(cfg.seed, 0))[-1]
+        poisoned = dd.group_by_unit(samples)[uid][i]
+        poisoned.values[2, 1] = np.nan
+        params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
+        before = {k: v.copy() for k, v in params.arrays.items()}
+        with pytest.raises(ValueError, match="non-finite loss nan in batch 0 of epoch 0"):
+            hx.train_standard(params, samples, cfg)
+        first, second = seen["shards"]
+        assert [s is poisoned for s in second].count(True) == 1
+        assert not any(s is poisoned for s in first)
+        assert seen["state"].step_count == 0 and not seen["state"].m
+        for name, arr in before.items():
+            np.testing.assert_array_equal(params.arrays[name], arr)
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("old", [None, "old contents\n"])
     def test_writer_that_raises_leaves_target_as_it_was(self, tmp_path, old):
@@ -465,6 +570,15 @@ class TestTapeLifetime:
         params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
         assert self.graphs_left_after(monkeypatch, lambda: hx.train_standard(
             params, samples, hx.RunConfig(b=8, epochs=2, w=6, m=2))) == 0
+
+    def test_sharded_steps_free_every_shards_graph(self, monkeypatch):
+        force_shards(monkeypatch, 2)
+        samples = random_windows(30, l=6)
+        params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
+        assert self.graphs_left_after(monkeypatch, lambda: (
+            hx.train_standard(params, samples, hx.RunConfig(b=8, epochs=1, w=6, m=2)),
+            fs.train_epoch_fsgri(params, samples, hx.RunConfig(m=2, b=12),
+                                 nx.AdamState(), 0))) == 0
 
 
 class TestTrainFsgri:
@@ -649,6 +763,30 @@ class TestExportFeatures:
 
 
 class TestCli:
+    @pytest.mark.parametrize("user", [None, "3"])
+    def test_blas_threads_default_to_one_before_numpy_loads(self, user):
+        """What the BLAS thread variables hold when numpy is imported under
+        the CLI; a value set by the user is kept."""
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")])
+        if user is not None:
+            env["OPENBLAS_NUM_THREADS"] = user
+        probe = (
+            "import json, os, sys\n"
+            "seen = {}\n"
+            "def hook(event, args):\n"
+            "    if event == 'import' and args[0] == 'numpy' and not seen:\n"
+            f"        seen.update((k, os.environ.get(k)) for k in {names!r})\n"
+            "sys.addaudithook(hook)\n"
+            "import dualmixer.cli\n"
+            "print(json.dumps(seen))\n")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert json.loads(out.stdout) == {"OPENBLAS_NUM_THREADS": user or "1",
+                                          "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
     def run_train(self, tmp_path, *extra):
         args = ["train", "--dataset", "synth", "--seed", "2", "--epochs", "1",
                 "--window", "8", "--stride", "2", "--d", "4", "--layers", "1",

@@ -1,5 +1,7 @@
 """Tensor, tape, primitive ops, and Adam."""
 
+import os
+import threading
 import weakref
 
 import numpy as np
@@ -469,7 +471,9 @@ class TestDescend:
     def test_returns_undivided_loss_and_takes_one_adam_step(self):
         params = {"w": np.array([[1.0, -2.0]])}
         state = nx.AdamState(lr=0.1)
-        assert nx.descend(state, params, self.quadratic(params["w"]), 2, "here") == 29.0
+        got = nx.descend(state, params, ["only"],
+                         lambda shard: (self.quadratic(params["w"]), shard), 2, "here")
+        assert got == (29.0, ["only"])
         assert state.step_count == 1
         # Adam's first step is lr * g / (|g| + eps): lr against the gradient's sign
         np.testing.assert_allclose(params["w"], [[1.1, -1.9]], rtol=0, atol=1e-8)
@@ -478,7 +482,8 @@ class TestDescend:
         params = {"w": np.array([[np.inf, -2.0]])}
         state = nx.AdamState(lr=0.1)
         with pytest.raises(ValueError, match="non-finite loss inf in batch 3"):
-            nx.descend(state, params, self.quadratic(params["w"]), 2, "batch 3")
+            nx.descend(state, params, [None],
+                       lambda _: (self.quadratic(params["w"]), None), 2, "batch 3")
         np.testing.assert_array_equal(params["w"], [[np.inf, -2.0]])
         assert state.step_count == 0 and not state.m
 
@@ -490,6 +495,109 @@ class TestDescend:
         loss = nx.sum_all(nx.scale(nx.scale(g.parameter("w", params["w"]), 1e200), 1e200))
         state = nx.AdamState(lr=0.1)
         with pytest.raises(ValueError, match="non-finite gradient for 'w' in batch 3"):
-            nx.descend(state, params, loss, 1, "batch 3")
+            nx.descend(state, params, [None], lambda _: (loss, None), 1, "batch 3")
         np.testing.assert_array_equal(params["w"], [[1e-300]])
         assert state.step_count == 0 and not state.m
+
+
+class TestShardedDescend:
+    """A batch's loss as a sum over shards of rows, each on its own graph
+    and, past the first, its own thread."""
+
+    @staticmethod
+    def rows_loss(params):
+        """sum over a shard's rows r of (x_r w)^2, w a 3 x 1 weight."""
+        def loss_of(rows):
+            g = nx.Graph()
+            pred = nx.matmul(nx.Tensor(rows), g.parameter("w", params["w"]))
+            return nx.sum_all(nx.hadamard(pred, pred)), threading.current_thread()
+        return loss_of
+
+    def step(self, monkeypatch, x, parts, loss_of=None):
+        """Loss, by-products and the gradients descend hands to Adam."""
+        params = {"w": np.array([[0.5], [-1.0], [2.0]])}
+        seen = {}
+        monkeypatch.setattr(nx, "adam_step", lambda state, p, grads: seen.update(grads))
+        value, aux = nx.descend(nx.AdamState(), params, nx.split(x, parts),
+                                loss_of or self.rows_loss(params), len(x), "batch 0")
+        return value, aux, seen
+
+    def test_two_shards_match_one(self, monkeypatch):
+        x = np.random.default_rng(0).normal(size=(37, 3))
+        one, _, grads_one = self.step(monkeypatch, x, 1)
+        two, _, grads_two = self.step(monkeypatch, x, 2)
+        assert abs(two - one) <= 1e-12 * abs(one)
+        for name, want in grads_one.items():
+            assert np.max(np.abs(grads_two[name] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_shards_past_the_first_run_on_threads_of_their_own(self, monkeypatch):
+        x = np.random.default_rng(0).normal(size=(9, 3))
+        _, threads, _ = self.step(monkeypatch, x, 3)
+        assert threads[0] is threading.main_thread()
+        assert len(set(threads)) == 3
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch, bad):
+        x = np.arange(12.0).reshape(4, 3)
+        shards = nx.split(x, 3)
+
+        def loss_of(rows):
+            if rows is shards[bad]:
+                raise KeyError(f"shard {bad}")
+            return self.rows_loss(params)(rows)
+
+        params = {"w": np.ones((3, 1))}
+        state = nx.AdamState()
+        running = threading.active_count()
+        with pytest.raises(KeyError, match=f"shard {bad}"):
+            nx.descend(state, params, shards, loss_of, 4, "batch 0")
+        assert threading.active_count() == running
+        np.testing.assert_array_equal(params["w"], np.ones((3, 1)))
+        assert state.step_count == 0 and not state.m
+
+    def test_non_finite_loss_of_a_later_shard_raises_before_the_update(self):
+        x = np.ones((6, 3))
+        x[4, 1] = np.nan
+        params = {"w": np.ones((3, 1))}
+        state = nx.AdamState()
+        with pytest.raises(ValueError, match="non-finite loss nan in batch 0"):
+            nx.descend(state, params, nx.split(x, 2), self.rows_loss(params), 6, "batch 0")
+        np.testing.assert_array_equal(params["w"], np.ones((3, 1)))
+        assert state.step_count == 0 and not state.m
+
+
+class TestShardRule:
+    # stacked activation (windows x l x d) of one batch
+    TINY = 12 * 8 * 4                 # w8 d4 b12
+    STANDARD = 128 * 30 * 32          # the reference shape's standard batch
+    FSGRI = (128 // 6) * 7 * 30 * 32  # its FSGRI batch: 21 groups of m + 2 = 7
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_tiny_batches_run_as_one_shard(self, cpus):
+        assert nx.shard_count(self.TINY, cpus) == 1
+
+    @pytest.mark.parametrize("activation", [TINY, STANDARD, FSGRI, 10**9])
+    def test_one_usable_cpu_gives_one_shard(self, activation, monkeypatch):
+        assert nx.shard_count(activation, 1) == 1
+        monkeypatch.setattr(nx, "usable_cpus", lambda: 1)
+        assert nx.shard_count(activation) == 1
+
+    @pytest.mark.parametrize("activation", [STANDARD, FSGRI])
+    def test_reference_shape_uses_both_of_two_cpus(self, activation):
+        assert nx.shard_count(activation, 2) == 2
+
+    def test_no_shard_is_smaller_than_the_floor(self):
+        for activation in range(0, 20 * nx.MIN_SHARD_ACTIVATION, 997):
+            parts = nx.shard_count(activation, 64)
+            assert parts == 1 or activation / parts >= nx.MIN_SHARD_ACTIVATION
+
+    def test_usable_cpus_counts_this_process(self):
+        assert 1 <= nx.usable_cpus() <= (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("n,parts", [(7, 1), (7, 2), (7, 3), (3, 5), (128, 2)])
+    def test_split_keeps_order_and_balance(self, n, parts):
+        items = list(range(n))
+        shards = nx.split(items, parts)
+        assert [i for shard in shards for i in shard] == items
+        assert len(shards) == min(n, parts) and all(shards)
+        assert max(map(len, shards)) - min(map(len, shards)) <= 1
