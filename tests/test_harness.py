@@ -356,10 +356,11 @@ def spy_descend(monkeypatch, seen, stop=False):
         seen.update(state=state, shards=shards)
         if stop:
             monkeypatch.setattr(nx, "adam_step", lambda s, p, grads: seen.update(grads=grads))
-        seen["loss"] = descend(state, params, shards, loss_of, divisor, where)[0]
+        result = descend(state, params, shards, loss_of, divisor, where)
+        seen["loss"] = result[0]
         if stop:
             raise _Stop
-        return seen["loss"], []
+        return result
 
     monkeypatch.setattr(nx, "descend", spy)
 

@@ -1,6 +1,7 @@
 """Tensor, tape, primitive ops, and Adam."""
 
 import os
+import sys
 import threading
 import weakref
 
@@ -529,6 +530,23 @@ class TestShardedDescend:
         assert abs(two - one) <= 1e-12 * abs(one)
         for name, want in grads_one.items():
             assert np.max(np.abs(grads_two[name] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_more_shards_than_cpus_under_fast_thread_switching(self, monkeypatch):
+        """Every shard's result lands in its own slot: 16 shards, switching
+        threads every microsecond, still sum to the one-shard step."""
+        x = np.random.default_rng(1).normal(size=(64, 3))
+        one, _, grads_one = self.step(monkeypatch, x, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                many, threads, grads = self.step(monkeypatch, x, 16)
+                assert len(set(threads)) == 16
+                assert abs(many - one) <= 1e-12 * abs(one)
+                assert np.max(np.abs(grads["w"] - grads_one["w"])) <= \
+                    1e-12 * np.max(np.abs(grads_one["w"]))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_shards_past_the_first_run_on_threads_of_their_own(self, monkeypatch):
         x = np.random.default_rng(0).normal(size=(9, 3))
