@@ -21,7 +21,8 @@ import sys
 # numerics.descend runs a training step's shards on threads of their own,
 # one per usable CPU; a BLAS thread pool under each of them would
 # oversubscribe the CPUs. Set before numpy is imported; a value the user
-# sets wins.
+# sets wins. Forward-only commands (eval, export) are not sharded and run
+# about 10% slower for it at the reference shape (README, "Sharded steps").
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

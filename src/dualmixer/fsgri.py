@@ -329,8 +329,8 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
         groups = [build_group(np.random.default_rng((epoch_seed, uid, i)), usable[uid], i,
                               cfg, warned)
                   for uid, i in chunk]
-        shards = nx.split(groups, nx.shard_count(len(groups) * group_size))
-        _, terms = nx.descend(optimizer, params.arrays, shards, group_loss, cfg.b,
+        _, terms = nx.descend(optimizer, params.arrays, nx.batch_shards(groups, group_size),
+                              group_loss, cfg.b,
                               f"batch {batches} of the epoch with seed {epoch_seed}")
         total_con += float(np.concatenate([c for c, _ in terms]).sum())
         total_reg += float(np.concatenate([r for _, r in terms]).sum())

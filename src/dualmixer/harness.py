@@ -401,8 +401,8 @@ def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
         sq_sum = 0.0
         for start in range(0, len(order), cfg.b):
             chunk = [groups[uid][i] for uid, i in order[start:start + cfg.b]]
-            shards = nx.split(chunk, nx.shard_count(len(chunk) * window_size))
-            sq_sum += nx.descend(opt, params.arrays, shards, squared_error, len(chunk),
+            sq_sum += nx.descend(opt, params.arrays, nx.batch_shards(chunk, window_size),
+                                 squared_error, len(chunk),
                                  f"batch {start // cfg.b} of epoch {epoch}")[0]
         history.append({"epoch": epoch, "loss": sq_sum / len(order)})
     return history
@@ -465,8 +465,8 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
     with atomic_path(os.path.join(run_dir, "model.ckpt")) as tmp:
         dm.save_checkpoint(tmp, params)
     report.save(report_path)
-    logger.info("run %s: rmse=%.6f mape=%s", cfg.run_name(), rmse,
-                "n/a" if mape is None else f"{mape:.2f}%")
+    logger.info("run %s: rmse=%.6f mape=%s shard_cpus=%d", cfg.run_name(), rmse,
+                "n/a" if mape is None else f"{mape:.2f}%", nx.shard_cpus())
     return report
 
 

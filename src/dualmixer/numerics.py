@@ -16,10 +16,11 @@ on a graph of their own, the shards other than the first on threads of
 their own, and the step sums their losses and gradients. numpy, scipy's
 erf and OpenBLAS release the GIL on arrays of the model's size, so on a
 multi-CPU host the shards run at once. shard_count picks one shard per
-usable CPU, but none smaller than MIN_SHARD_ACTIVATION; one shard is the
-unsharded step bit for bit. With shard threads BLAS should run one thread
-per call (OPENBLAS_NUM_THREADS=1), or the two kinds of threads contend
-for the same CPUs.
+usable CPU (affinity mask and cgroup quota), at most MAX_SHARDS and none
+smaller than MIN_SHARD_ACTIVATION; one shard is the unsharded step bit
+for bit. With shard threads BLAS should run one thread per call
+(OPENBLAS_NUM_THREADS=1), or the two kinds of threads contend for the
+same CPUs.
 
 The dual-path mixer is built from these primitives (matmul, gelu, add,
 layer_norm, sigmoid, hadamard); gelu, sigmoid and layer_norm compute
@@ -577,23 +578,73 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
 # 1.33x at 11,520, 1.84x at 30,720 and 2.19x at 61,440 (w30 d32 b128).
 MIN_SHARD_ACTIVATION = 10240
 
+# Most shards one step runs as. The floor above and the gains were measured
+# with 2 shards on 2 CPUs only; with more threads the GIL-held Python part
+# of every op is shared among more of them, so their break-even is unknown.
+MAX_SHARDS = 2
+
+# The CPU quota of the cgroup a container sees as its own: v2, then v1.
+CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+CGROUP_V1_CPU = "/sys/fs/cgroup/cpu"
+
+
+def _read_words(*paths: str) -> Optional[list[str]]:
+    """The whitespace-split contents of each of ``paths`` in turn, or None
+    if one cannot be read."""
+    words = []
+    for path in paths:
+        try:
+            with open(path) as f:
+                words += f.read().split()
+        except OSError:
+            return None
+    return words
+
+
+def cpu_quota() -> Optional[int]:
+    """Whole CPUs (at least one) that this process's cgroup CPU quota
+    allows, or None where no quota is set or readable."""
+    words = (_read_words(CGROUP_CPU_MAX)
+             or _read_words(os.path.join(CGROUP_V1_CPU, "cpu.cfs_quota_us"),
+                             os.path.join(CGROUP_V1_CPU, "cpu.cfs_period_us")))
+    try:
+        quota, period = int(words[0]), int(words[1])
+    except (TypeError, IndexError, ValueError):  # no file, or "max"
+        return None
+    if quota <= 0 or period <= 0:  # v1 writes -1 for no quota
+        return None
+    return max(1, quota // period)
+
 
 def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has
-    one)."""
+    """CPUs this process may run on: its affinity mask where the OS has
+    one, but no more than its cgroup's CPU quota."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this OS
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
-def shard_count(activation: int, cpus: Optional[int] = None) -> int:
+def shard_cpus() -> int:
+    """Most shards a step runs as on this host: one per usable CPU, up to
+    MAX_SHARDS. An input of every run, like its config."""
+    return min(MAX_SHARDS, usable_cpus())
+
+
+def shard_count(activation: int) -> int:
     """How many shards a batch of ``activation`` stacked values runs as:
-    one per usable CPU (``cpus``, by default usable_cpus()), but never so
-    many that a shard holds under MIN_SHARD_ACTIVATION; at least one."""
-    if cpus is None:
-        cpus = usable_cpus()
-    return max(1, min(cpus, activation // MIN_SHARD_ACTIVATION))
+    one per shard_cpus(), but never so many that a shard holds under
+    MIN_SHARD_ACTIVATION; at least one."""
+    most = activation // MIN_SHARD_ACTIVATION
+    return 1 if most < 2 else min(shard_cpus(), most)
+
+
+def batch_shards(items: Sequence, per_item: int) -> list:
+    """A training batch cut into descend's shards by shard_count, given
+    the stacked activation values each of its ``items`` holds."""
+    return split(items, shard_count(len(items) * per_item))
 
 
 def split(items: Sequence, parts: int) -> list:

@@ -339,7 +339,7 @@ class TestNonFiniteGradient:
 
 def force_shards(monkeypatch, parts):
     """Run every training batch as ``parts`` shards, whatever its size."""
-    monkeypatch.setattr(nx, "shard_count", lambda activation, cpus=None: parts)
+    monkeypatch.setattr(nx, "shard_count", lambda activation: parts)
 
 
 class _Stop(Exception):
@@ -661,6 +661,17 @@ class TestRunOne:
         assert rmse == report.rmse
         assert mape == report.mape
 
+    @pytest.mark.parametrize("cpus,logged", [(1, 1), (2, 2), (16, 2)])
+    def test_run_log_line_names_the_shard_cpus(self, cpus, logged, monkeypatch,
+                                               tmp_path, caplog):
+        """The weights depend on the shard count, which the config does not
+        hold, so the run's log line states it."""
+        shrink_synth(monkeypatch)
+        monkeypatch.setattr(nx, "usable_cpus", lambda: cpus)
+        caplog.set_level("INFO", logger=hx.logger.name)
+        hx.run_one(tiny_cfg(tmp_path, epochs=1))
+        assert any(r.getMessage().endswith(f" shard_cpus={logged}")
+                   for r in caplog.records)
 
     def test_every_run_logs_its_own_sampler_warnings(self, monkeypatch, tmp_path, caplog):
         """A sweep runs many trainings in one process; the warnings of the

@@ -590,27 +590,77 @@ class TestShardRule:
     STANDARD = 128 * 30 * 32          # the reference shape's standard batch
     FSGRI = (128 // 6) * 7 * 30 * 32  # its FSGRI batch: 21 groups of m + 2 = 7
 
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(nx, "usable_cpus", lambda: n)
+
     @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_tiny_batches_run_as_one_shard(self, cpus):
-        assert nx.shard_count(self.TINY, cpus) == 1
+    def test_tiny_batches_run_as_one_shard(self, cpus, monkeypatch):
+        self.cpus(monkeypatch, cpus)
+        assert nx.shard_count(self.TINY) == 1
 
     @pytest.mark.parametrize("activation", [TINY, STANDARD, FSGRI, 10**9])
     def test_one_usable_cpu_gives_one_shard(self, activation, monkeypatch):
-        assert nx.shard_count(activation, 1) == 1
-        monkeypatch.setattr(nx, "usable_cpus", lambda: 1)
+        self.cpus(monkeypatch, 1)
         assert nx.shard_count(activation) == 1
 
     @pytest.mark.parametrize("activation", [STANDARD, FSGRI])
-    def test_reference_shape_uses_both_of_two_cpus(self, activation):
-        assert nx.shard_count(activation, 2) == 2
+    def test_reference_shape_uses_both_of_two_cpus(self, activation, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        assert nx.shard_count(activation) == 2
 
-    def test_no_shard_is_smaller_than_the_floor(self):
+    @pytest.mark.parametrize("activation", [STANDARD, FSGRI, 10**9])
+    def test_many_cpus_give_no_more_than_the_measured_two_shards(self, activation,
+                                                                  monkeypatch):
+        self.cpus(monkeypatch, 16)
+        assert nx.shard_count(activation) == nx.MAX_SHARDS == 2
+
+    def test_no_shard_is_smaller_than_the_floor(self, monkeypatch):
+        self.cpus(monkeypatch, 64)
         for activation in range(0, 20 * nx.MIN_SHARD_ACTIVATION, 997):
-            parts = nx.shard_count(activation, 64)
+            parts = nx.shard_count(activation)
             assert parts == 1 or activation / parts >= nx.MIN_SHARD_ACTIVATION
+
+    def test_batch_shards_split_by_the_rule(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        windows = list(range(128))
+        assert nx.batch_shards(windows, 30 * 32) == [windows[:64], windows[64:]]
+        assert nx.batch_shards(windows[:12], 8 * 4) == [windows[:12]]
 
     def test_usable_cpus_counts_this_process(self):
         assert 1 <= nx.usable_cpus() <= (os.cpu_count() or 1)
+
+    @staticmethod
+    def cgroup(monkeypatch, tmp_path, v2=None, v1=None):
+        """Point the quota reader at files holding ``v2`` (cpu.max) and
+        ``v1`` (quota, period); None leaves that file out."""
+        monkeypatch.setattr(nx, "CGROUP_CPU_MAX", str(tmp_path / "cpu.max"))
+        monkeypatch.setattr(nx, "CGROUP_V1_CPU", str(tmp_path / "cpu"))
+        if v2 is not None:
+            (tmp_path / "cpu.max").write_text(v2 + "\n")
+        if v1 is not None:
+            (tmp_path / "cpu").mkdir()
+            (tmp_path / "cpu" / "cpu.cfs_quota_us").write_text(f"{v1[0]}\n")
+            (tmp_path / "cpu" / "cpu.cfs_period_us").write_text(f"{v1[1]}\n")
+
+    @pytest.mark.parametrize("v2,v1,cpus", [
+        ("150000 100000", None, 1), ("200000 100000", (-1, 100000), 2),
+        ("50000 100000", None, 1), ("max 100000", (100000, 100000), None),
+        (None, (300000, 100000), 3), (None, (-1, 100000), None), (None, None, None)])
+    def test_cpu_quota_in_whole_cpus(self, v2, v1, cpus, monkeypatch, tmp_path):
+        self.cgroup(monkeypatch, tmp_path, v2, v1)
+        assert nx.cpu_quota() == cpus
+
+    @pytest.mark.parametrize("v2,cpus,parts", [("100000 100000", 1, 1),
+                                               ("200000 100000", 2, 2),
+                                               ("max 100000", 8, 2)])
+    def test_a_cpu_quota_caps_the_shard_count(self, v2, cpus, parts, monkeypatch, tmp_path):
+        """Eight CPUs in the affinity mask, but a quota of one gives one shard."""
+        monkeypatch.setattr(nx.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        self.cgroup(monkeypatch, tmp_path, v2)
+        assert nx.usable_cpus() == cpus
+        assert nx.shard_count(self.STANDARD) == parts
 
     @pytest.mark.parametrize("n,parts", [(7, 1), (7, 2), (7, 3), (3, 5), (128, 2)])
     def test_split_keeps_order_and_balance(self, n, parts):
