@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,10 +134,25 @@ def parse_rul(path: str) -> list[int]:
     return out
 
 
+@contextmanager
+def atomic_path(path: str) -> Iterator[str]:
+    """Yield a temporary path beside ``path`` to write the whole file to;
+    it is renamed over ``path`` only if the block finishes, so ``path`` is
+    either absent, its old contents, or complete."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_cmapss(path: str, series_list: Sequence[RawSeries]) -> None:
     """Write series in the 26-column text format, with enough float digits
-    that reparsing reproduces the arrays exactly."""
-    with open(path, "w") as f:
+    that reparsing reproduces the arrays exactly. Atomic: a unit that cannot
+    be written raises ValueError and leaves ``path`` as it was."""
+    with atomic_path(path) as tmp, open(tmp, "w") as f:
         for s in series_list:
             if s.sensors.shape[1] != 21:
                 raise ValueError(f"unit {s.unit_id}: need 21 sensor columns to "
@@ -148,7 +165,8 @@ def write_cmapss(path: str, series_list: Sequence[RawSeries]) -> None:
 
 
 def write_rul(path: str, ruls: Sequence[int]) -> None:
-    with open(path, "w") as f:
+    """One whole number of cycles per line, atomically."""
+    with atomic_path(path) as tmp, open(tmp, "w") as f:
         for r in ruls:
             f.write(f"{int(r)}\n")
 

@@ -16,13 +16,13 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import time
 import typing
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from . import fsgri as fs
 from . import model as dm
 from . import numerics as nx
 from . import synthdata as sx
-from .data import RawSeries, WindowSample
+from .data import RawSeries, WindowSample, atomic_path
 from .numerics import Tensor
 
 logger = logging.getLogger(__name__)
@@ -69,8 +69,8 @@ class RunConfig:
 
     Building one, directly or through dataclasses.replace, raises a
     ValueError naming the first field of the wrong type (a bool is not an
-    int) or out of range, and stores an int given for a float field as a
-    float, so RunConfig(lr=1) names the --lr 1 run.
+    int), out of range, or a NaN or infinite float, and stores an int given
+    for a float field as a float, so RunConfig(lr=1) names the --lr 1 run.
     """
 
     dataset: str = "synth"
@@ -97,8 +97,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         _check_json_types(RunConfig, vars(self))
         for f in dataclasses.fields(self):
-            if type(f.default) is float and type(getattr(self, f.name)) is int:
-                object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            if type(f.default) is float:
+                try:
+                    value = float(getattr(self, f.name))
+                except OverflowError:  # an int beyond the float range
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
+                object.__setattr__(self, f.name, value)
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if self.mode not in MODES:
@@ -223,20 +229,6 @@ def _check_json_types(cls, values: dict) -> None:
         if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
             raise ValueError(f"field {name!r} holds {type(value).__name__}, "
                              f"expected {hints[name]}")
-
-
-@contextmanager
-def atomic_path(path: str) -> Iterator[str]:
-    """Yield a temporary path beside ``path`` to write the whole file to;
-    it is renamed over ``path`` only if the block finishes, so ``path`` is
-    either absent, its old contents, or complete."""
-    tmp = path + ".tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def write_json(path: str, value) -> None:
@@ -465,8 +457,8 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
     with atomic_path(os.path.join(run_dir, "model.ckpt")) as tmp:
         dm.save_checkpoint(tmp, params)
     report.save(report_path)
-    logger.info("run %s: rmse=%.6f mape=%s shard_cpus=%d", cfg.run_name(), rmse,
-                "n/a" if mape is None else f"{mape:.2f}%", nx.shard_cpus())
+    logger.info("run %s: rmse=%.6f mape=%s", cfg.run_name(), rmse,
+                "n/a" if mape is None else f"{mape:.2f}%")
     return report
 
 

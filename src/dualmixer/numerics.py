@@ -15,12 +15,12 @@ so descend takes a batch as shards: each shard's forward and backward run
 on a graph of their own, the shards other than the first on threads of
 their own, and the step sums their losses and gradients. numpy, scipy's
 erf and OpenBLAS release the GIL on arrays of the model's size, so on a
-multi-CPU host the shards run at once. shard_count picks one shard per
-usable CPU (affinity mask and cgroup quota), at most MAX_SHARDS and none
-smaller than MIN_SHARD_ACTIVATION; one shard is the unsharded step bit
-for bit. With shard threads BLAS should run one thread per call
-(OPENBLAS_NUM_THREADS=1), or the two kinds of threads contend for the
-same CPUs.
+multi-CPU host the shards run at once. shard_count sizes the split from
+the batch alone: at most MAX_SHARDS, none smaller than
+MIN_SHARD_ACTIVATION, so the same config runs the same shards on every
+host. One shard is the unsharded step bit for bit. With shard threads
+BLAS should run one thread per call (OPENBLAS_NUM_THREADS=1), or the two
+kinds of threads contend for the same CPUs.
 
 The dual-path mixer is built from these primitives (matmul, gelu, add,
 layer_norm, sigmoid, hadamard); gelu, sigmoid and layer_norm compute
@@ -30,7 +30,6 @@ through module-level value and gradient helpers.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -576,69 +575,25 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
 # the values each shard holds: 0.42x at 2,048 (w16 d8 b32), 0.92x at 7,680
 # (w30 d32 b16), 1.00x to 1.25x at 9,600 to 10,560 (w16 and w30 shapes),
 # 1.33x at 11,520, 1.84x at 30,720 and 2.19x at 61,440 (w30 d32 b128).
+# Pinned to one CPU (taskset -c 0) the two threads take turns, yet 2 shards
+# still beat 1, in two sets of interleaved runs: 1.03x at 11,520 (w30 d32
+# b24), 1.09x to 1.12x at 70,560 (FSGRI w30 d32 b128 m5) and 1.19x to
+# 1.29x at 61,440 (standard w30 d32 b128).
 MIN_SHARD_ACTIVATION = 10240
 
 # Most shards one step runs as. The floor above and the gains were measured
-# with 2 shards on 2 CPUs only; with more threads the GIL-held Python part
-# of every op is shared among more of them, so their break-even is unknown.
+# with 2 shards on 1 and 2 CPUs only; with more threads the GIL-held Python
+# part of every op is shared among more of them, so their break-even is
+# unknown.
 MAX_SHARDS = 2
-
-# The CPU quota of the cgroup a container sees as its own: v2, then v1.
-CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-CGROUP_V1_CPU = "/sys/fs/cgroup/cpu"
-
-
-def _read_words(*paths: str) -> Optional[list[str]]:
-    """The whitespace-split contents of each of ``paths`` in turn, or None
-    if one cannot be read."""
-    words = []
-    for path in paths:
-        try:
-            with open(path) as f:
-                words += f.read().split()
-        except OSError:
-            return None
-    return words
-
-
-def cpu_quota() -> Optional[int]:
-    """Whole CPUs (at least one) that this process's cgroup CPU quota
-    allows, or None where no quota is set or readable."""
-    words = (_read_words(CGROUP_CPU_MAX)
-             or _read_words(os.path.join(CGROUP_V1_CPU, "cpu.cfs_quota_us"),
-                             os.path.join(CGROUP_V1_CPU, "cpu.cfs_period_us")))
-    try:
-        quota, period = int(words[0]), int(words[1])
-    except (TypeError, IndexError, ValueError):  # no file, or "max"
-        return None
-    if quota <= 0 or period <= 0:  # v1 writes -1 for no quota
-        return None
-    return max(1, quota // period)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has
-    one, but no more than its cgroup's CPU quota."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this OS
-        cpus = os.cpu_count() or 1
-    quota = cpu_quota()
-    return cpus if quota is None else min(cpus, quota)
-
-
-def shard_cpus() -> int:
-    """Most shards a step runs as on this host: one per usable CPU, up to
-    MAX_SHARDS. An input of every run, like its config."""
-    return min(MAX_SHARDS, usable_cpus())
 
 
 def shard_count(activation: int) -> int:
     """How many shards a batch of ``activation`` stacked values runs as:
-    one per shard_cpus(), but never so many that a shard holds under
-    MIN_SHARD_ACTIVATION; at least one."""
-    most = activation // MIN_SHARD_ACTIVATION
-    return 1 if most < 2 else min(shard_cpus(), most)
+    as many as hold MIN_SHARD_ACTIVATION each, at most MAX_SHARDS and at
+    least one. A function of the batch alone, so a run is a function of
+    its config on any host."""
+    return max(1, min(MAX_SHARDS, activation // MIN_SHARD_ACTIVATION))
 
 
 def batch_shards(items: Sequence, per_item: int) -> list:

@@ -9,7 +9,9 @@ with 21 channels they can also be written out in the 26-column text format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import os
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,8 +25,8 @@ TEST_CUT_MIN_FRAC = 0.3
 class SynthSpec:
     """Generator knobs: training and test unit counts, inclusive
     cycle-length range, channel count, degradation exponent, observation
-    noise, and the seed. An out-of-range knob raises ValueError naming it
-    when the spec is built."""
+    noise, and the seed. An out-of-range knob, or a NaN or infinite float,
+    raises ValueError naming it when the spec is built."""
 
     n_units: int = 20
     test_units: int = 10
@@ -35,6 +37,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         lo, hi = self.cycles
         if self.n_units < 1:
             raise ValueError("n_units must be >= 1")
@@ -113,7 +119,6 @@ def emit_cmapss(out_dir: str, tag: str, train_units: list[RawSeries],
     Units must carry 21 sensor channels so the files are structurally
     identical to the real benchmark's.
     """
-    import os
     paths = {
         "train": os.path.join(out_dir, f"train_{tag}.txt"),
         "test": os.path.join(out_dir, f"test_{tag}.txt"),

@@ -70,6 +70,17 @@ class TestParsing:
             np.testing.assert_array_equal(re.settings, orig.settings)
             np.testing.assert_array_equal(re.sensors, orig.sensors)
 
+    def test_failed_write_leaves_no_file_and_an_old_file_as_it_was(self, tmp_path):
+        """The second unit has 14 sensor columns, not 21."""
+        series = [make_series(1, 5, seed=1), make_series(2, 5, n_sensors=14, seed=2)]
+        fresh, old = tmp_path / "fresh.txt", tmp_path / "old.txt"
+        old.write_bytes(b"1 1 kept\n")
+        for path in (fresh, old):
+            with pytest.raises(ValueError, match="unit 2: need 21 sensor columns"):
+                dd.write_cmapss(str(path), series)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+        assert old.read_bytes() == b"1 1 kept\n"
+
     def test_rul_file_round_trip(self, tmp_path):
         path = tmp_path / "RUL.txt"
         dd.write_rul(str(path), [112, 98, 69])

@@ -74,13 +74,19 @@ class TestRunConfig:
         ("epochs", 0), ("lr", 0.0), ("b", 5), ("seed", -1), ("lr", -1.0),
         ("ModelConfig.d", 0), ("SynthSpec.seed", -1),
         pytest.param("b", "5", id="b-str"), ("holdout", "no"), ("seed", True),
-        ("epochs", 2.5),
+        ("epochs", 2.5), ("lr", float("nan")), ("lr", float("inf")),
+        ("sigma1", float("nan")), ("sigma2", float("inf")), ("lam", float("nan")),
+        ("tau", float("inf")), ("tau", float("-inf")), ("beta", float("nan")),
+        ("SynthSpec.gamma", float("nan")), ("SynthSpec.noise_std", float("inf")),
+        pytest.param("lam", 10**400, id="lam-10**400"),
     ])
     def test_validate_rejects(self, field, value):
         """Each field is checked when its config is built, by the constructor
         and by replace, and the error names it; b=5 breaks the anchor batch
-        floor, and a str, a bool for an int or a fraction for an int is the
-        wrong type. A field without a class prefix is a RunConfig field."""
+        floor, a str, a bool for an int or a fraction for an int is the
+        wrong type, and NaN passes no range check but is refused as
+        non-finite, like infinity. A field without a class prefix is a
+        RunConfig field."""
         kind, _, name = field.rpartition(".")
         valid = {"": hx.RunConfig(), "SynthSpec": sx.SynthSpec(),
                  "ModelConfig": dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1)}[kind]
@@ -404,20 +410,36 @@ class TestShardedTraining:
             assert abs(getattr(stats[1], field) - getattr(stats[0], field)) <= \
                 1e-12 * abs(getattr(stats[0], field))
 
-    def test_sharded_reruns_give_byte_equal_weights(self, monkeypatch):
-        """At 80 windows of 8 x 32 a batch holds two shards' worth of
-        activation, so two usable CPUs run it as two shards."""
-        monkeypatch.setattr(nx, "usable_cpus", lambda: 2)
+    # At w8 d32 a standard batch of 80 windows, or an FSGRI batch of 20
+    # groups of m + 2 = 4 windows, holds two shards' worth of activation.
+    TWO_SHARDS = {"standard": dict(b=80, w=8, d=32, m=2),
+                  "fsgri": dict(b=60, w=8, d=32, m=2)}
+
+    def train_two_shards(self, monkeypatch, mode):
+        """The weights, as bytes, after two epochs in ``mode`` at a shape
+        that runs as two shards."""
         seen = {}
-        spy_descend(monkeypatch, seen)
-        runs = []
-        for _ in range(2):
+        with monkeypatch.context() as patch:
+            spy_descend(patch, seen)
             params = dm.make_variant(
                 dm.ModelConfig(l=8, m_vars=3, d=32, n_layers=1, seed=4), "full")
-            hx.train_standard(params, random_windows(160, l=8),
-                              hx.RunConfig(b=80, epochs=2, w=8, d=32, m=2, seed=4))
-            runs.append({k: v.tobytes() for k, v in params.arrays.items()})
+            cfg = hx.RunConfig(mode=mode, epochs=2, seed=4, **self.TWO_SHARDS[mode])
+            train = hx.train_standard if mode == "standard" else hx.train_fsgri
+            train(params, random_windows(160, l=8), cfg)
         assert len(seen["shards"]) == 2
+        return {k: v.tobytes() for k, v in params.arrays.items()}
+
+    def test_sharded_reruns_give_byte_equal_weights(self, monkeypatch):
+        runs = [self.train_two_shards(monkeypatch, "standard") for _ in range(2)]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("mode", hx.MODES)
+    def test_weights_do_not_depend_on_the_affinity_mask(self, monkeypatch, mode):
+        """One CPU or two, the same config runs the same shards."""
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            runs.append(self.train_two_shards(monkeypatch, mode))
         assert runs[0] == runs[1]
 
     def test_nan_window_in_the_second_shard_stops_before_the_update(self, monkeypatch):
@@ -661,18 +683,6 @@ class TestRunOne:
         assert rmse == report.rmse
         assert mape == report.mape
 
-    @pytest.mark.parametrize("cpus,logged", [(1, 1), (2, 2), (16, 2)])
-    def test_run_log_line_names_the_shard_cpus(self, cpus, logged, monkeypatch,
-                                               tmp_path, caplog):
-        """The weights depend on the shard count, which the config does not
-        hold, so the run's log line states it."""
-        shrink_synth(monkeypatch)
-        monkeypatch.setattr(nx, "usable_cpus", lambda: cpus)
-        caplog.set_level("INFO", logger=hx.logger.name)
-        hx.run_one(tiny_cfg(tmp_path, epochs=1))
-        assert any(r.getMessage().endswith(f" shard_cpus={logged}")
-                   for r in caplog.records)
-
     def test_every_run_logs_its_own_sampler_warnings(self, monkeypatch, tmp_path, caplog):
         """A sweep runs many trainings in one process; the warnings of the
         second run must not be swallowed by the first."""
@@ -855,6 +865,13 @@ class TestCli:
         assert self.run_train(tmp_path, "--lr", "1") == 0
         assert glob.glob(str(tmp_path / "runs" / "*" / "report.json")) == [report_path]
         assert os.path.getmtime(report_path) == stamp
+
+    def test_infinite_tau_exits_2_by_name_without_a_run_dir(self, monkeypatch, tmp_path,
+                                                              capsys):
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("data loaded"))
+        assert self.run_train(tmp_path, "--mode", "fsgri", "--tau", "inf") == 2
+        assert "tau must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--holdout"]])
     def test_negative_seed_exits_2_before_loading_data(self, monkeypatch, tmp_path,

@@ -14,7 +14,9 @@ class TestSpecValidation:
                     noise_std=0.05, seed=0)
         for bad in (dict(n_units=0), dict(cycles=(60, 50)), dict(cycles=(1, 50)),
                     dict(n_vars=1), dict(gamma=0.0), dict(noise_std=-0.1),
-                    dict(seed=-1), dict(test_units=0)):
+                    dict(seed=-1), dict(test_units=0), dict(gamma=float("nan")),
+                    dict(gamma=float("inf")), dict(noise_std=float("nan")),
+                    dict(noise_std=float("inf"))):
             with pytest.raises(ValueError):
                 sx.SynthSpec(**{**base, **bad})
 
