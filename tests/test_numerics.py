@@ -591,7 +591,9 @@ class TestShardRule:
     STANDARD = 128 * 30 * 32          # the reference shape's standard batch
     FSGRI = (128 // 6) * 7 * 30 * 32  # its FSGRI batch: 21 groups of m + 2 = 7
 
-    def test_tiny_batches_run_as_one_shard(self):
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    def test_tiny_batches_run_as_one_shard(self, batch):
+        assert nx.shard_count(batch * 8 * 4) == 1  # w8 d4
         assert nx.shard_count(self.TINY) == 1
 
     @pytest.mark.parametrize("activation", [STANDARD, FSGRI])
