@@ -9,9 +9,11 @@ functions either return new values or raise.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import os
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -146,6 +148,40 @@ def atomic_path(path: str) -> Iterator[str]:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` may fill a field annotated ``hint``: a bool is not
+    an int, an int fits a float, and a tuple[...] fits item by item."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def check_fields(obj) -> None:
+    """ValueError naming the first field of dataclass instance ``obj`` that
+    does not fit its annotation or holds a NaN or infinite float; an int in
+    a float field is stored as a float (beyond the float range, infinity)."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value, hint = getattr(obj, f.name), hints[f.name]
+        if not _fits(value, hint):
+            raise ValueError(f"field {f.name!r} holds {type(value).__name__}, "
+                             f"expected {hint}")
+        if isinstance(value, (int, float)) and float in (hint, *typing.get_args(hint)):
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(obj, f.name, value)
 
 
 def write_cmapss(path: str, series_list: Sequence[RawSeries]) -> None:

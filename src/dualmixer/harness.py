@@ -16,11 +16,9 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import subprocess
 import time
-import typing
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -67,10 +65,10 @@ class RunConfig:
     a standard batch holds b windows, and the fsgri anchor batch is
     b // (m + 1).
 
-    Building one, directly or through dataclasses.replace, raises a
-    ValueError naming the first field of the wrong type (a bool is not an
-    int), out of range, or a NaN or infinite float, and stores an int given
-    for a float field as a float, so RunConfig(lr=1) names the --lr 1 run.
+    Building one, directly or through dataclasses.replace, runs
+    data.check_fields and the range checks, which raise a ValueError naming
+    the first bad field; an int given for a float field is stored as a
+    float, so RunConfig(lr=1) names the --lr 1 run.
     """
 
     dataset: str = "synth"
@@ -95,41 +93,24 @@ class RunConfig:
     holdout: bool = False
 
     def __post_init__(self) -> None:
-        _check_json_types(RunConfig, vars(self))
-        for f in dataclasses.fields(self):
-            if type(f.default) is float:
-                try:
-                    value = float(getattr(self, f.name))
-                except OverflowError:  # an int beyond the float range
-                    value = math.inf
-                if not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value}")
-                object.__setattr__(self, f.name, value)
+        dd.check_fields(self)
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.variant not in dm.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("b", "w", "sl", "epochs", "n_layers", "d"):
+        for name in ("b", "w", "sl", "epochs", "n_layers", "d", "m"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        for name in ("lr", "sigma1", "lam", "tau"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("seed", "sigma2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-        if self.sigma1 <= 0.0:
-            raise ValueError("sigma1 must be > 0")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be >= 0")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be > 0")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be > 0")
         if self.anchor_batch < 1:
             raise ValueError(f"b={self.b} with m={self.m} gives an empty anchor batch")
 
@@ -165,7 +146,8 @@ def config_from_dict(values: dict) -> RunConfig:
 
 @dataclass
 class RunReport:
-    """Everything a finished run leaves behind; serialized as report.json."""
+    """Everything a finished run leaves behind; serialized as report.json.
+    Built and loaded through data.check_fields, so a NaN rmse is refused."""
 
     config: dict
     config_hash: str
@@ -180,14 +162,17 @@ class RunReport:
     anchor_batch_size: Optional[int] = None
     report_version: int = REPORT_VERSION
 
+    def __post_init__(self) -> None:
+        dd.check_fields(self)
+
     def save(self, path: str) -> None:
         write_json(path, dataclasses.asdict(self))
 
     @classmethod
     def load(cls, path: str) -> "RunReport":
         """Read a saved report. A file that is not JSON, that was written in
-        another format version, or whose fields are missing, unknown or of
-        the wrong type, raises ValueError naming the file and the cause."""
+        another format version, whose fields are missing or unknown, or that
+        the constructor refuses raises ValueError naming the file and cause."""
         try:
             with open(path) as f:
                 raw = json.load(f)
@@ -207,28 +192,9 @@ class RunReport:
             raise ValueError(f"{path}: malformed report: missing fields {missing}, "
                              f"unknown fields {unknown}")
         try:
-            _check_json_types(cls, raw)
+            return cls(**raw)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed report: {exc}") from None
-        return cls(**raw)
-
-
-def _json_types(hint) -> tuple:
-    """The JSON value types a field annotated ``hint`` may hold; a float
-    written without a fraction reads back as an int."""
-    args = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
-    return tuple(t for a in args for t in ((int, float) if a is float else (a,)))
-
-
-def _check_json_types(cls, values: dict) -> None:
-    """ValueError naming the first of ``values`` whose JSON type does not fit
-    its field of dataclass ``cls``; a bool is not an int, an int fits a float."""
-    hints = typing.get_type_hints(cls)
-    for name, value in values.items():
-        allowed = _json_types(hints[name])
-        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            raise ValueError(f"field {name!r} holds {type(value).__name__}, "
-                             f"expected {hints[name]}")
 
 
 def write_json(path: str, value) -> None:

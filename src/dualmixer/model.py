@@ -50,6 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics as nx
+from .data import check_fields
 from .numerics import Tensor
 
 CHECKPOINT_MAGIC = b"DMIX"
@@ -59,8 +60,8 @@ CHECKPOINT_VERSION = 1
 @dataclass(frozen=True)
 class ModelConfig:
     """Shape hyperparameters: window length l, input variables m_vars,
-    embedding width d, layer count n_layers, and the init seed; checked
-    when built."""
+    embedding width d, layer count n_layers, and the init seed; checked by
+    data.check_fields and the range checks when built."""
 
     l: int
     m_vars: int
@@ -69,6 +70,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("l", "m_vars", "d", "n_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"ModelConfig.{name} must be >= 1")
@@ -312,10 +314,7 @@ def load_checkpoint(path: str) -> DualMixerParams:
         raise ValueError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(blob[12:offset].decode("utf-8"))
-        shape = {k: header[k] for k in ("l", "m_vars", "d", "n_layers", "seed")}
-        if any(type(v) is not int for v in shape.values()):
-            raise ValueError(f"non-integer model shape {shape}")
-        config = ModelConfig(**shape)
+        config = ModelConfig(**{k: header[k] for k in ("l", "m_vars", "d", "n_layers", "seed")})
         listed = [tuple(entry) for entry in header["arrays"]]
         if any([type(v) for v in entry] != [str, int, int] for entry in listed):
             raise ValueError("array entries must be [name, rows, cols] with integer sizes")

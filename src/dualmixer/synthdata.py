@@ -9,13 +9,12 @@ with 21 channels they can also be written out in the 26-column text format.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import RawSeries, write_cmapss, write_rul
+from .data import RawSeries, check_fields, write_cmapss, write_rul
 
 # A test unit is cut no earlier than this fraction of its life.
 TEST_CUT_MIN_FRAC = 0.3
@@ -25,8 +24,8 @@ TEST_CUT_MIN_FRAC = 0.3
 class SynthSpec:
     """Generator knobs: training and test unit counts, inclusive
     cycle-length range, channel count, degradation exponent, observation
-    noise, and the seed. An out-of-range knob, or a NaN or infinite float,
-    raises ValueError naming it when the spec is built."""
+    noise, and the seed. Building a spec runs data.check_fields and the
+    range checks, which raise ValueError naming the first bad knob."""
 
     n_units: int = 20
     test_units: int = 10
@@ -37,25 +36,20 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is float and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_fields(self)
+        for name in ("n_units", "test_units"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         lo, hi = self.cycles
-        if self.n_units < 1:
-            raise ValueError("n_units must be >= 1")
-        if self.test_units < 1:
-            raise ValueError("test_units must be >= 1")
         if not (2 <= lo <= hi):
             raise ValueError(f"bad cycle range {self.cycles}")
         if self.n_vars < 2:
             raise ValueError("n_vars must be >= 2")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name in ("noise_std", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def generate(spec: SynthSpec) -> list[RawSeries]:

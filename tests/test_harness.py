@@ -79,14 +79,21 @@ class TestRunConfig:
         ("tau", float("inf")), ("tau", float("-inf")), ("beta", float("nan")),
         ("SynthSpec.gamma", float("nan")), ("SynthSpec.noise_std", float("inf")),
         pytest.param("lam", 10**400, id="lam-10**400"),
+        ("ModelConfig.l", 2.5), ("ModelConfig.n_layers", True),
+        ("SynthSpec.n_units", 2.5), ("SynthSpec.seed", True),
+        pytest.param("SynthSpec.gamma", "2", id="SynthSpec.gamma-str"),
+        pytest.param("SynthSpec.gamma", 10**400, id="SynthSpec.gamma-10**400"),
+        pytest.param("SynthSpec.cycles", (90.5, 140), id="SynthSpec.cycles-float-item"),
+        pytest.param("SynthSpec.cycles", [90, 140], id="SynthSpec.cycles-list"),
     ])
     def test_validate_rejects(self, field, value):
         """Each field is checked when its config is built, by the constructor
         and by replace, and the error names it; b=5 breaks the anchor batch
         floor, a str, a bool for an int or a fraction for an int is the
         wrong type, and NaN passes no range check but is refused as
-        non-finite, like infinity. A field without a class prefix is a
-        RunConfig field."""
+        non-finite, like infinity, as is an int beyond the float range. A
+        tuple field is checked item by item, and a list is not a tuple. A
+        field without a class prefix is a RunConfig field."""
         kind, _, name = field.rpartition(".")
         valid = {"": hx.RunConfig(), "SynthSpec": sx.SynthSpec(),
                  "ModelConfig": dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1)}[kind]
@@ -94,6 +101,19 @@ class TestRunConfig:
             type(valid)(**{**dataclasses.asdict(valid), name: value})
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             replace(valid, **{name: value})
+
+    @pytest.mark.parametrize("valid", [
+        hx.RunConfig(), dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), sx.SynthSpec(),
+        hx.RunReport(config={}, config_hash="0", seed=1, git_describe="x", epoch_losses=[],
+                     epoch_detail=[], rmse=0.5, mape=None, wall_clock_sec=1.0, param_count=10),
+    ], ids=lambda valid: type(valid).__name__)
+    def test_every_field_is_type_checked(self, valid):
+        """Every field of every checked class refuses a value of no JSON
+        type by name, so a field or class added without the shared check
+        fails here."""
+        for f in dataclasses.fields(valid):
+            with pytest.raises(ValueError, match=rf"\b{f.name}\b"):
+                replace(valid, **{f.name: object()})
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown config fields"):
@@ -519,6 +539,8 @@ class TestReportLoad:
         ({"mape": []}, "field 'mape' holds list"),
         ({"report_version": DROP}, "format version missing, expected 1; rerun with --force"),
         ({"report_version": 2}, "format version 2, expected 1; rerun with --force"),
+        ({"rmse": float("nan")}, "rmse must be finite"),
+        ({"wall_clock_sec": 10**400}, "wall_clock_sec must be finite"),
     ])
     def test_malformed_field_names_file_and_cause(self, tmp_path, over, cause):
         _, path = self.saved(tmp_path, **over)
@@ -872,6 +894,20 @@ class TestCli:
         assert self.run_train(tmp_path, "--mode", "fsgri", "--tau", "inf") == 2
         assert "tau must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_resuming_a_nan_report_exits_2_naming_it(self, monkeypatch, tmp_path, capsys):
+        shrink_synth(monkeypatch)
+        assert self.run_train(tmp_path) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        with open(report_path) as f:
+            raw = json.load(f)
+        with open(report_path, "w") as f:
+            json.dump({**raw, "rmse": float("nan")}, f)
+        capsys.readouterr()
+        assert self.run_train(tmp_path) == 2
+        out = capsys.readouterr()
+        assert report_path in out.err and "rmse must be finite" in out.err
+        assert "rmse:" not in out.out
 
     @pytest.mark.parametrize("extra", [[], ["--holdout"]])
     def test_negative_seed_exits_2_before_loading_data(self, monkeypatch, tmp_path,
