@@ -18,8 +18,8 @@ import logging
 import os
 import sys
 
-# numerics.descend runs a training step's shards on threads of their own
-# (two at the reference shape); a BLAS thread pool under each of them would
+# numerics.descend runs a training step's shards on threads at once (two
+# at the reference shape); a BLAS thread pool under each of them would
 # oversubscribe the CPUs. Set before numpy is imported; a value the user
 # sets wins. Forward-only commands (eval, export) are not sharded and run
 # about 10% slower for it at the reference shape (README, "Sharded steps").

@@ -13,6 +13,7 @@ import dataclasses
 import logging
 import math
 import os
+import sys
 import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -150,30 +151,42 @@ def atomic_path(path: str) -> Iterator[str]:
             os.remove(tmp)
 
 
-def _fits(value, hint) -> bool:
+def _fits(value, hint, item: bool = False) -> bool:
     """Whether ``value`` may fill a field annotated ``hint``: a bool is not
-    an int, an int fits a float, and a tuple[...] fits item by item."""
+    an int, an int fits a float, and a tuple[...], list[...] or dict[...]
+    fits item by item, where a float must also be finite (``item``)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union:
-        return any(_fits(value, a) for a in args)
+        return any(_fits(value, a, item) for a in args)
     if origin is tuple:
         return (isinstance(value, tuple) and len(value) == len(args)
-                and all(map(_fits, value, args)))
+                and all(_fits(v, a, True) for v, a in zip(value, args)))
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0], True) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0], True) and _fits(v, args[1], True) for k, v in value.items())
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:  # NaN, infinity and an int beyond the float range are not finite
+        return isinstance(value, (int, float)) and (
+            not item or abs(value) <= sys.float_info.max)
+    return isinstance(value, hint)
 
 
 def check_fields(obj) -> None:
     """ValueError naming the first field of dataclass instance ``obj`` that
-    does not fit its annotation or holds a NaN or infinite float; an int in
-    a float field is stored as a float (beyond the float range, infinity)."""
+    does not fit its annotation or holds a NaN or infinite float, at any
+    depth; an int in a float field is stored as a float (beyond the float
+    range, infinity), while ints inside lists and dicts are kept as ints."""
     hints = typing.get_type_hints(type(obj))
     for f in dataclasses.fields(obj):
         value, hint = getattr(obj, f.name), hints[f.name]
         if not _fits(value, hint):
+            nested = typing.get_origin(hint) in (list, dict)
+            rule = " with every float finite" if nested else ""
             raise ValueError(f"field {f.name!r} holds {type(value).__name__}, "
-                             f"expected {hint}")
+                             f"expected {hint}{rule}")
         if isinstance(value, (int, float)) and float in (hint, *typing.get_args(hint)):
             try:
                 value = float(value)

@@ -9,10 +9,11 @@ logits amplified, so the feature space is pushed to order itself by
 remaining life rather than merely separating neighbors from strangers.
 
 build_group returns a group as its m + 2 windows and labels in slot order
-(anchor, positive, negatives). A training batch is split by group into
-numerics.descend's shards; each shard concatenates its groups' rows into
-one forward_batch call and scores its groups with batch_loss, a single
-tape node (put there by numerics.record) with a closed-form backward.
+(anchor, positive, negatives). A training batch of groups goes to
+numerics.descend, which cuts it by group into shards; each shard
+concatenates its groups' rows into one forward_batch call and scores its
+groups with batch_loss, a single tape node (put there by numerics.record)
+with a closed-form backward.
 dw_info_nce and mse_all compute the same terms for one group from scalar
 tape ops; they are the reference batch_loss is tested against.
 
@@ -284,12 +285,12 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
                       epoch_seed: int, warned: Optional[set] = None) -> EpochStats:
     """One pass over all usable anchors.
 
-    Anchors are grouped into batches of b // (m+1); each batch's groups are
-    split into numerics.descend's shards, each shard stacks its group
-    members into one forward and sums its per-anchor losses, and the step
-    divides the batch's sum by the nominal batch size b. Group sampling
-    is keyed by (epoch_seed, unit, window index), so a rerun with the same
-    seed reproduces the epoch bit-for-bit regardless of execution order.
+    Anchors are grouped into batches of b // (m+1); numerics.descend cuts
+    each batch's groups into shards, each shard stacks its group members
+    into one forward and sums its per-anchor losses, and the step divides
+    the batch's sum by the nominal batch size b. Group sampling is keyed
+    by (epoch_seed, unit, window index), so a rerun with the same seed
+    reproduces the epoch bit-for-bit regardless of execution order.
     A non-finite batch loss or gradient raises ValueError before any update.
     Each short-unit or sampler warning is logged once per key in
     ``warned``; pass one set to every epoch of a run to log it once per run.
@@ -329,8 +330,7 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
         groups = [build_group(np.random.default_rng((epoch_seed, uid, i)), usable[uid], i,
                               cfg, warned)
                   for uid, i in chunk]
-        _, terms = nx.descend(optimizer, params.arrays, nx.batch_shards(groups, group_size),
-                              group_loss, cfg.b,
+        _, terms = nx.descend(optimizer, params.arrays, groups, group_size, group_loss, cfg.b,
                               f"batch {batches} of the epoch with seed {epoch_seed}")
         total_con += float(np.concatenate([c for c, _ in terms]).sum())
         total_reg += float(np.concatenate([r for _, r in terms]).sum())

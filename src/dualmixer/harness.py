@@ -1,5 +1,5 @@
-"""Run orchestration: dataset loading, the two training modes, evaluation,
-ablation and grid runners, and feature export.
+"""Run orchestration: dataset loading, the one training loop of both modes,
+evaluation, ablation and grid runners, and feature export.
 
 A run is fully described by a RunConfig, which checks itself when built;
 its SHA-derived hash names the run directory, ties reports to
@@ -35,7 +35,6 @@ from .numerics import Tensor
 logger = logging.getLogger(__name__)
 
 DATASETS = ("fd001", "fd002", "fd003", "fd004", "synth")
-MODES = ("standard", "fsgri")
 
 # The built-in synthetic dataset (dataset="synth"): SynthSpec's defaults,
 # with the generator seed derived from the run seed so both training modes
@@ -147,14 +146,15 @@ def config_from_dict(values: dict) -> RunConfig:
 @dataclass
 class RunReport:
     """Everything a finished run leaves behind; serialized as report.json.
-    Built and loaded through data.check_fields, so a NaN rmse is refused."""
+    Built and loaded through data.check_fields, so a NaN rmse, or a NaN in
+    any epoch record, is refused."""
 
     config: dict
     config_hash: str
     seed: int
     git_describe: str
-    epoch_losses: list
-    epoch_detail: list
+    epoch_losses: list[float]
+    epoch_detail: list[dict[str, float]]
     rmse: float
     mape: Optional[float]
     wall_clock_sec: float
@@ -333,56 +333,66 @@ def evaluate(params: dm.DualMixerParams,
     return compute_metrics(labels, predict_samples(params, samples))
 
 
-def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
-                   cfg: RunConfig) -> list[dict]:
-    """Plain mean-squared-error training over shuffled batches of b windows.
-
-    Returns per-epoch stats; the reported loss is the epoch's mean squared
-    error per window. Each batch runs as numerics.descend's shards of
-    windows. A non-finite batch loss or gradient raises ValueError before
-    any update.
-    """
-    if not samples:
-        raise ValueError("empty training set")
-    opt = nx.AdamState(lr=cfg.lr)
+def _standard_epoch(params: dm.DualMixerParams, samples: Sequence[WindowSample],
+                    cfg: RunConfig, opt: nx.AdamState, epoch: int, epoch_seed: int,
+                    warned: set) -> dict:
+    """Mean-squared-error steps over shuffled batches of b windows; the
+    record's loss is the epoch's mean squared error per window."""
     groups = dd.group_by_unit(samples)
-    window_size = params.config.l * params.config.d
 
     def squared_error(shard: Sequence[WindowSample]) -> tuple[Tensor, None]:
         _, preds = dm.forward_batch(params, [s.values for s in shard], nx.Graph())
         err = nx.sub(preds, Tensor(np.array([[s.label] for s in shard])))
         return nx.sum_all(nx.hadamard(err, err)), None
 
-    history = []
-    for epoch in range(cfg.epochs):
-        order = fs.stratified_order(groups, _epoch_seed(cfg.seed, epoch))
-        sq_sum = 0.0
-        for start in range(0, len(order), cfg.b):
-            chunk = [groups[uid][i] for uid, i in order[start:start + cfg.b]]
-            sq_sum += nx.descend(opt, params.arrays, nx.batch_shards(chunk, window_size),
-                                 squared_error, len(chunk),
-                                 f"batch {start // cfg.b} of epoch {epoch}")[0]
-        history.append({"epoch": epoch, "loss": sq_sum / len(order)})
-    return history
+    order = fs.stratified_order(groups, epoch_seed)
+    sq_sum = 0.0
+    for start in range(0, len(order), cfg.b):
+        chunk = [groups[uid][i] for uid, i in order[start:start + cfg.b]]
+        sq_sum += nx.descend(opt, params.arrays, chunk, params.config.l * params.config.d,
+                             squared_error, len(chunk),
+                             f"batch {start // cfg.b} of epoch {epoch}")[0]
+    return {"loss": sq_sum / len(order)}
 
 
-def train_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample],
-                cfg: RunConfig) -> list[dict]:
-    """Contrastive training: one fsgri epoch per epoch, recording both loss
-    components. Each sampler or short-unit warning is logged once per call."""
+def _fsgri_epoch(params: dm.DualMixerParams, samples: Sequence[WindowSample],
+                 cfg: RunConfig, opt: nx.AdamState, epoch: int, epoch_seed: int,
+                 warned: set) -> dict:
+    """One fsgri.train_epoch_fsgri pass; the record keeps both loss terms."""
+    stats = fs.train_epoch_fsgri(params, samples, cfg, opt, epoch_seed, warned)
+    return {"loss": stats.mean_loss, "contrastive": stats.mean_contrastive,
+            "regression": stats.mean_regression, "batches": stats.batches,
+            "anchor_batch_size": stats.anchor_batch_size, "encodings": stats.encodings}
+
+
+# Each training mode's epoch function and the record keys metrics.csv keeps.
+_MODE_PARTS = {
+    "standard": (_standard_epoch, ("epoch", "loss")),
+    "fsgri": (_fsgri_epoch, ("epoch", "loss", "contrastive", "regression")),
+}
+MODES = tuple(_MODE_PARTS)
+
+
+def train(params: dm.DualMixerParams, samples: Sequence[WindowSample],
+          cfg: RunConfig) -> list[dict]:
+    """cfg.epochs epochs of cfg.mode's epoch function on one Adam state;
+    one record per epoch, its epoch number first. Each sampler or
+    short-unit warning is logged once per call, and a non-finite batch loss
+    or gradient raises ValueError naming the batch before any update."""
+    if not samples:
+        raise ValueError("empty training set")
+    run_epoch = _MODE_PARTS[cfg.mode][0]
     opt = nx.AdamState(lr=cfg.lr)
     warned: set = set()
-    history = []
-    for epoch in range(cfg.epochs):
-        stats = fs.train_epoch_fsgri(params, samples, cfg, opt,
-                                     _epoch_seed(cfg.seed, epoch), warned)
-        history.append({"epoch": epoch, "loss": stats.mean_loss,
-                        "contrastive": stats.mean_contrastive,
-                        "regression": stats.mean_regression,
-                        "batches": stats.batches,
-                        "anchor_batch_size": stats.anchor_batch_size,
-                        "encodings": stats.encodings})
-    return history
+    return [{"epoch": epoch, **run_epoch(params, samples, cfg, opt, epoch,
+                                         _epoch_seed(cfg.seed, epoch), warned)}
+            for epoch in range(cfg.epochs)]
+
+
+def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
+                   cfg: RunConfig) -> list[dict]:
+    """train in standard mode whatever cfg.mode holds (a benchmark entry)."""
+    return train(params, samples, replace(cfg, mode="standard"))
 
 
 def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
@@ -397,16 +407,11 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
         logger.info("reusing finished run %s", run_dir)
         return RunReport.load(report_path)
     started = time.perf_counter()
-    train, test = load_dataset(cfg)
-    params = dm.make_variant(dm.ModelConfig(l=cfg.w, m_vars=train[0].values.shape[1],
+    windows, test = load_dataset(cfg)
+    params = dm.make_variant(dm.ModelConfig(l=cfg.w, m_vars=windows[0].values.shape[1],
                                             d=cfg.d, n_layers=cfg.n_layers, seed=cfg.seed),
                              cfg.variant)
-    if cfg.mode == "standard":
-        history = train_standard(params, train, cfg)
-        anchor_batch = None
-    else:
-        history = train_fsgri(params, train, cfg)
-        anchor_batch = cfg.anchor_batch
+    history = train(params, windows, cfg)
     rmse, mape = evaluate(params, test)
     report = RunReport(config=cfg.to_dict(), config_hash=cfg.config_hash(),
                        seed=cfg.seed, git_describe=git_describe(),
@@ -414,10 +419,10 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
                        epoch_detail=history, rmse=rmse, mape=mape,
                        wall_clock_sec=time.perf_counter() - started,
                        param_count=dm.count_params(params),
-                       anchor_batch_size=anchor_batch)
+                       anchor_batch_size=history[-1].get("anchor_batch_size"))
     os.makedirs(run_dir, exist_ok=True)
     write_json(os.path.join(run_dir, "config.json"), cfg.to_dict())
-    keys = ["epoch", "loss"] + (["contrastive", "regression"] if cfg.mode == "fsgri" else [])
+    keys = _MODE_PARTS[cfg.mode][1]
     write_csv(os.path.join(run_dir, "metrics.csv"), keys,
               [[h[k] for k in keys] for h in history])
     with atomic_path(os.path.join(run_dir, "model.ckpt")) as tmp:

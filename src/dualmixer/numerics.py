@@ -11,12 +11,12 @@ backward returns fresh gradients; descend is the one checked training step
 built on it and Adam.
 
 A training loss is a sum over independent rows (windows, or FSGRI groups),
-so descend takes a batch as shards: each shard's forward and backward run
-on a graph of their own, the shards other than the first on threads of
-their own, and the step sums their losses and gradients. numpy, scipy's
-erf and OpenBLAS release the GIL on arrays of the model's size, so on a
-multi-CPU host the shards run at once. shard_count sizes the split from
-the batch alone: at most MAX_SHARDS, none smaller than
+so descend cuts each batch into shards itself: each shard's forward and
+backward run on a graph of their own, the shards other than the first on
+a thread pool, and the step sums their losses and gradients. numpy,
+scipy's erf and OpenBLAS release the GIL on arrays of the model's size, so
+on a multi-CPU host the shards run at once. shard_count sizes the split
+from the batch alone: at most MAX_SHARDS, none smaller than
 MIN_SHARD_ACTIVATION, so the same config runs the same shards on every
 host. One shard is the unsharded step bit for bit. With shard threads
 BLAS should run one thread per call (OPENBLAS_NUM_THREADS=1), or the two
@@ -30,7 +30,7 @@ through module-level value and gradient helpers.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -596,12 +596,6 @@ def shard_count(activation: int) -> int:
     return max(1, min(MAX_SHARDS, activation // MIN_SHARD_ACTIVATION))
 
 
-def batch_shards(items: Sequence, per_item: int) -> list:
-    """A training batch cut into descend's shards by shard_count, given
-    the stacked activation values each of its ``items`` holds."""
-    return split(items, shard_count(len(items) * per_item))
-
-
 def split(items: Sequence, parts: int) -> list:
     """``items`` cut into ``parts`` contiguous runs (fewer if there are
     fewer items, so none is empty), in order, whose lengths differ by at
@@ -621,41 +615,28 @@ def _shard_step(loss_of: Callable, shard, divisor: float) -> tuple:
     return value, loss.graph.backward(scale(loss, 1.0 / divisor)), aux
 
 
-def descend(state: AdamState, params: dict[str, np.ndarray], shards: Sequence,
-            loss_of: Callable, divisor: float, where: str) -> tuple[float, list]:
-    """One Adam step on the sum over ``shards`` of their losses, divided by
+def descend(state: AdamState, params: dict[str, np.ndarray], batch: Sequence,
+            per_item: int, loss_of: Callable, divisor: float,
+            where: str) -> tuple[float, list]:
+    """One Adam step on the sum of ``batch``'s losses, divided by
     ``divisor``. Returns the undivided total loss and, in shard order, each
     shard's by-product.
 
+    The batch is cut into shard_count contiguous shards, given the stacked
+    activation values each of its items holds (``per_item``).
     ``loss_of(shard)`` builds one shard's scalar loss on a graph of its own
     and returns it with a by-product (anything the caller wants back). The
-    first shard runs on the calling thread and each other shard's forward
-    and backward on a thread of its own; every thread is joined, and an
-    exception raised in any shard reaches the caller. Losses and gradients
-    are then summed in shard order, so one shard is the unsharded step bit
-    for bit and a rerun gives the same sums. A non-finite loss or gradient
-    raises ValueError naming ``where`` (the batch) before ``params`` or
-    ``state`` change.
+    first shard runs on the calling thread, the others on a thread pool
+    (no thread for one shard) whose threads are all joined before the step
+    returns or any shard's exception reaches the caller. Losses and
+    gradients are summed in shard order, so one shard is the unsharded
+    step bit for bit. A non-finite loss or gradient raises ValueError
+    naming ``where`` (the batch) before ``params`` or ``state`` change.
     """
-    results: list = [None] * len(shards)
-
-    def run(k: int) -> None:
-        try:
-            results[k] = _shard_step(loss_of, shards[k], divisor)
-        except BaseException as exc:  # re-raised on the calling thread
-            results[k] = exc
-
-    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, len(shards))]
-    for worker in workers:
-        worker.start()
-    try:
-        results[0] = _shard_step(loss_of, shards[0], divisor)
-    finally:
-        for worker in workers:
-            worker.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
+    shards = split(batch, shard_count(len(batch) * per_item))
+    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+        later = [pool.submit(_shard_step, loss_of, shard, divisor) for shard in shards[1:]]
+        results = [_shard_step(loss_of, shards[0], divisor)] + [f.result() for f in later]
     value, grads, _ = results[0]
     for more, _, _ in results[1:]:
         value += more

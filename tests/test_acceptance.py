@@ -225,7 +225,7 @@ class TestPropertySuite:
                         epochs=50, n_layers=1, d=4, lam=4.0)
             mc = dm.ModelConfig(l=10, m_vars=8, d=4, n_layers=1, seed=seed)
             contrastive = dm.make_variant(mc, "full")
-            hx.train_fsgri(contrastive, train, hx.RunConfig(mode="fsgri", **base))
+            hx.train(contrastive, train, hx.RunConfig(mode="fsgri", **base))
             plain = dm.make_variant(mc, "full")
             hx.train_standard(plain, train, hx.RunConfig(mode="standard", **base))
             rho_c, rho_p = spearman_rho(contrastive, train), spearman_rho(plain, train)

@@ -131,14 +131,13 @@ def test_tracer_sees_every_tape_op(mode, monkeypatch):
                        n_layers=cfg.n_layers, seed=cfg.seed), cfg.variant)
     ops = set()
 
-    def record_step(state, arrays, shards, loss_of, divisor, where):
-        for shard in shards:
+    def record_step(state, arrays, batch, per_item, loss_of, divisor, where):
+        for shard in nx.split(batch, nx.shard_count(len(batch) * per_item)):
             ops.update(node.op for node in loss_of(shard)[0].graph.nodes)
         raise _Recorded
 
     monkeypatch.setattr(nx, "descend", record_step)
-    trainer = hx.train_fsgri if mode == "fsgri" else hx.train_standard
     with pytest.raises(_Recorded):
-        trainer(params, train, cfg)
+        hx.train(params, train, cfg)
     assert sorted(ops - {"param", "fsgri_batch_loss"} - set(tracing.OPS)) == []
     assert {"matmul", "gelu", "sigmoid", "layer_norm"} <= ops

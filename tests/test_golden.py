@@ -49,9 +49,9 @@ def first_batch(monkeypatch, params, train, cfg) -> dict:
     shards; nothing is updated."""
     seen = {}
 
-    def capture(state, arrays, shards, loss_of, divisor, where):
+    def capture(state, arrays, batch, per_item, loss_of, divisor, where):
         total, grads = 0.0, None
-        for shard in shards:
+        for shard in nx.split(batch, nx.shard_count(len(batch) * per_item)):
             loss, _ = loss_of(shard)
             total += loss.item()
             more = loss.graph.backward(nx.scale(loss, 1.0 / divisor))
@@ -61,9 +61,8 @@ def first_batch(monkeypatch, params, train, cfg) -> dict:
 
     with monkeypatch.context() as m:
         m.setattr(nx, "descend", capture)
-        trainer = hx.train_standard if cfg.mode == "standard" else hx.train_fsgri
         with pytest.raises(_FirstBatch):
-            trainer(params, train, cfg)
+            hx.train(params, train, cfg)
     return seen
 
 

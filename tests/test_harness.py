@@ -373,16 +373,27 @@ class _Stop(Exception):
 
 
 def spy_descend(monkeypatch, seen, stop=False):
-    """Record each step's state and shards in ``seen``, and the loss and
-    the gradients descend hands to Adam; with ``stop``, raise _Stop after
-    the first step, leaving the parameters as they were."""
+    """Record each step's state and shards in ``seen`` (the shards loss_of
+    receives, in batch order), and the loss and the gradients descend hands
+    to Adam; with ``stop``, raise _Stop after the first step, leaving the
+    parameters as they were."""
     descend = nx.descend
 
-    def spy(state, params, shards, loss_of, divisor, where):
+    def spy(state, params, batch, per_item, loss_of, divisor, where):
+        shards = []
+
+        def recorded(shard):
+            shards.append(shard)
+            return loss_of(shard)
+
         seen.update(state=state, shards=shards)
         if stop:
             monkeypatch.setattr(nx, "adam_step", lambda s, p, grads: seen.update(grads=grads))
-        result = descend(state, params, shards, loss_of, divisor, where)
+        position = {id(item): k for k, item in enumerate(batch)}
+        try:
+            result = descend(state, params, batch, per_item, recorded, divisor, where)
+        finally:
+            shards.sort(key=lambda shard: position[id(shard[0])])
         seen["loss"] = result[0]
         if stop:
             raise _Stop
@@ -444,8 +455,7 @@ class TestShardedTraining:
             params = dm.make_variant(
                 dm.ModelConfig(l=8, m_vars=3, d=32, n_layers=1, seed=4), "full")
             cfg = hx.RunConfig(mode=mode, epochs=2, seed=4, **self.TWO_SHARDS[mode])
-            train = hx.train_standard if mode == "standard" else hx.train_fsgri
-            train(params, random_windows(160, l=8), cfg)
+            hx.train(params, random_windows(160, l=8), cfg)
         assert len(seen["shards"]) == 2
         return {k: v.tobytes() for k, v in params.arrays.items()}
 
@@ -498,10 +508,10 @@ class TestAtomicWrites:
             assert target.read_text() == old
 
     def test_report_with_nan_is_refused(self, tmp_path):
-        report = hx.RunReport(config={}, config_hash="0", seed=1, git_describe="x",
-                              epoch_losses=[float("nan")], epoch_detail=[], rmse=0.5,
-                              mape=None, wall_clock_sec=0.0, param_count=1)
         with pytest.raises(ValueError):
+            report = hx.RunReport(config={}, config_hash="0", seed=1, git_describe="x",
+                                  epoch_losses=[float("nan")], epoch_detail=[], rmse=0.5,
+                                  mape=None, wall_clock_sec=0.0, param_count=1)
             report.save(str(tmp_path / "report.json"))
         assert os.listdir(tmp_path) == []
 
@@ -541,6 +551,12 @@ class TestReportLoad:
         ({"report_version": 2}, "format version 2, expected 1; rerun with --force"),
         ({"rmse": float("nan")}, "rmse must be finite"),
         ({"wall_clock_sec": 10**400}, "wall_clock_sec must be finite"),
+        ({"epoch_losses": [0.5, float("nan")]},
+         "field 'epoch_losses' holds list, expected list[float] with every float finite"),
+        ({"epoch_detail": [{"epoch": 0, "loss": float("inf")}]},
+         "field 'epoch_detail' holds list, expected list[dict[str, float]] with every "
+         "float finite"),
+        ({"epoch_detail": [{"epoch": 0}, "junk"]}, "field 'epoch_detail' holds list"),
     ])
     def test_malformed_field_names_file_and_cause(self, tmp_path, over, cause):
         _, path = self.saved(tmp_path, **over)
@@ -558,6 +574,19 @@ class TestReportLoad:
     def test_integral_float_and_optional_values_accepted(self, tmp_path):
         _, path = self.saved(tmp_path, rmse=1, mape=2.5, anchor_batch_size=None)
         assert hx.RunReport.load(path).rmse == 1
+
+    def test_ints_inside_records_stay_ints(self, tmp_path):
+        """Only a top-level float field stores an int as a float, so a
+        report's bytes survive a load and save."""
+        _, path = self.saved(tmp_path, epoch_losses=[1],
+                             epoch_detail=[{"epoch": 0, "loss": 1, "batches": 3}])
+        report = hx.RunReport.load(path)
+        assert report.epoch_losses == [1] and isinstance(report.epoch_losses[0], int)
+        assert all(isinstance(v, int) for v in report.epoch_detail[0].values())
+        report.save(path)
+        before = (tmp_path / "report.json").read_bytes()
+        hx.RunReport.load(path).save(path)
+        assert (tmp_path / "report.json").read_bytes() == before
 
 
 class TestWriteCsv:
@@ -632,7 +661,7 @@ class TestTrainFsgri:
         cfg = tiny_cfg(tmp_path, mode="fsgri", b=12, epochs=2)
         train, _ = hx.load_dataset(cfg)
         params = dm.make_variant(dm.ModelConfig(l=8, m_vars=14, d=4, n_layers=1), "full")
-        history = hx.train_fsgri(params, train, cfg)
+        history = hx.train(params, train, cfg)
         assert len(history) == 2
         for row in history:
             assert row["anchor_batch_size"] == 4
@@ -685,6 +714,30 @@ class TestRunOne:
         assert a.epoch_losses == b.epoch_losses
         assert a.rmse == b.rmse
         assert a.mape == b.mape
+
+    # each mode's metrics.csv header and ordered epoch_detail keys
+    MODE_OUTPUTS = {
+        "standard": ("epoch,loss", ["epoch", "loss"]),
+        "fsgri": ("epoch,loss,contrastive,regression",
+                  ["epoch", "loss", "contrastive", "regression", "batches",
+                   "anchor_batch_size", "encodings"]),
+    }
+
+    @pytest.mark.parametrize("mode", hx.MODES)
+    def test_each_mode_writes_its_own_columns(self, monkeypatch, tmp_path, mode):
+        shrink_synth(monkeypatch)
+        cfg = tiny_cfg(tmp_path, mode=mode, b=12, epochs=2)
+        report = hx.run_one(cfg)
+        header, keys = self.MODE_OUTPUTS[mode]
+        with open(os.path.join(cfg.out_dir, cfg.run_name(), "metrics.csv")) as f:
+            lines = f.read().splitlines()
+        assert lines[0] == header
+        assert [line.split(",")[:2] for line in lines[1:]] == \
+            [[str(h["epoch"]), "%.17g" % h["loss"]] for h in report.epoch_detail]
+        assert [list(h) for h in report.epoch_detail] == [keys, keys]
+        assert [h["epoch"] for h in report.epoch_detail] == [0, 1]
+        assert report.anchor_batch_size == \
+            (None if mode == "standard" else cfg.b // (cfg.m + 1))
 
     def test_fsgri_mode_reports_anchor_batch(self, monkeypatch, tmp_path):
         shrink_synth(monkeypatch)
@@ -907,6 +960,21 @@ class TestCli:
         assert self.run_train(tmp_path) == 2
         out = capsys.readouterr()
         assert report_path in out.err and "rmse must be finite" in out.err
+        assert "rmse:" not in out.out
+
+    def test_resuming_a_report_with_a_nan_epoch_loss_exits_2_naming_it(
+            self, monkeypatch, tmp_path, capsys):
+        shrink_synth(monkeypatch)
+        assert self.run_train(tmp_path) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        with open(report_path) as f:
+            raw = json.load(f)
+        with open(report_path, "w") as f:
+            json.dump({**raw, "epoch_losses": [float("nan")] * len(raw["epoch_losses"])}, f)
+        capsys.readouterr()
+        assert self.run_train(tmp_path) == 2
+        out = capsys.readouterr()
+        assert report_path in out.err and "field 'epoch_losses'" in out.err
         assert "rmse:" not in out.out
 
     @pytest.mark.parametrize("extra", [[], ["--holdout"]])

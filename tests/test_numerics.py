@@ -471,9 +471,9 @@ class TestDescend:
     def test_returns_undivided_loss_and_takes_one_adam_step(self):
         params = {"w": np.array([[1.0, -2.0]])}
         state = nx.AdamState(lr=0.1)
-        got = nx.descend(state, params, ["only"],
+        got = nx.descend(state, params, ["only"], 1,
                          lambda shard: (self.quadratic(params["w"]), shard), 2, "here")
-        assert got == (29.0, ["only"])
+        assert got == (29.0, [["only"]])
         assert state.step_count == 1
         # Adam's first step is lr * g / (|g| + eps): lr against the gradient's sign
         np.testing.assert_allclose(params["w"], [[1.1, -1.9]], rtol=0, atol=1e-8)
@@ -482,7 +482,7 @@ class TestDescend:
         params = {"w": np.array([[np.inf, -2.0]])}
         state = nx.AdamState(lr=0.1)
         with pytest.raises(ValueError, match="non-finite loss inf in batch 3"):
-            nx.descend(state, params, [None],
+            nx.descend(state, params, [None], 1,
                        lambda _: (self.quadratic(params["w"]), None), 2, "batch 3")
         np.testing.assert_array_equal(params["w"], [[np.inf, -2.0]])
         assert state.step_count == 0 and not state.m
@@ -495,31 +495,38 @@ class TestDescend:
         loss = nx.sum_all(nx.scale(nx.scale(g.parameter("w", params["w"]), 1e200), 1e200))
         state = nx.AdamState(lr=0.1)
         with pytest.raises(ValueError, match="non-finite gradient for 'w' in batch 3"):
-            nx.descend(state, params, [None], lambda _: (loss, None), 1, "batch 3")
+            nx.descend(state, params, [None], 1, lambda _: (loss, None), 1, "batch 3")
         np.testing.assert_array_equal(params["w"], [[1e-300]])
         assert state.step_count == 0 and not state.m
 
 
 class TestShardedDescend:
     """A batch's loss as a sum over shards of rows, each on its own graph
-    and, past the first, its own thread."""
+    and, past the first, on descend's thread pool."""
 
     @staticmethod
-    def rows_loss(params):
-        """sum over a shard's rows r of (x_r w)^2, w a 3 x 1 weight."""
+    def rows_loss(params, meet=None):
+        """sum over a shard's rows r of (x_r w)^2, w a 3 x 1 weight. With
+        ``meet``, a threading.Barrier, each shard waits there for the
+        others, so all of them must be running at once."""
         def loss_of(rows):
             g = nx.Graph()
             pred = nx.matmul(nx.Tensor(rows), g.parameter("w", params["w"]))
+            if meet is not None:
+                meet.wait(timeout=30)
             return nx.sum_all(nx.hadamard(pred, pred)), threading.current_thread()
         return loss_of
 
     def step(self, monkeypatch, x, parts, loss_of=None):
-        """Loss, by-products and the gradients descend hands to Adam."""
+        """Loss, by-products and the gradients descend hands to Adam, with
+        the batch forced into ``parts`` shards that meet before their sums."""
         params = {"w": np.array([[0.5], [-1.0], [2.0]])}
         seen = {}
         monkeypatch.setattr(nx, "adam_step", lambda state, p, grads: seen.update(grads))
-        value, aux = nx.descend(nx.AdamState(), params, nx.split(x, parts),
-                                loss_of or self.rows_loss(params), len(x), "batch 0")
+        monkeypatch.setattr(nx, "shard_count", lambda activation: parts)
+        value, aux = nx.descend(nx.AdamState(), params, x, 1,
+                                loss_of or self.rows_loss(params, threading.Barrier(parts)),
+                                len(x), "batch 0")
         return value, aux, seen
 
     def test_two_shards_match_one(self, monkeypatch):
@@ -557,9 +564,10 @@ class TestShardedDescend:
     def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch, bad):
         x = np.arange(12.0).reshape(4, 3)
         shards = nx.split(x, 3)
+        monkeypatch.setattr(nx, "shard_count", lambda activation: 3)
 
         def loss_of(rows):
-            if rows is shards[bad]:
+            if np.array_equal(rows, shards[bad]):
                 raise KeyError(f"shard {bad}")
             return self.rows_loss(params)(rows)
 
@@ -567,18 +575,19 @@ class TestShardedDescend:
         state = nx.AdamState()
         running = threading.active_count()
         with pytest.raises(KeyError, match=f"shard {bad}"):
-            nx.descend(state, params, shards, loss_of, 4, "batch 0")
+            nx.descend(state, params, x, 1, loss_of, 4, "batch 0")
         assert threading.active_count() == running
         np.testing.assert_array_equal(params["w"], np.ones((3, 1)))
         assert state.step_count == 0 and not state.m
 
-    def test_non_finite_loss_of_a_later_shard_raises_before_the_update(self):
+    def test_non_finite_loss_of_a_later_shard_raises_before_the_update(self, monkeypatch):
         x = np.ones((6, 3))
         x[4, 1] = np.nan
         params = {"w": np.ones((3, 1))}
         state = nx.AdamState()
+        monkeypatch.setattr(nx, "shard_count", lambda activation: 2)
         with pytest.raises(ValueError, match="non-finite loss nan in batch 0"):
-            nx.descend(state, params, nx.split(x, 2), self.rows_loss(params), 6, "batch 0")
+            nx.descend(state, params, x, 1, self.rows_loss(params), 6, "batch 0")
         np.testing.assert_array_equal(params["w"], np.ones((3, 1)))
         assert state.step_count == 0 and not state.m
 
@@ -610,9 +619,18 @@ class TestShardRule:
             assert parts == 1 or activation / parts >= nx.MIN_SHARD_ACTIVATION
 
     def test_batch_shards_split_by_the_rule(self):
+        """The shards loss_of receives from descend: 128 windows at w30 d32
+        make two shards of 64, 12 windows at w8 d4 one shard."""
+        params = {"w": np.zeros((1, 1))}
+
+        def shards_of(batch, per_item):
+            def loss_of(shard):
+                return nx.sum_all(nx.Graph().parameter("w", params["w"])), shard
+            return nx.descend(nx.AdamState(), params, batch, per_item, loss_of, 1, "batch 0")[1]
+
         windows = list(range(128))
-        assert nx.batch_shards(windows, 30 * 32) == [windows[:64], windows[64:]]
-        assert nx.batch_shards(windows[:12], 8 * 4) == [windows[:12]]
+        assert shards_of(windows, 30 * 32) == [windows[:64], windows[64:]]
+        assert shards_of(windows[:12], 8 * 4) == [windows[:12]]
 
     @pytest.mark.parametrize("n,parts", [(7, 1), (7, 2), (7, 3), (3, 5), (128, 2)])
     def test_split_keeps_order_and_balance(self, n, parts):
