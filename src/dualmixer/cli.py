@@ -76,10 +76,13 @@ def _int_list(text: str) -> list[int]:
 def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
     values = {}
     if args.config:
-        with open(args.config) as f:
-            loaded = json.load(f)
+        try:
+            with open(args.config) as f:
+                loaded = json.load(f)
+        except ValueError as exc:  # also undecodable bytes
+            raise ValueError(f"{args.config}: config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"{args.config}: config file must hold a JSON object")
         values.update(loaded)
     for field in dataclasses.fields(hx.RunConfig):
         got = getattr(args, field.name, None)

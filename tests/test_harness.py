@@ -678,6 +678,13 @@ class TestRunOne:
         monkeypatch.setattr(hx.subprocess, "run", hang)
         assert hx.git_describe() == "unknown"
 
+    def test_git_describe_ignores_working_directory(self, monkeypatch, tmp_path):
+        """The report names the source checkout, not the directory run from."""
+        monkeypatch.chdir(os.path.dirname(os.path.abspath(hx.__file__)))
+        from_package = hx.git_describe()
+        monkeypatch.chdir(tmp_path)
+        assert hx.git_describe() == from_package
+
     def test_artifacts_and_report(self, monkeypatch, tmp_path):
         """One run leaves a report, resolved config, metrics, checkpoint."""
         shrink_synth(monkeypatch)
@@ -923,6 +930,20 @@ class TestCli:
         cfg_path.write_text(json.dumps({"d": "32", "out_dir": str(tmp_path / "runs")}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert "field 'd' holds str" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("content, cause", [
+        (b'{"d": ', "not valid JSON"), (b"[1, 2]", "must hold a JSON object"),
+        (b"\xff\xfe{}", "not valid JSON"),
+    ])
+    def test_bad_config_file_exits_2_naming_it_without_a_run_dir(self, tmp_path, capsys,
+                                                                 content, cause):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: " in err and cause in err
         assert not (tmp_path / "runs").exists()
 
     def test_config_file_and_flags_name_one_run(self, monkeypatch, tmp_path):

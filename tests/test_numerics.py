@@ -131,6 +131,14 @@ class TestNonlinearities:
         assert out[1] == 1.0
         assert out[2] == 0.5
 
+    def test_sigmoid_within_machine_epsilon_of_expit(self):
+        """The bound the sigmoid's comment states, through both saturations."""
+        from scipy.special import expit
+        x = np.concatenate([np.linspace(-750.0, 750.0, 30001),
+                            [-709.8, 709.8, -37.5, 37.5, -1e4, 1e4]])
+        out = nx.sigmoid(nx.Tensor(x[None, :])).data[0]
+        assert np.abs(out - expit(x)).max() <= np.finfo(float).eps
+
     def test_layer_norm_constant_row_maps_to_bias(self):
         gain = nx.Tensor(np.full((1, 4), 2.0))
         bias = nx.Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
