@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -26,6 +25,7 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from . import data as dd  # noqa: E402
 from . import harness as hx  # noqa: E402
 from . import model as dm  # noqa: E402
 from . import synthdata as sx  # noqa: E402
@@ -76,14 +76,7 @@ def _int_list(text: str) -> list[int]:
 def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
     values = {}
     if args.config:
-        try:
-            with open(args.config) as f:
-                loaded = json.load(f)
-        except ValueError as exc:  # also undecodable bytes
-            raise ValueError(f"{args.config}: config file is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{args.config}: config file must hold a JSON object")
-        values.update(loaded)
+        values.update(dd.read_json_object(args.config, "config file"))
     for field in dataclasses.fields(hx.RunConfig):
         got = getattr(args, field.name, None)
         if got is not None:

@@ -3,13 +3,16 @@
 Handles the standard 26-column whitespace text format (unit id, cycle index,
 3 operating settings, 21 sensor channels), sensor selection, train-split
 min-max normalization, sliding windows, capped-linear life labels, and
-final-window test-set construction. Everything is deterministic and pure;
-functions either return new values or raise.
+final-window test-set construction. The cycle and setting columns are checked
+on reading and then dropped: a unit keeps its sensor rows in cycle order.
+Everything is deterministic and pure; functions either return new values or
+raise.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import math
 import os
@@ -41,17 +44,15 @@ class DegenerateVariableError(ValueError):
 
 @dataclass
 class RawSeries:
-    """One unit's full run: cycle indices (1..L, contiguous), operating
-    settings (L x 3), and sensor channels (L x n_sensors)."""
+    """One unit's full run: sensor channels (L x n_sensors), where row k is
+    cycle k + 1."""
 
     unit_id: int
-    cycles: np.ndarray
-    settings: np.ndarray
     sensors: np.ndarray
 
     @property
     def length(self) -> int:
-        return int(self.cycles.shape[0])
+        return int(self.sensors.shape[0])
 
 
 @dataclass
@@ -59,15 +60,13 @@ class WindowSample:
     """One training or evaluation window.
 
     anchor_index is the window's position in its unit's ordered window
-    sequence (the index the negative sampler works over); true_rul_cycles
-    is the unnormalized remaining life at the window's last cycle.
+    sequence (the index the negative sampler works over).
     """
 
     values: np.ndarray  # w x m_vars, normalized
     label: float        # in [0, 1]
     unit_id: int
     anchor_index: int
-    true_rul_cycles: int
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,8 @@ def parse_cmapss(path: str) -> list[RawSeries]:
 
     Units are returned in first-appearance order with rows sorted by cycle;
     cycle indices must then run 1..L without gaps. Every field must be a
-    finite number, and the unit id and cycle whole numbers.
+    finite number, and the unit id and cycle whole numbers. Only the sensor
+    columns are kept.
     """
     rows_by_unit: dict[int, list[list[float]]] = {}
     with open(path, "r") as f:
@@ -111,8 +111,7 @@ def parse_cmapss(path: str) -> list[RawSeries]:
         arr = np.array(rows)
         if not np.array_equal(arr[:, 1], np.arange(1, len(rows) + 1)):
             raise ParseError(f"{path}: unit {unit_id} cycle indices are not contiguous from 1")
-        series.append(RawSeries(unit_id=unit_id, cycles=arr[:, 1].astype(int),
-                                settings=arr[:, 2:5], sensors=arr[:, 5:26]))
+        series.append(RawSeries(unit_id=unit_id, sensors=arr[:, 5:26]))
     return series
 
 
@@ -149,6 +148,20 @@ def atomic_path(path: str) -> Iterator[str]:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object held by the file at ``path``; a file that is not
+    valid JSON, or holds another JSON value, raises ValueError naming
+    ``path`` and ``what`` the file is."""
+    try:
+        with open(path) as f:
+            value = json.load(f)
+    except ValueError as exc:  # also undecodable bytes
+        raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {what} must hold a JSON object")
+    return value
 
 
 def _fits(value, hint, item: bool = False) -> bool:
@@ -198,17 +211,17 @@ def check_fields(obj) -> None:
 
 
 def write_cmapss(path: str, series_list: Sequence[RawSeries]) -> None:
-    """Write series in the 26-column text format, with enough float digits
-    that reparsing reproduces the arrays exactly. Atomic: a unit that cannot
-    be written raises ValueError and leaves ``path`` as it was."""
+    """Write series in the 26-column text format: row i as cycle i + 1, zero
+    operating settings, and the sensors with enough float digits that
+    reparsing reproduces them exactly. Atomic: a unit that cannot be written
+    raises ValueError and leaves ``path`` as it was."""
     with atomic_path(path) as tmp, open(tmp, "w") as f:
         for s in series_list:
             if s.sensors.shape[1] != 21:
                 raise ValueError(f"unit {s.unit_id}: need 21 sensor columns to "
                                  f"serialize, got {s.sensors.shape[1]}")
             for i in range(s.length):
-                fields = [str(s.unit_id), str(int(s.cycles[i]))]
-                fields += ["%.17g" % v for v in s.settings[i]]
+                fields = [str(s.unit_id), str(i + 1), "0", "0", "0"]
                 fields += ["%.17g" % v for v in s.sensors[i]]
                 f.write(" ".join(fields) + "\n")
 
@@ -284,13 +297,10 @@ def build_training_windows(series_list: Sequence[RawSeries], stats: NormStats,
                            s.unit_id, s.length, w)
             continue
         values = apply_minmax(s.sensors, stats)
-        last_cycle = int(s.cycles[-1])
         for j, window in enumerate(sliding_window(values, w, sl)):
-            end_cycle = int(s.cycles[j * sl + w - 1])
-            r = last_cycle - end_cycle
-            samples.append(WindowSample(values=window, label=piecewise_label(r),
-                                        unit_id=s.unit_id, anchor_index=j,
-                                        true_rul_cycles=r))
+            samples.append(WindowSample(values=window,
+                                        label=piecewise_label(s.length - j * sl - w),
+                                        unit_id=s.unit_id, anchor_index=j))
     return samples
 
 
@@ -313,8 +323,7 @@ def build_test_set(series_list: Sequence[RawSeries], ruls: Sequence[int],
             window = np.vstack([pad, values])
             anchor = 0
         samples.append(WindowSample(values=window, label=piecewise_label(int(r)),
-                                    unit_id=s.unit_id, anchor_index=int(anchor),
-                                    true_rul_cycles=int(r)))
+                                    unit_id=s.unit_id, anchor_index=int(anchor)))
     return samples
 
 

@@ -173,13 +173,7 @@ class RunReport:
         """Read a saved report. A file that is not JSON, that was written in
         another format version, whose fields are missing or unknown, or that
         the constructor refuses raises ValueError naming the file and cause."""
-        try:
-            with open(path) as f:
-                raw = json.load(f)
-        except ValueError as exc:  # also undecodable bytes
-            raise ValueError(f"{path}: report is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: report is not a JSON object")
+        raw = dd.read_json_object(path, "report")
         version = raw.get("report_version", "missing")
         if version != REPORT_VERSION:
             raise ValueError(f"{path}: report format version {version}, expected "
@@ -401,13 +395,18 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
     """Train, evaluate, and persist one run under its hash-named directory.
 
     With resume=True an existing report for this exact configuration is
-    returned untouched, which is what lets sweeps skip finished cells.
+    returned untouched, which is what lets sweeps skip finished cells; a
+    report there of another configuration raises ValueError.
     """
     run_dir = os.path.join(cfg.out_dir, cfg.run_name())
     report_path = os.path.join(run_dir, "report.json")
     if resume and os.path.isfile(report_path):
+        report = RunReport.load(report_path)
+        if report.config != cfg.to_dict():
+            raise ValueError(f"{report_path}: report is of config {report.config_hash}, "
+                             f"not {cfg.config_hash()}; rerun with --force to retrain")
         logger.info("reusing finished run %s", run_dir)
-        return RunReport.load(report_path)
+        return report
     started = time.perf_counter()
     windows, test = load_dataset(cfg)
     params = dm.make_variant(dm.ModelConfig(l=cfg.w, m_vars=windows[0].values.shape[1],

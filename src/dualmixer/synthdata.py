@@ -64,9 +64,7 @@ def generate(spec: SynthSpec) -> list[RawSeries]:
         t = np.arange(1, length + 1)
         trend = offsets[None, :] + slopes[None, :] * (t[:, None] / length) ** spec.gamma
         noise = rng.normal(0.0, spec.noise_std, size=(length, spec.n_vars))
-        units.append(RawSeries(unit_id=unit_id, cycles=t,
-                               settings=np.zeros((length, 3)),
-                               sensors=trend + noise))
+        units.append(RawSeries(unit_id=unit_id, sensors=trend + noise))
     return units
 
 
@@ -88,9 +86,7 @@ def make_test_split(units: list[RawSeries],
     for u in units:
         first = max(1, int(np.ceil(u.length * TEST_CUT_MIN_FRAC)))
         cut = int(rng.integers(first, u.length))  # strictly before failure
-        truncated.append(replace(u, cycles=u.cycles[:cut],
-                                 settings=u.settings[:cut],
-                                 sensors=u.sensors[:cut]))
+        truncated.append(replace(u, sensors=u.sensors[:cut]))
         ruls.append(oracle_rul(u, cut))
     return truncated, ruls
 

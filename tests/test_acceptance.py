@@ -33,8 +33,7 @@ RUNS_DIR = os.environ.get(
 def make_unit(count, w=4, m_vars=3, seed=0, unit_id=1):
     rng = np.random.default_rng(seed)
     return [dd.WindowSample(values=rng.uniform(0, 1, (w, m_vars)),
-                            label=float(lab), unit_id=unit_id, anchor_index=j,
-                            true_rul_cycles=count - 1 - j)
+                            label=float(lab), unit_id=unit_id, anchor_index=j)
             for j, lab in enumerate(np.linspace(1.0, 0.0, count))]
 
 
@@ -251,7 +250,7 @@ class TestPropertySuite:
         windows = dd.build_training_windows([unit], stats, 20, 1)
         labels = [s.label for s in windows]
         assert all(b <= a for a, b in zip(labels, labels[1:]))
-        declining = [s.label for s in windows if s.true_rul_cycles < dd.RUL_KNEE]
+        declining = [s.label for s in windows if s.label < 1.0]
         assert all(b < a for a, b in zip(declining, declining[1:]))
 
         raw = rng.uniform(-5, 5, (40, 6))

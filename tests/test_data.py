@@ -10,10 +10,7 @@ from dualmixer import data as dd
 
 def make_series(unit_id=1, length=40, n_sensors=21, seed=0):
     rng = np.random.default_rng(seed)
-    return dd.RawSeries(unit_id=unit_id,
-                        cycles=np.arange(1, length + 1),
-                        settings=rng.normal(size=(length, 3)),
-                        sensors=rng.normal(size=(length, n_sensors)))
+    return dd.RawSeries(unit_id=unit_id, sensors=rng.normal(size=(length, n_sensors)))
 
 
 class TestParsing:
@@ -28,10 +25,10 @@ class TestParsing:
         path.write_text("\n".join(rows) + "\n")
         series = dd.parse_cmapss(str(path))
         assert [s.unit_id for s in series] == [1, 2]
-        for s in series:
-            np.testing.assert_array_equal(s.cycles, [1, 2, 3])
-            assert s.settings.shape == (3, 3)
+        for unit, s in zip((1, 2), series):
             assert s.sensors.shape == (3, 21)
+            np.testing.assert_array_equal(s.sensors[:, 0],
+                                          [float(f"{unit}.{c}") for c in (1, 2, 3)])
 
     def test_wrong_column_count_names_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -66,8 +63,7 @@ class TestParsing:
         back = dd.parse_cmapss(str(path))
         for orig, re in zip(series, back):
             assert re.unit_id == orig.unit_id
-            np.testing.assert_array_equal(re.cycles, orig.cycles)
-            np.testing.assert_array_equal(re.settings, orig.settings)
+            assert re.length == orig.length
             np.testing.assert_array_equal(re.sensors, orig.sensors)
 
     def test_failed_write_leaves_no_file_and_an_old_file_as_it_was(self, tmp_path):
@@ -101,6 +97,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("column,value", [
         (0, "inf"), (0, "nan"), (0, "1.5"), (1, "inf"), (1, "2.5"), (7, "nan"), (25, "-inf"),
+        (2, "nan"), (4, "1e999"),
     ])
     def test_non_finite_or_fractional_field_names_the_line(self, tmp_path, column, value):
         """A unit id or cycle must be a whole number and every field finite."""
@@ -252,7 +249,6 @@ class TestTrainingWindows:
         samples = self.build()
         assert len(samples) == 11
         assert [s.anchor_index for s in samples] == list(range(11))
-        assert [s.true_rul_cycles for s in samples] == list(range(10, -1, -1))
         assert samples[-1].label == 0.0
         np.testing.assert_allclose([s.label for s in samples],
                                    [r / 125 for r in range(10, -1, -1)])
@@ -281,7 +277,6 @@ class TestTestSet:
         assert len(samples) == 1
         s = samples[0]
         assert s.label == 20 / 125
-        assert s.true_rul_cycles == 20
         np.testing.assert_array_equal(
             s.values, dd.apply_minmax(series[0].sensors, stats)[-30:])
 
@@ -305,8 +300,7 @@ class TestTestSet:
 class TestGrouping:
 
     def test_groups_sorted_by_window_index(self):
-        samples = [dd.WindowSample(np.zeros((2, 2)), 0.5, unit_id=u, anchor_index=i,
-                                   true_rul_cycles=10)
+        samples = [dd.WindowSample(np.zeros((2, 2)), 0.5, unit_id=u, anchor_index=i)
                    for u, i in [(2, 1), (1, 0), (2, 0), (1, 1)]]
         groups = dd.group_by_unit(samples)
         assert sorted(groups) == [1, 2]

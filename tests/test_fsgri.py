@@ -26,8 +26,7 @@ def fake_windows(unit_id, count, w=4, m_vars=3, seed=0):
     rng = np.random.default_rng((seed, unit_id))
     labels = np.linspace(1.0, 0.0, count)
     return [WindowSample(values=rng.normal(size=(w, m_vars)), label=float(labels[i]),
-                         unit_id=unit_id, anchor_index=i,
-                         true_rul_cycles=int(round(labels[i] * 125)))
+                         unit_id=unit_id, anchor_index=i)
             for i in range(count)]
 
 
@@ -140,7 +139,7 @@ class TestPositives:
     def test_noise_moments_match(self):
         """1e5 noise entries: mean near 0, std within 2% of sigma2."""
         windows = [WindowSample(values=np.zeros((200, 500)), label=1.0 - j / 2, unit_id=1,
-                                anchor_index=j, true_rul_cycles=2 - j) for j in range(3)]
+                                anchor_index=j) for j in range(3)]
         positive, anchor = positive_of(windows, 1, 0.15, 6)
         diff = positive - anchor
         assert abs(diff.mean()) < 3 * 0.15 / math.sqrt(diff.size)

@@ -6,6 +6,7 @@ import gc
 import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -39,7 +40,7 @@ def random_windows(n, l=6, m_vars=3, seed=0):
     rng = np.random.default_rng(seed)
     return [dd.WindowSample(values=rng.uniform(0, 1, (l, m_vars)),
                             label=float(rng.uniform(0, 1)), unit_id=1 + i % 3,
-                            anchor_index=i, true_rul_cycles=i)
+                            anchor_index=i)
             for i in range(n)]
 
 
@@ -997,6 +998,24 @@ class TestCli:
         out = capsys.readouterr()
         assert report_path in out.err and "field 'epoch_losses'" in out.err
         assert "rmse:" not in out.out
+
+    def test_resuming_another_configs_report_exits_2_and_force_retrains(
+            self, monkeypatch, tmp_path, capsys):
+        """A seed-1 report copied into the seed-2 run directory is refused,
+        not reused, and --force trains seed 2 over it."""
+        shrink_synth(monkeypatch)
+        assert self.run_train(tmp_path, "--seed", "1") == 0
+        other, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        assert self.run_train(tmp_path) == 0
+        report_path, = set(glob.glob(str(tmp_path / "runs" / "*" / "report.json"))) - {other}
+        shutil.copyfile(other, report_path)
+        capsys.readouterr()
+        assert self.run_train(tmp_path) == 2
+        out = capsys.readouterr()
+        assert report_path in out.err and "--force" in out.err
+        assert "rmse:" not in out.out
+        assert self.run_train(tmp_path, "--force") == 0
+        assert hx.RunReport.load(report_path).seed == 2
 
     @pytest.mark.parametrize("extra", [[], ["--holdout"]])
     def test_negative_seed_exits_2_before_loading_data(self, monkeypatch, tmp_path,

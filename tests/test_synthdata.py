@@ -29,13 +29,12 @@ class TestGenerate:
         b = sx.generate(spec)
         for ua, ub in zip(a, b):
             np.testing.assert_array_equal(ua.sensors, ub.sensors)
-            np.testing.assert_array_equal(ua.cycles, ub.cycles)
 
     def test_lengths_within_range_and_cycles_contiguous(self):
         spec = sx.SynthSpec(n_units=10, cycles=(30, 45), n_vars=3, seed=1)
-        for u in sx.generate(spec):
+        for u in sx.generate(spec):  # row k is cycle k + 1
             assert 30 <= u.length <= 45
-            np.testing.assert_array_equal(u.cycles, np.arange(1, u.length + 1))
+            assert u.sensors.shape == (u.length, 3)
 
     def test_zero_noise_makes_every_channel_monotone(self):
         spec = sx.SynthSpec(n_units=3, cycles=(50, 50), n_vars=4,
@@ -112,7 +111,6 @@ class TestTestSplit:
         assert len(train) == 3 and ruls == want_ruls
         for got, want in zip(train + test, sx.generate(spec) + want_cut):
             np.testing.assert_array_equal(got.sensors, want.sensors)
-            np.testing.assert_array_equal(got.cycles, want.cycles)
 
     def test_emitted_files_survive_the_text_parser(self, tmp_path):
         spec = sx.SynthSpec(n_units=3, cycles=(30, 40), n_vars=21, seed=9)
