@@ -88,8 +88,13 @@ def _load_checkpoint_and_data(args) -> tuple:
     cfg = resolve_config(args)
     params = dm.load_checkpoint(args.checkpoint)
     if params.config.l != cfg.w:
-        raise ValueError(f"checkpoint window {params.config.l} != configured {cfg.w}")
+        raise ValueError(f"{args.checkpoint}: checkpoint window {params.config.l} "
+                         f"!= configured {cfg.w}")
     train, test = hx.load_dataset(cfg)
+    width = train[0].values.shape[1]
+    if params.config.m_vars != width:
+        raise ValueError(f"{args.checkpoint}: checkpoint takes {params.config.m_vars} "
+                         f"input variables, the data has {width}")
     return cfg, params, train, test
 
 

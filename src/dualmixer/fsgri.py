@@ -248,14 +248,13 @@ def batch_loss(feats: Tensor, ruls: Tensor, labels: np.ndarray,
 @dataclass
 class EpochStats:
     """Per-epoch accounting; mean_* are per anchor, encodings counts every
-    window forwarded through the model."""
+    window forwarded through the model (m + 2 per anchor)."""
 
     mean_loss: float
     mean_contrastive: float
     mean_regression: float
     batches: int
     anchor_batch_size: int
-    anchors: int
     encodings: int
     skipped_anchors: int
 
@@ -340,5 +339,5 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
                       mean_contrastive=total_con / anchors,
                       mean_regression=total_reg / anchors,
                       batches=batches, anchor_batch_size=batch_size,
-                      anchors=anchors, encodings=anchors * (cfg.m + 2),
+                      encodings=anchors * (cfg.m + 2),
                       skipped_anchors=skipped)

@@ -283,22 +283,22 @@ def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]
 
 def _forward_many(params: dm.DualMixerParams,
                   samples: Sequence[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (unclamped) predictions and the feature rows of any number of
+    """Predictions clamped to [0, 1] and the feature rows of any number of
     windows, forwarded in chunks of PREDICT_CHUNK: a length-n vector and an
-    n x (l*d) matrix, one row per window."""
+    n x (l*d) matrix, one row per window. The single path behind both the
+    metrics and the feature export."""
     preds, feats = [np.zeros(0)], [np.zeros((0, params.config.l * params.config.d))]
     for start in range(0, len(samples), PREDICT_CHUNK):
         f, r = dm.forward_batch(params, [s.values for s in samples[start:start + PREDICT_CHUNK]])
         preds.append(r.data[:, 0])
         feats.append(f.data)
-    return np.concatenate(preds), np.concatenate(feats)
+    return np.clip(np.concatenate(preds), 0.0, 1.0), np.concatenate(feats)
 
 
 def predict_samples(params: dm.DualMixerParams,
                     samples: Sequence[WindowSample]) -> np.ndarray:
-    """Evaluation-ready predictions, clamped to [0, 1]. The single path
-    behind both the metrics and the feature export."""
-    return np.clip(_forward_many(params, samples)[0], 0.0, 1.0)
+    """Evaluation-ready predictions, clamped to [0, 1]."""
+    return _forward_many(params, samples)[0]
 
 
 def compute_metrics(labels: np.ndarray,
@@ -372,17 +372,26 @@ MODES = tuple(_MODE_PARTS)
 def train(params: dm.DualMixerParams, samples: Sequence[WindowSample],
           cfg: RunConfig) -> list[dict]:
     """cfg.epochs epochs of cfg.mode's epoch function on one Adam state;
-    one record per epoch, its epoch number first. Each sampler or
-    short-unit warning is logged once per call, and a non-finite batch loss
-    or gradient raises ValueError naming the batch before any update."""
+    one record per epoch, its epoch number first, each logged at INFO with
+    its wall seconds as it finishes. Each sampler or short-unit warning is
+    logged once per call, and a non-finite batch loss or gradient raises
+    ValueError naming the batch before any update."""
     if not samples:
         raise ValueError("empty training set")
     run_epoch = _MODE_PARTS[cfg.mode][0]
     opt = nx.AdamState(lr=cfg.lr)
     warned: set = set()
-    return [{"epoch": epoch, **run_epoch(params, samples, cfg, opt, epoch,
-                                         _epoch_seed(cfg.seed, epoch), warned)}
-            for epoch in range(cfg.epochs)]
+    history = []
+    for epoch in range(cfg.epochs):
+        started = time.perf_counter()
+        record = run_epoch(params, samples, cfg, opt, epoch, _epoch_seed(cfg.seed, epoch),
+                           warned)
+        logger.info("%s epoch %d/%d: %s (%.1f s)", cfg.mode, epoch + 1, cfg.epochs,
+                    " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                             for k, v in record.items()),
+                    time.perf_counter() - started)
+        history.append({"epoch": epoch, **record})
+    return history
 
 
 def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
@@ -480,10 +489,9 @@ def export_features(params: dm.DualMixerParams, samples: Sequence[WindowSample],
                     out_path: str) -> None:
     """CSV of per-sample ids, labels, predictions, and the flattened merged
     features; predictions go through the same path evaluate() uses."""
-    raw, feats = _forward_many(params, samples)
+    preds, feats = _forward_many(params, samples)
     header = (["unit_id", "window_index", "rul_label", "rul_pred"] +
               [f"f{k:03d}" for k in range(feats.shape[1])])
-    preds = np.clip(raw, 0.0, 1.0)
     write_csv(out_path, header,
               ([s.unit_id, s.anchor_index, s.label, preds[i]] + list(feats[i])
                for i, s in enumerate(samples)))

@@ -90,10 +90,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
-    def __repr__(self) -> str:
-        tag = "" if self.graph is None else f", node={self.node_id}"
-        return f"Tensor({self.rows}x{self.cols}{tag})"
-
 
 @dataclass
 class TapeNode:
@@ -118,21 +114,16 @@ class Graph:
         return len(self.nodes) - 1
 
     def parameter(self, name: str, data: np.ndarray) -> Tensor:
-        """Register (or fetch) a named learnable leaf.
+        """Register a named learnable leaf.
 
-        Registering the same name again returns a tensor on the existing
-        leaf, so a weight used at several tape positions accumulates its
-        gradients additively. The array is used as storage, not copied.
+        A name joins a graph once: registering it again raises GraphError.
+        The array is used as storage, not copied.
         The registry keeps (array, node id) pairs rather than tensors, so no
         reference cycle runs through the graph and a finished tape is freed
         as soon as its last tensor is dropped.
         """
-        existing = self._params.get(name)
-        if existing is not None:
-            arr, nid = existing
-            if arr is not data:
-                raise GraphError(f"parameter {name!r} re-registered with different storage")
-            return Tensor(arr, self, nid)
+        if name in self._params:
+            raise GraphError(f"parameter {name!r} is already registered on this graph")
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"parameter {name!r} must be 2-D, got {arr.shape}")
@@ -229,12 +220,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = np.ascontiguousarray(a.data.T)
-
-    def bwd(adj):
-        return (np.ascontiguousarray(adj.T),)
-
-    return record("transpose", out, (a,), bwd)
+    return block_transpose(a, 1)
 
 
 def block_transpose(a: Tensor, blocks: int) -> Tensor:

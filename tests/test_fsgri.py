@@ -432,8 +432,7 @@ class TestTrainEpoch:
         stats = fs.train_epoch_fsgri(params, samples, cfg, nx.AdamState(lr=1e-3), 0)
         assert stats.anchor_batch_size == 21
         assert stats.batches == 2
-        assert stats.anchors == 42
-        assert stats.encodings == 294
+        assert stats.encodings == 42 * 7
         assert stats.encodings // stats.batches == 147
         assert stats.skipped_anchors == 0
 
@@ -441,7 +440,7 @@ class TestTrainEpoch:
         params, samples, cfg = self.setup_run(extra_small=True)
         stats = fs.train_epoch_fsgri(params, samples, cfg, nx.AdamState(lr=1e-3), 0)
         assert stats.skipped_anchors == 4
-        assert stats.anchors == 42
+        assert stats.encodings == 42 * 7
 
     def test_contrastive_component_positive_and_finite(self):
         params, samples, cfg = self.setup_run()

@@ -1,6 +1,7 @@
 """Run orchestration tests: config handling, the two trainers, metrics,
 sweeps, export, and the command line."""
 
+import csv
 import dataclasses
 import gc
 import glob
@@ -180,7 +181,7 @@ class TestMetrics:
         samples = random_windows(12)
         params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
         params.arrays["w_r"] *= 1e6
-        raw, _ = hx._forward_many(params, samples)
+        raw = dm.forward_batch(params, [s.values for s in samples])[1].data[:, 0]
         clamped = hx.predict_samples(params, samples)
         assert np.any((raw < 0) | (raw > 1))
         assert np.all((clamped >= 0) & (clamped <= 1))
@@ -671,6 +672,26 @@ class TestTrainFsgri:
             assert np.isfinite(row["loss"])
 
 
+class TestProgressLog:
+    @pytest.mark.parametrize("mode", hx.MODES)
+    def test_each_finished_epoch_logs_its_record(self, monkeypatch, tmp_path, caplog, mode):
+        """train logs one INFO line per epoch as it finishes: the mode,
+        epoch k/N, every value of the epoch's record and its wall seconds."""
+        shrink_synth(monkeypatch)
+        cfg = tiny_cfg(tmp_path, mode=mode, b=12, epochs=2)
+        train, _ = hx.load_dataset(cfg)
+        params = dm.make_variant(dm.ModelConfig(l=8, m_vars=14, d=4, n_layers=1), "full")
+        caplog.set_level("INFO", logger=hx.logger.name)
+        history = hx.train(params, train, cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == hx.logger.name]
+        assert len(lines) == 2
+        for k, (line, record) in enumerate(zip(lines, history), 1):
+            assert line.startswith(f"{mode} epoch {k}/2: loss={record['loss']:.6g} ")
+            for key in list(record)[2:]:
+                assert f" {key}=" in line
+            assert line.endswith(" s)")
+
+
 class TestRunOne:
     def test_hung_git_gives_unknown(self, monkeypatch):
         """A git that times out must not crash the run after training."""
@@ -892,11 +913,14 @@ class TestCli:
         assert json.loads(out.stdout) == {"OPENBLAS_NUM_THREADS": user or "1",
                                           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-    def run_train(self, tmp_path, *extra):
-        args = ["train", "--dataset", "synth", "--seed", "2", "--epochs", "1",
+    @staticmethod
+    def tiny_flags(tmp_path):
+        return ["--dataset", "synth", "--seed", "2", "--epochs", "1",
                 "--window", "8", "--stride", "2", "--d", "4", "--layers", "1",
                 "--batch", "16", "--m", "2", "--out", str(tmp_path / "runs")]
-        return cli.main(args + list(extra))
+
+    def run_train(self, tmp_path, *extra):
+        return cli.main(["train"] + self.tiny_flags(tmp_path) + list(extra))
 
     def test_train_writes_report(self, monkeypatch, tmp_path, capsys):
         shrink_synth(monkeypatch)
@@ -1104,7 +1128,46 @@ class TestCli:
         code = cli.main(["eval", "--dataset", "synth", "--seed", "2",
                          "--window", "10", "--m", "2", "--checkpoint", ckpt])
         assert code == 2
-        assert "window" in capsys.readouterr().err
+        assert f"{ckpt}: checkpoint window 8 != configured 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_checkpoint_of_another_input_width_exits_2_naming_it(self, tmp_path, capsys,
+                                                                 command):
+        """A 5-variable checkpoint does not fit synth's 14 variables: the
+        error names the file and both counts, and nothing is written."""
+        ckpt = str(tmp_path / "model.ckpt")
+        dm.save_checkpoint(ckpt, dm.make_variant(
+            dm.ModelConfig(l=8, m_vars=5, d=4, n_layers=1), "full"))
+        assert cli.main([command, "--dataset", "synth", "--seed", "2", "--window", "8",
+                         "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: checkpoint takes 5 input variables, the data has 14" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_ablate_prints_the_rows_it_writes(self, monkeypatch, tmp_path, capsys):
+        """Six rows, one per variant, each with the rmse of ablation.csv."""
+        shrink_synth(monkeypatch)
+        assert cli.main(["ablate"] + self.tiny_flags(tmp_path)) == 0
+        printed = capsys.readouterr().out.splitlines()
+        with open(tmp_path / "runs" / "ablation.csv") as f:
+            written = list(csv.DictReader(f))
+        assert [row["variant"] for row in written] == list(dm.VARIANTS)
+        assert [line.split()[:2] for line in printed[1:7]] == \
+            [[row["variant"], f"{float(row['rmse']):.6f}"] for row in written]
+        assert printed[7].startswith("wrote ")
+
+    def test_grid_prints_the_matrix_it_writes(self, monkeypatch, tmp_path, capsys):
+        shrink_synth(monkeypatch)
+        assert cli.main(["grid", "--n-list", "1,2", "--d-list", "4"]
+                        + self.tiny_flags(tmp_path)) == 0
+        printed = capsys.readouterr().out.splitlines()
+        with open(tmp_path / "runs" / "grid.csv") as f:
+            written = list(csv.reader(f))
+        assert written[0] == ["n_layers", "d4"]
+        assert printed[0].split() == ["N\\d", "4"]
+        assert [line.split() for line in printed[1:3]] == \
+            [[n, f"{float(v):.5f}"] for n, v in written[1:]]
+        assert printed[3].startswith("wrote ")
 
     def test_eval_rejects_truncated_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"

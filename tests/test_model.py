@@ -3,6 +3,7 @@ forward, checkpoints."""
 
 import json
 import math
+import re
 import struct
 from collections import Counter
 
@@ -551,4 +552,13 @@ class TestParameterTable:
             entry[slot:slot + 1] = [value]
         path = self.with_header(tmp_path, edit)
         with pytest.raises(ValueError, match="malformed checkpoint header"):
+            dm.load_checkpoint(path)
+
+    def test_array_of_the_right_name_and_a_wrong_shape_rejected(self, tmp_path):
+        """The header lists w_r where the layout has it, as 6 x 2 instead of
+        6 x 1: the error names the file and the array."""
+        def edit(header):
+            header["arrays"][-1][2] = 2
+        path = self.with_header(tmp_path, edit)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: shape mismatch for w_r")):
             dm.load_checkpoint(path)
