@@ -17,11 +17,10 @@ import logging
 import os
 import sys
 
-# numerics.descend runs a training step's shards on threads at once (two
-# at the reference shape); a BLAS thread pool under each of them would
-# oversubscribe the CPUs. Set before numpy is imported; a value the user
-# sets wins. Forward-only commands (eval, export) are not sharded and run
-# about 10% slower for it at the reference shape (README, "Sharded steps").
+# numerics.descend runs a training step's shards on two threads at once; a
+# BLAS thread pool under each would oversubscribe the CPUs. Set before numpy
+# is imported; a value the user sets wins. eval and export are not sharded
+# and run about 10% slower for it (README, "Sharded steps").
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -87,6 +86,12 @@ def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
 def _load_checkpoint_and_data(args) -> tuple:
     cfg = resolve_config(args)
     params = dm.load_checkpoint(args.checkpoint)
+    for flag, given, have in (("variant", args.variant, params.variant),
+                              ("d", args.d, params.config.d),
+                              ("layers", args.n_layers, params.config.n_layers)):
+        if given is not None and given != have:
+            raise ValueError(f"{args.checkpoint}: checkpoint has --{flag} {have}, "
+                             f"the command line gives {given}")
     if params.config.l != cfg.w:
         raise ValueError(f"{args.checkpoint}: checkpoint window {params.config.l} "
                          f"!= configured {cfg.w}")

@@ -9,11 +9,11 @@ logits amplified, so the feature space is pushed to order itself by
 remaining life rather than merely separating neighbors from strangers.
 
 build_group returns a group as its m + 2 windows and labels in slot order
-(anchor, positive, negatives). A training batch of groups goes to
-numerics.descend, which cuts it by group into shards; each shard
-concatenates its groups' rows into one forward_batch call and scores its
-groups with batch_loss, a single tape node (put there by numerics.record)
-with a closed-form backward.
+(anchor, positive, negatives). A training batch of anchor keys goes to
+numerics.descend, which cuts it into shards; each shard builds its groups
+on its own thread, concatenates their rows into one forward_batch call and
+scores them with batch_loss, a single tape node (put there by
+numerics.record) with a closed-form backward.
 dw_info_nce and mse_all compute the same terms for one group from scalar
 tape ops; they are the reference batch_loss is tested against.
 
@@ -24,6 +24,7 @@ from the run's harness.RunConfig, which checks them when it is built.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -38,15 +39,17 @@ if TYPE_CHECKING:  # harness imports fsgri, so only type checkers import it back
     from .harness import RunConfig
 
 logger = logging.getLogger(__name__)
+_warned_lock = threading.Lock()
 
 
 def _warn_once(warned: Optional[set], key, msg, *args) -> None:
-    """Log a warning unless its key is already in ``warned``, then record
-    it there; with no set, every occurrence is logged."""
+    """Log a warning unless its key is already in ``warned``, then record it
+    there, under a lock as shard threads share the set; or always, no set."""
     if warned is not None:
-        if key in warned:
-            return
-        warned.add(key)
+        with _warned_lock:
+            if key in warned:
+                return
+            warned.add(key)
     logger.warning(msg, *args)
 
 
@@ -285,11 +288,11 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     """One pass over all usable anchors.
 
     Anchors are grouped into batches of b // (m+1); numerics.descend cuts
-    each batch's groups into shards, each shard stacks its group members
-    into one forward and sums its per-anchor losses, and the step divides
-    the batch's sum by the nominal batch size b. Group sampling is keyed
-    by (epoch_seed, unit, window index), so a rerun with the same seed
-    reproduces the epoch bit-for-bit regardless of execution order.
+    each batch's anchors into shards, each shard builds its groups, stacks
+    their members into one forward and sums its per-anchor losses, and the
+    step divides the batch's sum by the nominal batch size b. Group
+    sampling is keyed by (epoch_seed, unit, window index), so a rerun with
+    the same seed reproduces the epoch bit-for-bit on any thread.
     A non-finite batch loss or gradient raises ValueError before any update.
     Each short-unit or sampler warning is logged once per key in
     ``warned``; pass one set to every epoch of a run to log it once per run.
@@ -315,21 +318,20 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     batch_size = cfg.anchor_batch
     group_size = (cfg.m + 2) * params.config.l * params.config.d
 
-    def group_loss(shard):
-        windows = [w for group_windows, _ in shard for w in group_windows]
+    def group_loss(keys):
+        groups = [build_group(np.random.default_rng((epoch_seed, uid, i)), usable[uid], i, cfg,
+                              warned) for uid, i in keys]
+        windows = [w for group_windows, _ in groups for w in group_windows]
         feats, ruls = dm.forward_batch(params, windows, nx.Graph())
         batch_sum, contrastive, regression = batch_loss(
-            feats, ruls, np.array([group_labels for _, group_labels in shard]), cfg)
+            feats, ruls, np.array([group_labels for _, group_labels in groups]), cfg)
         return batch_sum, (contrastive, regression)
 
     total_con = total_reg = 0.0
     batches = anchors = 0
     for start in range(0, len(order), batch_size):
         chunk = order[start:start + batch_size]
-        groups = [build_group(np.random.default_rng((epoch_seed, uid, i)), usable[uid], i,
-                              cfg, warned)
-                  for uid, i in chunk]
-        _, terms = nx.descend(optimizer, params.arrays, groups, group_size, group_loss, cfg.b,
+        _, terms = nx.descend(optimizer, params.arrays, chunk, group_size, group_loss, cfg.b,
                               f"batch {batches} of the epoch with seed {epoch_seed}")
         total_con += float(np.concatenate([c for c, _ in terms]).sum())
         total_reg += float(np.concatenate([r for _, r in terms]).sum())

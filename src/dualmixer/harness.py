@@ -232,9 +232,8 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 def _load_cmapss(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
     tag = cfg.dataset.upper()
-    train_path = os.path.join(cfg.data_dir, f"train_{tag}.txt")
-    test_path = os.path.join(cfg.data_dir, f"test_{tag}.txt")
-    rul_path = os.path.join(cfg.data_dir, f"RUL_{tag}.txt")
+    train_path, test_path, rul_path = (os.path.join(cfg.data_dir, f"{kind}_{tag}.txt")
+                                       for kind in ("train", "test", "RUL"))
     train_series = [dd.select_variables(s) for s in dd.parse_cmapss(train_path)]
     test_series = [dd.select_variables(s) for s in dd.parse_cmapss(test_path)]
     return train_series, test_series, dd.parse_rul(rul_path)
@@ -449,9 +448,7 @@ def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
 
 def run_ablation(cfg: RunConfig) -> list[RunReport]:
     """All six variants under the same seed and data; writes ablation.csv."""
-    reports = []
-    for variant in dm.VARIANTS:
-        reports.append(run_one(replace(cfg, variant=variant)))
+    reports = [run_one(replace(cfg, variant=variant)) for variant in dm.VARIANTS]
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "ablation.csv"),
               ["variant", "rmse", "mape", "param_count"],
@@ -478,10 +475,8 @@ def grid_search(cfg: RunConfig, n_list: Sequence[int],
     if cfg.n_layers in n_list and cfg.d in d_list:
         default_cell = [list(n_list).index(cfg.n_layers), list(d_list).index(cfg.d)]
     write_json(os.path.join(cfg.out_dir, "grid.json"),
-               {"n_list": [int(n) for n in n_list],
-                "d_list": [int(d) for d in d_list],
-                "rmse": matrix.tolist(),
-                "default_cell": default_cell})
+               {"n_list": [int(n) for n in n_list], "d_list": [int(d) for d in d_list],
+                "rmse": matrix.tolist(), "default_cell": default_cell})
     return matrix
 
 

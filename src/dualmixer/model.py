@@ -284,10 +284,7 @@ def save_checkpoint(path: str, p: DualMixerParams) -> None:
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
+        f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob)
         for a in p.arrays.values():
             f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 

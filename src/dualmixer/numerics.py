@@ -11,16 +11,14 @@ backward returns fresh gradients; descend is the one checked training step
 built on it and Adam.
 
 A training loss is a sum over independent rows (windows, or FSGRI groups),
-so descend cuts each batch into shards itself: each shard's forward and
-backward run on a graph of their own, the shards other than the first on
-a thread pool, and the step sums their losses and gradients. numpy,
-scipy's erf and OpenBLAS release the GIL on arrays of the model's size, so
-on a multi-CPU host the shards run at once. shard_count sizes the split
-from the batch alone: at most MAX_SHARDS, none smaller than
-MIN_SHARD_ACTIVATION, so the same config runs the same shards on every
-host. One shard is the unsharded step bit for bit. With shard threads
-BLAS should run one thread per call (OPENBLAS_NUM_THREADS=1), or the two
-kinds of threads contend for the same CPUs.
+so descend cuts each batch into shards of at most SHARD_ACTIVATION stacked
+values, each with its forward and backward on a graph of its own, and sums
+their losses and gradients. Two lanes, the calling thread and one pool
+thread, run the shards in turn; numpy, scipy's erf and OpenBLAS release the
+GIL on arrays of the model's size, so on a multi-CPU host the lanes run at
+once. BLAS should then run one thread per call (OPENBLAS_NUM_THREADS=1).
+Importing this module sets two glibc allocator options for the whole
+process (mallopt(3)), so a step's freed arrays stay in the process.
 
 The dual-path mixer is built from these primitives (matmul, gelu, add,
 layer_norm, sigmoid, hadamard).
@@ -28,7 +26,9 @@ layer_norm, sigmoid, hadamard).
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -40,6 +40,17 @@ LAYERNORM_EPS = 1e-5
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# mallopt(3) on glibc, a refusal ignored: M_MMAP_THRESHOLD (-3) at its 64-bit
+# maximum of 32 MiB, M_TRIM_THRESHOLD (-1) at 256 MiB.
+try:
+    if os.confstr("CS_GNU_LIBC_VERSION"):
+        _mallopt = ctypes.CDLL(None).mallopt
+        _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        _mallopt(-3, 32 << 20)
+        _mallopt(-1, 256 << 20)
+except (AttributeError, ValueError, OSError):  # no confstr or no such name
+    pass
 
 
 class ShapeError(ValueError):
@@ -518,39 +529,25 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
 # the training step
 # --------------------------------------------------------------------------
 
-# Fewest stacked activation values (windows x l x d) worth a shard of its
-# own. A thread per shard passes the GIL back and forth on every op, so
-# splitting only pays once each shard's ops are large enough to run with
-# the GIL released. Measured with train_standard at N6 on a 2-CPU x86-64
-# host, one BLAS thread, as the step rate of 2 shards relative to 1, by
-# the values each shard holds: 0.42x at 2,048 (w16 d8 b32), 0.92x at 7,680
-# (w30 d32 b16), 1.00x to 1.25x at 9,600 to 10,560 (w16 and w30 shapes),
-# 1.33x at 11,520, 1.84x at 30,720 and 2.19x at 61,440 (w30 d32 b128).
-# Pinned to one CPU (taskset -c 0) the two threads take turns, yet 2 shards
-# still beat 1, in two sets of interleaved runs: 1.03x at 11,520 (w30 d32
-# b24), 1.09x to 1.12x at 70,560 (FSGRI w30 d32 b128 m5) and 1.19x to
-# 1.29x at 61,440 (standard w30 d32 b128).
-MIN_SHARD_ACTIVATION = 10240
-
-# Most shards one step runs as. The floor above and the gains were measured
-# with 2 shards on 1 and 2 CPUs only; with more threads the GIL-held Python
-# part of every op is shared among more of them, so their break-even is
-# unknown.
-MAX_SHARDS = 2
+# Most stacked activation values (windows x l x d) in one shard; a step's
+# peak is two shards' tapes. A shard holds more than half of it, past where
+# shards pay: 2 shards ran 0.92x of 1 at 7,680 values each, 1.33x at 11,520
+# and 2.19x at 61,440 (train_standard, 2-CPU x86-64 host, one BLAS thread).
+SHARD_ACTIVATION = 36864
 
 
 def shard_count(activation: int) -> int:
     """How many shards a batch of ``activation`` stacked values runs as:
-    as many as hold MIN_SHARD_ACTIVATION each, at most MAX_SHARDS and at
-    least one. A function of the batch alone, so a run is a function of
-    its config on any host."""
-    return max(1, min(MAX_SHARDS, activation // MIN_SHARD_ACTIVATION))
+    the fewest that hold at most SHARD_ACTIVATION each, rounded up to an
+    even count above one, so both lanes get equal work. A function of the
+    batch alone, so a run is a function of its config on any host."""
+    parts = -(-activation // SHARD_ACTIVATION)
+    return parts + parts % 2 if parts > 1 else 1
 
 
 def split(items: Sequence, parts: int) -> list:
-    """``items`` cut into ``parts`` contiguous runs (fewer if there are
-    fewer items, so none is empty), in order, whose lengths differ by at
-    most one."""
+    """``items`` cut in order into ``parts`` contiguous runs (fewer if there
+    are fewer items, so none is empty) whose lengths differ by at most one."""
     parts = max(1, min(parts, len(items)))
     bounds = [k * len(items) // parts for k in range(parts + 1)]
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -577,17 +574,21 @@ def descend(state: AdamState, params: dict[str, np.ndarray], batch: Sequence,
     activation values each of its items holds (``per_item``).
     ``loss_of(shard)`` builds one shard's scalar loss on a graph of its own
     and returns it with a by-product (anything the caller wants back). The
-    first shard runs on the calling thread, the others on a thread pool
-    (no thread for one shard) whose threads are all joined before the step
-    returns or any shard's exception reaches the caller. Losses and
-    gradients are summed in shard order, so one shard is the unsharded
-    step bit for bit. A non-finite loss or gradient raises ValueError
-    naming ``where`` (the batch) before ``params`` or ``state`` change.
+    shards are cut into two contiguous lanes, the first run on the calling
+    thread and the second on a pool thread (none for one shard) joined
+    before the step returns or any shard's exception reaches the caller.
+    A lane runs its shards in turn, so at most two shard graphs are alive
+    at once. Losses and gradients are summed in shard order, so one shard
+    is the unsharded step bit for bit. A non-finite loss or gradient raises
+    ValueError naming ``where`` before ``params`` or ``state`` change.
     """
-    shards = split(batch, shard_count(len(batch) * per_item))
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        later = [pool.submit(_shard_step, loss_of, shard, divisor) for shard in shards[1:]]
-        results = [_shard_step(loss_of, shards[0], divisor)] + [f.result() for f in later]
+    def run(lane):
+        return [_shard_step(loss_of, shard, divisor) for shard in lane]
+
+    lanes = split(split(batch, shard_count(len(batch) * per_item)), 2)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        later = [pool.submit(run, lane) for lane in lanes[1:]]
+        results = run(lanes[0]) + [r for f in later for r in f.result()]
     value, grads, _ = results[0]
     for more, _, _ in results[1:]:
         value += more

@@ -1,6 +1,9 @@
 """Negative sampling, contrastive losses, and the batched training loop."""
 
+import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -458,6 +461,36 @@ class TestTrainEpoch:
         assert results[0][0] == results[1][0]
         for name, arr in results[0][1].items():
             np.testing.assert_array_equal(arr, results[1][1][name])
+
+    def test_two_lane_epoch_logs_each_sampler_warning_once(self, monkeypatch, caplog):
+        """Each shard builds its groups on its own lane's thread, and the
+        lanes share the warned set: an epoch run as four shards, two per
+        lane, whose band is too wide for its units, logs each relaxed band
+        or uniform fallback exactly once."""
+        monkeypatch.setattr(nx, "shard_count", lambda activation: 4)
+        samples = [w for u, n in ((1, 7), (2, 7), (3, 9), (4, 9)) for w in fake_windows(u, n)]
+        params = dm.make_variant(dm.ModelConfig(l=4, m_vars=3, d=4, n_layers=1, seed=19), "full")
+        cfg = hx.RunConfig(m=5, beta=0.9, sigma1=0.3, b=128)
+        group_threads = set()
+        build_group = fs.build_group
+
+        def traced(*args):
+            group_threads.add(threading.current_thread())
+            return build_group(*args)
+
+        monkeypatch.setattr(fs, "build_group", traced)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.WARNING, logger=fs.__name__):
+                fs.train_epoch_fsgri(params, samples, cfg, nx.AdamState(lr=1e-3), 0)
+        finally:
+            sys.setswitchinterval(interval)
+        messages = [r.getMessage() for r in caplog.records if r.name == fs.__name__]
+        assert threading.main_thread() in group_threads and len(group_threads) > 1
+        assert sorted(messages) == [
+            "relaxed exclusion band to beta=0.45 for 7-window units",
+            "relaxed exclusion band to beta=0.45 for 9-window units"]
 
     def test_empty_dataset_rejected(self):
         params, _, cfg = self.setup_run()

@@ -443,26 +443,27 @@ class TestShardedTraining:
             assert abs(getattr(stats[1], field) - getattr(stats[0], field)) <= \
                 1e-12 * abs(getattr(stats[0], field))
 
-    # At w8 d32 a standard batch of 80 windows, or an FSGRI batch of 20
-    # groups of m + 2 = 4 windows, holds two shards' worth of activation.
-    TWO_SHARDS = {"standard": dict(b=80, w=8, d=32, m=2),
-                  "fsgri": dict(b=60, w=8, d=32, m=2)}
+    # At w8 d64 a standard batch of 240 windows, or an FSGRI batch of 60
+    # groups of m + 2 = 4 windows, holds 122,880 activation values: 4 shards,
+    # two on each lane.
+    FOUR_SHARDS = {"standard": dict(b=240, w=8, d=64, m=2),
+                   "fsgri": dict(b=180, w=8, d=64, m=2)}
 
-    def train_two_shards(self, monkeypatch, mode):
+    def train_sharded(self, monkeypatch, mode):
         """The weights, as bytes, after two epochs in ``mode`` at a shape
-        that runs as two shards."""
+        that runs as four shards."""
         seen = {}
         with monkeypatch.context() as patch:
             spy_descend(patch, seen)
             params = dm.make_variant(
-                dm.ModelConfig(l=8, m_vars=3, d=32, n_layers=1, seed=4), "full")
-            cfg = hx.RunConfig(mode=mode, epochs=2, seed=4, **self.TWO_SHARDS[mode])
-            hx.train(params, random_windows(160, l=8), cfg)
-        assert len(seen["shards"]) == 2
+                dm.ModelConfig(l=8, m_vars=3, d=64, n_layers=1, seed=4), "full")
+            cfg = hx.RunConfig(mode=mode, epochs=2, seed=4, **self.FOUR_SHARDS[mode])
+            hx.train(params, random_windows(240, l=8), cfg)
+        assert len(seen["shards"]) == 4
         return {k: v.tobytes() for k, v in params.arrays.items()}
 
     def test_sharded_reruns_give_byte_equal_weights(self, monkeypatch):
-        runs = [self.train_two_shards(monkeypatch, "standard") for _ in range(2)]
+        runs = [self.train_sharded(monkeypatch, "standard") for _ in range(2)]
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("mode", hx.MODES)
@@ -471,7 +472,7 @@ class TestShardedTraining:
         runs = []
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            runs.append(self.train_two_shards(monkeypatch, mode))
+            runs.append(self.train_sharded(monkeypatch, mode))
         assert runs[0] == runs[1]
 
     def test_nan_window_in_the_second_shard_stops_before_the_update(self, monkeypatch):
@@ -1143,6 +1144,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{ckpt}: checkpoint takes 5 input variables, the data has 14" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--variant", "oT"], "checkpoint has --variant full, the command line gives oT"),
+        (["--d", "64"], "checkpoint has --d 4, the command line gives 64"),
+        (["--layers", "3"], "checkpoint has --layers 1, the command line gives 3"),
+    ], ids=["variant", "d", "layers"])
+    def test_model_flags_that_contradict_the_checkpoint_exit_2(self, tmp_path, capsys,
+                                                              command, flags, message):
+        """A model flag given on the command line must describe the
+        checkpoint that is scored; flags that agree with it are accepted."""
+        ckpt = str(tmp_path / "model.ckpt")
+        dm.save_checkpoint(ckpt, dm.make_variant(
+            dm.ModelConfig(l=8, m_vars=14, d=4, n_layers=1), "full"))
+        base = [command, "--dataset", "synth", "--seed", "2", "--window", "8",
+                "--checkpoint", ckpt, "--out", str(tmp_path / "out")]
+        assert cli.main(base + flags) == 2
+        assert f"{ckpt}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        agreeing = ["--variant", "full", "--d", "4", "--layers", "1"]
+        assert cli.main(base + agreeing) == 0
 
     def test_ablate_prints_the_rows_it_writes(self, monkeypatch, tmp_path, capsys):
         """Six rows, one per variant, each with the rmse of ablation.csv."""

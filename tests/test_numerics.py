@@ -510,14 +510,14 @@ class TestDescend:
 
 
 class TestShardedDescend:
-    """A batch's loss as a sum over shards of rows, each on its own graph
-    and, past the first, on descend's thread pool."""
+    """A batch's loss as a sum over shards of rows, each on its own graph,
+    run on two lanes: the calling thread and one pool thread."""
 
     @staticmethod
     def rows_loss(params, meet=None):
         """sum over a shard's rows r of (x_r w)^2, w a 3 x 1 weight. With
         ``meet``, a threading.Barrier, each shard waits there for the
-        others, so all of them must be running at once."""
+        other lane's, so both lanes must be running at once."""
         def loss_of(rows):
             g = nx.Graph()
             pred = nx.matmul(nx.Tensor(rows), g.parameter("w", params["w"]))
@@ -528,14 +528,15 @@ class TestShardedDescend:
 
     def step(self, monkeypatch, x, parts, loss_of=None):
         """Loss, by-products and the gradients descend hands to Adam, with
-        the batch forced into ``parts`` shards that meet before their sums."""
+        the batch forced into ``parts`` shards. The lanes meet shard by
+        shard, so they meet only when they hold as many shards each."""
         params = {"w": np.array([[0.5], [-1.0], [2.0]])}
         seen = {}
         monkeypatch.setattr(nx, "adam_step", lambda state, p, grads: seen.update(grads))
         monkeypatch.setattr(nx, "shard_count", lambda activation: parts)
+        meet = threading.Barrier(min(parts, 2)) if parts == 1 or parts % 2 == 0 else None
         value, aux = nx.descend(nx.AdamState(), params, x, 1,
-                                loss_of or self.rows_loss(params, threading.Barrier(parts)),
-                                len(x), "batch 0")
+                                loss_of or self.rows_loss(params, meet), len(x), "batch 0")
         return value, aux, seen
 
     def test_two_shards_match_one(self, monkeypatch):
@@ -547,8 +548,9 @@ class TestShardedDescend:
             assert np.max(np.abs(grads_two[name] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_more_shards_than_cpus_under_fast_thread_switching(self, monkeypatch):
-        """Every shard's result lands in its own slot: 16 shards, switching
-        threads every microsecond, still sum to the one-shard step."""
+        """Every shard's result lands in its own slot: 16 shards on the two
+        lanes, switching threads every microsecond, still sum to the
+        one-shard step."""
         x = np.random.default_rng(1).normal(size=(64, 3))
         one, _, grads_one = self.step(monkeypatch, x, 1)
         interval = sys.getswitchinterval()
@@ -556,7 +558,8 @@ class TestShardedDescend:
         try:
             for _ in range(5):
                 many, threads, grads = self.step(monkeypatch, x, 16)
-                assert len(set(threads)) == 16
+                assert threads[:8] == [threading.main_thread()] * 8
+                assert len(set(threads[8:])) == 1 and threads[8] is not threads[0]
                 assert abs(many - one) <= 1e-12 * abs(one)
                 assert np.max(np.abs(grads["w"] - grads_one["w"])) <= \
                     1e-12 * np.max(np.abs(grads_one["w"]))
@@ -564,13 +567,45 @@ class TestShardedDescend:
             sys.setswitchinterval(interval)
 
     def test_shards_past_the_first_run_on_threads_of_their_own(self, monkeypatch):
+        """Three shards: the first lane (shard 0) runs on the calling
+        thread, the second (shards 1 and 2) on one pool thread."""
         x = np.random.default_rng(0).normal(size=(9, 3))
         _, threads, _ = self.step(monkeypatch, x, 3)
         assert threads[0] is threading.main_thread()
-        assert len(set(threads)) == 3
+        assert threads[1] is threads[2] is not threads[0]
 
-    @pytest.mark.parametrize("bad", [1, 2])
+    def test_at_most_two_shard_graphs_are_alive_at_once(self, monkeypatch):
+        """Eight shards: each lane frees a shard's graph before it builds
+        the next, so no more than two graphs live at a time, on no more
+        than two threads."""
+        params = {"w": np.array([[0.5], [-1.0], [2.0]])}
+        lock = threading.Lock()
+        live, peak, threads = [0], [0], set()
+
+        def freed():
+            with lock:
+                live[0] -= 1
+
+        def loss_of(rows):
+            loss, thread = self.rows_loss(params, meet)(rows)
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            weakref.finalize(loss.graph, freed)
+            threads.add(thread)
+            return loss, None
+
+        meet = threading.Barrier(2)
+        monkeypatch.setattr(nx, "shard_count", lambda activation: 8)
+        x = np.random.default_rng(2).normal(size=(64, 3))
+        nx.descend(nx.AdamState(), params, x, 1, loss_of, len(x), "batch 0")
+        assert 1 <= peak[0] <= 2 and live[0] == 0
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch, bad):
+        """Raised in either lane, the exception reaches the caller after
+        the pool thread is joined, and nothing is updated."""
         x = np.arange(12.0).reshape(4, 3)
         shards = nx.split(x, 3)
         monkeypatch.setattr(nx, "shard_count", lambda activation: 3)
@@ -602,12 +637,16 @@ class TestShardedDescend:
 
 
 class TestShardRule:
-    """The shard count is a function of the batch alone, whatever the host."""
+    """The shard count is a function of the batch alone, whatever the host:
+    the fewest shards of at most SHARD_ACTIVATION values, an even count
+    above one."""
 
     # stacked activation (windows x l x d) of one batch
     TINY = 12 * 8 * 4                 # w8 d4 b12
     STANDARD = 128 * 30 * 32          # the reference shape's standard batch
     FSGRI = (128 // 6) * 7 * 30 * 32  # its FSGRI batch: 21 groups of m + 2 = 7
+    # fewest values a shard needs to pay for its thread (see SHARD_ACTIVATION)
+    FLOOR = 10240
 
     @pytest.mark.parametrize("batch", [1, 2, 8])
     def test_tiny_batches_run_as_one_shard(self, batch):
@@ -616,20 +655,50 @@ class TestShardRule:
 
     @pytest.mark.parametrize("activation", [STANDARD, FSGRI])
     def test_reference_shape_uses_both_of_two_cpus(self, activation):
-        assert nx.shard_count(activation) == 2
+        """Four shards, two on each lane."""
+        assert nx.shard_count(activation) == 4
+        assert list(map(len, nx.split(range(4), 2))) == [2, 2]
 
     @pytest.mark.parametrize("activation", [STANDARD, FSGRI, 10**9])
     def test_many_cpus_give_no_more_than_the_measured_two_shards(self, activation):
-        assert nx.shard_count(activation) == nx.MAX_SHARDS == 2
+        """However large the batch, and however many CPUs, no more than two
+        shards run at once, on no more than two threads."""
+        batch = list(range(64))
+        seen, live, peak = [], [0], [0]
+        lock = threading.Lock()
+        params = {"w": np.zeros((1, 1))}
+
+        def loss_of(shard):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            seen.append(threading.current_thread())
+            loss = nx.sum_all(nx.Graph().parameter("w", params["w"]))
+            with lock:
+                live[0] -= 1
+            return loss, shard
+
+        shards = nx.descend(nx.AdamState(), params, batch, activation // len(batch),
+                            loss_of, 1, "batch 0")[1]
+        assert len(shards) == min(len(batch), nx.shard_count(activation)) > 2
+        assert len(set(seen)) == 2 and peak[0] <= 2
 
     def test_no_shard_is_smaller_than_the_floor(self):
-        for activation in range(0, 20 * nx.MIN_SHARD_ACTIVATION, 997):
+        for activation in range(0, 20 * nx.SHARD_ACTIVATION, 997):
             parts = nx.shard_count(activation)
-            assert parts == 1 or activation / parts >= nx.MIN_SHARD_ACTIVATION
+            assert parts == 1 or activation / parts >= self.FLOOR
+
+    def test_counts_above_one_are_even_and_no_shard_exceeds_the_budget(self):
+        for activation in range(0, 20 * nx.SHARD_ACTIVATION, 997):
+            parts = nx.shard_count(activation)
+            assert parts == 1 or parts % 2 == 0
+            assert activation / parts <= nx.SHARD_ACTIVATION
+            # the next smaller count, even or one, would overfill a shard
+            assert parts == 1 or activation / max(1, parts - 2) > nx.SHARD_ACTIVATION
 
     def test_batch_shards_split_by_the_rule(self):
         """The shards loss_of receives from descend: 128 windows at w30 d32
-        make two shards of 64, 12 windows at w8 d4 one shard."""
+        make four shards of 32, 12 windows at w8 d4 one shard."""
         params = {"w": np.zeros((1, 1))}
 
         def shards_of(batch, per_item):
@@ -638,7 +707,7 @@ class TestShardRule:
             return nx.descend(nx.AdamState(), params, batch, per_item, loss_of, 1, "batch 0")[1]
 
         windows = list(range(128))
-        assert shards_of(windows, 30 * 32) == [windows[:64], windows[64:]]
+        assert shards_of(windows, 30 * 32) == [windows[k:k + 32] for k in range(0, 128, 32)]
         assert shards_of(windows[:12], 8 * 4) == [windows[:12]]
 
     @pytest.mark.parametrize("n,parts", [(7, 1), (7, 2), (7, 3), (3, 5), (128, 2)])
