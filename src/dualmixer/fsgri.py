@@ -98,7 +98,9 @@ def sample_negatives(rng: np.random.Generator, t: int, i: int,
     eligible indices, beta is halved until enough survive or it drops below
     1/t; past that, indices are drawn uniformly from everything except the
     anchor. Units with at most m other windows cannot be sampled at all.
-    Relaxing and the fallback are logged once per key in ``warned``.
+    Each relaxed band is logged once per unit length and band, and the
+    fallback once per unit length (keys in ``warned``), so the messages do
+    not depend on which shard thread samples first.
     """
     if t - 1 < cfg.m:
         raise ShortSeriesError(f"unit has {t} windows; need more than {cfg.m}")
@@ -107,7 +109,7 @@ def sample_negatives(rng: np.random.Generator, t: int, i: int,
         probs = threshold_probabilities(t, i, beta, cfg.sigma1)
         if int(np.count_nonzero(probs)) >= cfg.m:
             if beta != cfg.beta:
-                _warn_once(warned, ("relaxed", t), "relaxed exclusion band to beta=%g "
+                _warn_once(warned, ("relaxed", t, beta), "relaxed exclusion band to beta=%g "
                            "for %d-window units", beta, t)
             return _draw_without_replacement(rng, probs, cfg.m)
         beta /= 2.0

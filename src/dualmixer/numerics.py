@@ -13,10 +13,13 @@ built on it and Adam.
 A training loss is a sum over independent rows (windows, or FSGRI groups),
 so descend cuts each batch into shards of at most SHARD_ACTIVATION stacked
 values, each with its forward and backward on a graph of its own, and sums
-their losses and gradients. Two lanes, the calling thread and one pool
-thread, run the shards in turn; numpy, scipy's erf and OpenBLAS release the
-GIL on arrays of the model's size, so on a multi-CPU host the lanes run at
-once. BLAS should then run one thread per call (OPENBLAS_NUM_THREADS=1).
+their losses and gradients. Two lanes, the calling thread and one lane
+thread kept for the process (a new one in a forked child), run the shards
+in turn; numpy, scipy's erf and OpenBLAS release the GIL on arrays of the
+model's size, so on a multi-CPU host the lanes run at once. BLAS should
+then run one thread per call (OPENBLAS_NUM_THREADS=1). A backward rule
+keeps only what it reads (gelu keeps its derivative alone), so a tape holds
+about 0.9 MB per window at the reference shape (w30 d32 N6).
 Importing this module sets two glibc allocator options for the whole
 process (mallopt(3)), so a step's freed arrays stay in the process.
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -358,24 +361,29 @@ def rows_slice(a: Tensor, i0: int, i1: int) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact GeLU x * Phi(x) with Phi the standard normal CDF."""
+    """Exact GeLU x * Phi(x) with Phi the standard normal CDF.
+
+    On a tape, the forward also computes the derivative Phi(x) + x * pdf(x),
+    pdf the standard normal density, and the backward rule keeps that one
+    array and neither x nor Phi(x). Off a tape no derivative is computed.
+    """
     ad = a.data
     cdf = ad * _INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     out = ad * cdf
+    if a.graph is None:
+        return Tensor(out)
+    d = ad * -0.5
+    d *= ad
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= ad
+    d += cdf
 
     def bwd(adj):
-        # adj * (cdf + x * pdf), with pdf the standard normal density at x
-        d = ad * -0.5
-        d *= ad
-        np.exp(d, out=d)
-        d *= _INV_SQRT_2PI
-        d *= ad
-        d += cdf
-        d *= adj
-        return (d,)
+        return (adj * d,)
 
     return record("gelu", out, (a,), bwd)
 
@@ -553,6 +561,23 @@ def split(items: Sequence, parts: int) -> list:
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _new_lane() -> None:
+    """Give the process the executor of descend's second lane. A forked
+    child inherits its parent's executor but not its thread, so it gets a
+    new one."""
+    global _lane
+    _lane = ThreadPoolExecutor(max_workers=1)
+
+
+# One lane thread for the process, started by the first sharded step. A
+# thread started per step can, on a loaded host, start before the last
+# step's thread has released its glibc arena; glibc then opens a third
+# arena, which M_TRIM_THRESHOLD never trims.
+_new_lane()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_lane)
+
+
 def _shard_step(loss_of: Callable, shard, divisor: float) -> tuple:
     """One shard's loss value, gradients of loss / divisor and by-product;
     no backward (gradients None) when the loss is not finite."""
@@ -575,8 +600,9 @@ def descend(state: AdamState, params: dict[str, np.ndarray], batch: Sequence,
     ``loss_of(shard)`` builds one shard's scalar loss on a graph of its own
     and returns it with a by-product (anything the caller wants back). The
     shards are cut into two contiguous lanes, the first run on the calling
-    thread and the second on a pool thread (none for one shard) joined
-    before the step returns or any shard's exception reaches the caller.
+    thread and the second on the process's one lane thread (none for one
+    shard). The step waits for both lanes before it returns or any shard's
+    exception reaches the caller, so every shard has finished by then.
     A lane runs its shards in turn, so at most two shard graphs are alive
     at once. Losses and gradients are summed in shard order, so one shard
     is the unsharded step bit for bit. A non-finite loss or gradient raises
@@ -586,9 +612,12 @@ def descend(state: AdamState, params: dict[str, np.ndarray], batch: Sequence,
         return [_shard_step(loss_of, shard, divisor) for shard in lane]
 
     lanes = split(split(batch, shard_count(len(batch) * per_item)), 2)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        later = [pool.submit(run, lane) for lane in lanes[1:]]
-        results = run(lanes[0]) + [r for f in later for r in f.result()]
+    later = [_lane.submit(run, lane) for lane in lanes[1:]]
+    try:
+        results = run(lanes[0])
+    finally:
+        wait(later)
+    results += [r for f in later for r in f.result()]
     value, grads, _ = results[0]
     for more, _, _ in results[1:]:
         value += more

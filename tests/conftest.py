@@ -1,10 +1,12 @@
 """Shared test helpers: a finite-difference gradient oracle, feature
 vectors with chosen cosine scores, one group's loss and plain InfoNCE, the
-MLP of a mixer path's residual block, and dataset discovery for the
-optional real-data checks."""
+MLP of a mixer path's residual block, a fresh interpreter that imports
+dualmixer, and dataset discovery for the optional real-data checks."""
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -21,6 +23,17 @@ CMAPSS_DIR = os.environ.get(
 
 def cmapss_available(tag: str = "FD001") -> bool:
     return os.path.isfile(os.path.join(CMAPSS_DIR, f"train_{tag}.txt"))
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def run_python(code: str, timeout: float = 120) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    dualmixer from this checkout; it must exit 0 within ``timeout`` s."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=True).stdout
 
 
 def finite_diff_grads(loss_fn, params, h=1e-5):

@@ -466,7 +466,7 @@ class TestTrainEpoch:
         """Each shard builds its groups on its own lane's thread, and the
         lanes share the warned set: an epoch run as four shards, two per
         lane, whose band is too wide for its units, logs each relaxed band
-        or uniform fallback exactly once."""
+        or uniform fallback exactly once, whichever lane gets there first."""
         monkeypatch.setattr(nx, "shard_count", lambda activation: 4)
         samples = [w for u, n in ((1, 7), (2, 7), (3, 9), (4, 9)) for w in fake_windows(u, n)]
         params = dm.make_variant(dm.ModelConfig(l=4, m_vars=3, d=4, n_layers=1, seed=19), "full")
@@ -489,6 +489,8 @@ class TestTrainEpoch:
         messages = [r.getMessage() for r in caplog.records if r.name == fs.__name__]
         assert threading.main_thread() in group_threads and len(group_threads) > 1
         assert sorted(messages) == [
+            "relaxed exclusion band to beta=0.225 for 7-window units",
+            "relaxed exclusion band to beta=0.225 for 9-window units",
             "relaxed exclusion band to beta=0.45 for 7-window units",
             "relaxed exclusion band to beta=0.45 for 9-window units"]
 

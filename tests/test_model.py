@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -232,6 +233,26 @@ class TestBatchedForward:
         for bad in (np.zeros((12, 3)), [], np.zeros((0, 6, 3))):
             with pytest.raises(nx.ShapeError):
                 dm.forward_batch(p, bad)
+
+
+class TestTapeBudget:
+
+    def test_a_reference_shape_tape_holds_at_most_900_kib_per_window(self):
+        """A forward of 8 windows at w30 d32 N6 (full) on a graph holds
+        what the backward will read: at most 900 KiB per window, as traced
+        by tracemalloc while the tape is alive (865 KiB when gelu keeps
+        only its derivative, 1,045 KiB when it kept its input and CDF)."""
+        p = dm.make_variant(toy_config(l=30, m_vars=14, d=32, n_layers=6), "full")
+        windows = np.random.default_rng(19).uniform(size=(8, 30, 14))
+        tracemalloc.start()
+        try:
+            graph = nx.Graph()
+            taped = dm.forward_batch(p, windows, graph)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(graph.nodes) > 200 and taped[1].shape == (8, 1)
+        assert held / 8 <= 900 * 1024
 
 
 def kill_gates(monkeypatch, dead):

@@ -1,12 +1,14 @@
 """Tensor, tape, primitive ops, and Adam."""
 
+import os
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
-from conftest import finite_diff_grads, max_rel_err
+from conftest import finite_diff_grads, max_rel_err, run_python
 
 from dualmixer import numerics as nx
 
@@ -116,6 +118,20 @@ class TestNonlinearities:
         x = rng.normal(size=(3, 4)) * 2.0
         want = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         np.testing.assert_allclose(nx.gelu(nx.Tensor(x)).data, want, atol=1e-15)
+
+    def test_gelu_backward_keeps_no_reference_to_its_input(self):
+        """On a tape the rule keeps only the derivative: once the input
+        tensor is dropped, nothing holds its array. The output matches the
+        off-tape forward bit for bit."""
+        x = np.random.default_rng(5).normal(size=(3, 4))
+        g = nx.Graph()
+        a = nx.scale(g.parameter("x", x), 1.0)
+        alive = weakref.ref(a.data)
+        out = nx.gelu(a)
+        del a
+        assert alive() is None
+        np.testing.assert_array_equal(out.data, nx.gelu(nx.Tensor(x)).data)
+        assert len(g.nodes) == 3
 
     def test_sigmoid_symmetry(self):
         """sigmoid(x) + sigmoid(-x) == 1 to within 1e-12, large |x| included."""
@@ -604,25 +620,77 @@ class TestShardedDescend:
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch, bad):
-        """Raised in either lane, the exception reaches the caller after
-        the pool thread is joined, and nothing is updated."""
+        """Raised in either lane, the exception reaches the caller only
+        after every shard that started has returned or raised, and nothing
+        is updated. The bad shard raises once another shard has started,
+        and the others take 50 ms, so the other lane is still running."""
         x = np.arange(12.0).reshape(4, 3)
         shards = nx.split(x, 3)
         monkeypatch.setattr(nx, "shard_count", lambda activation: 3)
+        lock, other_started = threading.Lock(), threading.Event()
+        started, ended = [], []
 
         def loss_of(rows):
-            if np.array_equal(rows, shards[bad]):
-                raise KeyError(f"shard {bad}")
-            return self.rows_loss(params)(rows)
+            k = next(i for i, shard in enumerate(shards) if np.array_equal(rows, shard))
+            with lock:
+                started.append(k)
+            try:
+                if k == bad:
+                    other_started.wait(timeout=30)
+                    raise KeyError(f"shard {bad}")
+                other_started.set()
+                time.sleep(0.05)
+                return self.rows_loss(params)(rows)
+            finally:
+                with lock:
+                    ended.append(k)
 
         params = {"w": np.ones((3, 1))}
         state = nx.AdamState()
-        running = threading.active_count()
         with pytest.raises(KeyError, match=f"shard {bad}"):
             nx.descend(state, params, x, 1, loss_of, 4, "batch 0")
-        assert threading.active_count() == running
+        with lock:
+            assert sorted(ended) == sorted(started) and len(started) >= 2
         np.testing.assert_array_equal(params["w"], np.ones((3, 1)))
         assert state.step_count == 0 and not state.m
+
+    def test_steps_share_one_lane_thread(self, monkeypatch):
+        """The second lane's thread is kept for the process: two sharded
+        steps run it on the same thread, not on a thread each."""
+        x = np.random.default_rng(3).normal(size=(8, 3))
+        _, first, _ = self.step(monkeypatch, x, 2)
+        _, second, _ = self.step(monkeypatch, x, 2)
+        assert first[1] is second[1] is not threading.main_thread()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_a_sharded_step(self):
+        """A child forked after a sharded step has started the lane thread
+        inherits the executor but not its thread; it runs a sharded step of
+        its own instead of waiting on the parent's thread. The parent kills
+        a child still running after 30 s."""
+        out = run_python(
+            "import os, signal, sys, time\n"
+            "import numpy as np\n"
+            "from dualmixer import numerics as nx\n"
+            "w = np.ones((1, 1))\n"
+            "def step():\n"
+            "    def loss_of(shard):\n"
+            "        return nx.sum_all(nx.Graph().parameter('w', w)), shard\n"
+            "    return nx.descend(nx.AdamState(), {'w': w}, list(range(4)),\n"
+            "                      nx.SHARD_ACTIVATION, loss_of, 1, 'a')[1]\n"
+            "step()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if step() == [[0], [1], [2], [3]] else 1)\n"
+            "deadline = time.monotonic() + 30\n"
+            "while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:\n"
+            "    if time.monotonic() > deadline:\n"
+            "        os.kill(pid, signal.SIGKILL)\n"
+            "        os.waitpid(pid, 0)\n"
+            "        sys.exit('the child hung')\n"
+            "    time.sleep(0.01)\n"
+            "print(os.waitstatus_to_exitcode(done[1]))\n", timeout=60)
+        assert out.split() == ["0"]
 
     def test_non_finite_loss_of_a_later_shard_raises_before_the_update(self, monkeypatch):
         x = np.ones((6, 3))

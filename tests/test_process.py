@@ -1,22 +1,13 @@
 """What importing dualmixer does to the whole process: the modules it adds
-(set-up time grows with them) and the glibc allocator options it sets."""
+(set-up time grows with them), the glibc allocator options it sets, and
+that its lane thread lets the interpreter exit."""
 
 import json
 import os
-import subprocess
 import sys
 
 import pytest
-
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
-
-
-def run_python(code: str) -> str:
-    """Standard output of ``code`` run in a fresh interpreter that imports
-    dualmixer from this checkout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True).stdout
+from conftest import run_python
 
 
 def on_glibc() -> bool:
@@ -63,3 +54,22 @@ def test_a_freed_array_stays_resident_only_after_the_import(imported):
         assert released < 4 * mib
     else:
         assert released > 20 * mib
+
+
+def test_an_interpreter_that_trained_sharded_steps_exits():
+    """Two 4-shard training steps (240 windows at w8 d64) start the lane
+    thread that descend keeps for the process; the interpreter still exits
+    0 within 60 s, so the thread holds no run open."""
+    out = run_python(
+        "import numpy as np\n"
+        "from dualmixer import model as dm, numerics as nx\n"
+        "p = dm.make_variant(dm.ModelConfig(l=8, m_vars=3, d=64, n_layers=1), 'full')\n"
+        "x = np.random.default_rng(0).uniform(size=(240, 8, 3))\n"
+        "opt = nx.AdamState()\n"
+        "def loss_of(shard):\n"
+        "    _, preds = dm.forward_batch(p, x[shard], nx.Graph())\n"
+        "    return nx.sum_all(nx.hadamard(preds, preds)), len(shard)\n"
+        "for _ in range(2):\n"
+        "    sizes = nx.descend(opt, p.arrays, list(range(240)), 8 * 64, loss_of, 240, 'a')[1]\n"
+        "print(*sizes)\n", timeout=60)
+    assert out.split() == ["60"] * 4
