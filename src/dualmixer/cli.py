@@ -2,11 +2,12 @@
 
 Subcommands: train, eval, ablate, grid, export, synth. Every run-shaped
 command resolves its configuration the same way: dataclass defaults, then
-an optional JSON config file, then explicit flags. Each run flag's dest is
-the RunConfig field it sets, and that one RunConfig carries every setting
-of the run, fsgri's contrastive knobs included. Building it checks every
-field, as SynthSpec checks synth's, and grid builds every cell's config
-before any cell trains, so a bad value exits 2 before anything is written.
+an optional JSON config file, then explicit flags. The run flags are made
+from RunConfig's fields, one each, and each flag's dest is the field it
+sets; that one RunConfig carries every setting of the run, fsgri's
+contrastive knobs included. Building it checks every field, as SynthSpec
+checks synth's, and grid builds every cell's config before any cell
+trains, so a bad value exits 2 before anything is written.
 """
 
 from __future__ import annotations
@@ -31,37 +32,27 @@ from . import synthdata as sx  # noqa: E402
 
 logger = logging.getLogger(__name__)
 
-_HYPER_FLAGS = {
-    # flag name -> RunConfig field
-    "d": "d",
-    "layers": "n_layers",
-    "tau": "tau",
-    "beta": "beta",
-    "sigma1": "sigma1",
-    "sigma2": "sigma2",
-    "lambda": "lam",
-    "m": "m",
-    "batch": "b",
-    "lr": "lr",
-    "epochs": "epochs",
-    "window": "w",
-    "stride": "sl",
-}
+# RunConfig fields whose flag has another name; every other field's flag
+# is --<field>.
+_FLAG_NAMES = {"data_dir": "data-dir", "out_dir": "out", "n_layers": "layers",
+               "lam": "lambda", "b": "batch", "w": "window", "sl": "stride"}
+_CHOICES = {"dataset": hx.DATASETS, "mode": hx.MODES, "variant": dm.VARIANTS}
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", choices=hx.DATASETS)
-    parser.add_argument("--data-dir", dest="data_dir")
-    parser.add_argument("--mode", choices=hx.MODES)
-    parser.add_argument("--variant", choices=dm.VARIANTS)
-    parser.add_argument("--seed", type=int)
+    """--config and one flag per RunConfig field, whose dest is the field;
+    a flag not given is None, so it leaves the file's or default value."""
     parser.add_argument("--config", help="JSON file of config fields")
-    parser.add_argument("--out", dest="out_dir")
-    parser.add_argument("--holdout", action="store_true", default=None,
-                        help="evaluate on 10%% of training units instead of the test split")
-    defaults = hx.RunConfig()
-    for flag, field in _HYPER_FLAGS.items():
-        parser.add_argument(f"--{flag}", dest=field, type=type(getattr(defaults, field)))
+    for field in dataclasses.fields(hx.RunConfig):
+        flag = "--" + _FLAG_NAMES.get(field.name, field.name)
+        kind = type(field.default)
+        if kind is bool:
+            parser.add_argument(flag, dest=field.name, action="store_true", default=None,
+                                help="evaluate on 10%% of training units instead of "
+                                     "the test split")
+        else:
+            parser.add_argument(flag, dest=field.name, type=None if kind is str else kind,
+                                choices=_CHOICES.get(field.name))
 
 
 def _int_list(text: str) -> list[int]:
@@ -73,14 +64,16 @@ def _int_list(text: str) -> list[int]:
 
 
 def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
-    values = {}
+    """The run's config: the defaults, or the --config file's values checked
+    as a config of their own (every refusal names the file), and then the
+    flags given."""
+    cfg = hx.RunConfig()
     if args.config:
-        values.update(dd.read_json_object(args.config, "config file"))
-    for field in dataclasses.fields(hx.RunConfig):
-        got = getattr(args, field.name, None)
-        if got is not None:
-            values[field.name] = got
-    return hx.config_from_dict(values)
+        cfg = dd.from_fields(hx.RunConfig, dd.read_json_object(args.config, "config file"),
+                             f"{args.config}: config file")
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
+             if getattr(args, f.name) is not None}
+    return dataclasses.replace(cfg, **given)
 
 
 def _load_checkpoint_and_data(args) -> tuple:
@@ -209,14 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="emit a synthetic dataset in the on-disk format")
     p.add_argument("--out", dest="out_dir", required=True)
+    spec = sx.SynthSpec()  # the defaults, but for 21 columns and seed 1
     p.add_argument("--tag", default="SY001")
-    p.add_argument("--units", type=int, default=20)
-    p.add_argument("--test-units", type=int, default=10)
-    p.add_argument("--cycles", type=int, nargs=2, default=[90, 140],
+    p.add_argument("--units", type=int, default=spec.n_units)
+    p.add_argument("--test-units", type=int, default=spec.test_units)
+    p.add_argument("--cycles", type=int, nargs=2, default=list(spec.cycles),
                    metavar=("LO", "HI"))
     p.add_argument("--vars", type=int, default=21)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--gamma", type=float, default=spec.gamma)
+    p.add_argument("--noise", type=float, default=spec.noise_std)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_synth)
     return parser

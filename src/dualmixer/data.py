@@ -59,8 +59,10 @@ class RawSeries:
 class WindowSample:
     """One training or evaluation window.
 
-    anchor_index is the window's position in its unit's ordered window
-    sequence (the index the negative sampler works over).
+    values is a read-only view of its unit's normalized rows (a window of a
+    unit shorter than w is its own padded array). anchor_index is the
+    window's position in its unit's ordered window sequence (the index the
+    negative sampler works over).
     """
 
     values: np.ndarray  # w x m_vars, normalized
@@ -157,11 +159,31 @@ def read_json_object(path: str, what: str) -> dict:
     try:
         with open(path) as f:
             value = json.load(f)
-    except ValueError as exc:  # also undecodable bytes
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
         raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
     if not isinstance(value, dict):
         raise ValueError(f"{path}: {what} must hold a JSON object")
     return value
+
+
+def from_fields(cls, values: dict, source: str):
+    """Dataclass ``cls`` built from ``values``, which must name exactly its
+    fields (those with a default may be left out); a missing or unknown
+    field, or a value the constructor refuses, raises ValueError prefixed
+    by ``source``."""
+    fields = dataclasses.fields(cls)
+    missing = [f.name for f in fields if f.name not in values
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    unknown = sorted(set(values) - {f.name for f in fields})
+    causes = [f"{kind} fields {names}"
+              for kind, names in (("missing", missing), ("unknown", unknown)) if names]
+    if causes:
+        raise ValueError(f"{source}: " + "; ".join(causes))
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _fits(value, hint, item: bool = False) -> bool:
@@ -243,7 +265,7 @@ def select_variables(series: RawSeries) -> RawSeries:
         raise ValueError(f"unit {series.unit_id}: variable selection needs 21 "
                          f"sensor columns, got {series.sensors.shape[1]}")
     idx = [s - 1 for s in SELECTED_SENSORS]
-    return replace(series, sensors=series.sensors[:, idx].copy())
+    return replace(series, sensors=series.sensors[:, idx])
 
 
 def fit_minmax(values_list: Iterable[np.ndarray]) -> NormStats:
@@ -264,19 +286,23 @@ def fit_minmax(values_list: Iterable[np.ndarray]) -> NormStats:
 
 
 def apply_minmax(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    """(x - min) / (max - min); out-of-range values are NOT clipped."""
-    return (values - stats.mins) / (stats.maxs - stats.mins)
+    """(x - min) / (max - min); out-of-range values are NOT clipped. The
+    result is read-only, as the windows cut from it are views of it."""
+    out = (values - stats.mins) / (stats.maxs - stats.mins)
+    out.flags.writeable = False
+    return out
 
 
 def sliding_window(values: np.ndarray, w: int, sl: int) -> list[np.ndarray]:
-    """Windows of w rows at offsets 0, sl, 2 sl, ...; count (L - w) // sl + 1."""
+    """Windows of w rows at offsets 0, sl, 2 sl, ...; count (L - w) // sl + 1.
+    Each window is a view of ``values``, so overlapping windows share its
+    rows and store none of their own."""
     if w < 1 or sl < 1:
         raise ValueError("window size and stride must be >= 1")
     length = values.shape[0]
     if length < w:
         raise ValueError(f"series of length {length} shorter than window {w}")
-    return [values[start:start + w].copy()
-            for start in range(0, length - w + 1, sl)]
+    return [values[start:start + w] for start in range(0, length - w + 1, sl)]
 
 
 def piecewise_label(remaining_cycles: int) -> float:
@@ -316,7 +342,7 @@ def build_test_set(series_list: Sequence[RawSeries], ruls: Sequence[int],
     for s, r in zip(series_list, ruls):
         values = apply_minmax(s.sensors, stats)
         if s.length >= w:
-            window = values[-w:].copy()
+            window = values[-w:]
             anchor = (s.length - w)  # final window index at stride 1
         else:
             pad = np.repeat(values[:1], w - s.length, axis=0)

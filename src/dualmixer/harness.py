@@ -133,16 +133,6 @@ class RunConfig:
                 f"-N{self.n_layers}-d{self.d}-s{self.seed}-{self.config_hash()}")
 
 
-def config_from_dict(values: dict) -> RunConfig:
-    """Build a RunConfig from exactly its own field names, each holding a
-    JSON value of its field's type (which RunConfig checks)."""
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return RunConfig(**values)
-
-
 @dataclass
 class RunReport:
     """Everything a finished run leaves behind; serialized as report.json.
@@ -178,17 +168,7 @@ class RunReport:
         if version != REPORT_VERSION:
             raise ValueError(f"{path}: report format version {version}, expected "
                              f"{REPORT_VERSION}; rerun with --force to retrain")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        missing = [name for name, f in fields.items()
-                   if name not in raw and f.default is dataclasses.MISSING]
-        unknown = sorted(set(raw) - set(fields))
-        if missing or unknown:
-            raise ValueError(f"{path}: malformed report: missing fields {missing}, "
-                             f"unknown fields {unknown}")
-        try:
-            return cls(**raw)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed report: {exc}") from None
+        return dd.from_fields(cls, raw, f"{path}: malformed report")
 
 
 def write_json(path: str, value) -> None:

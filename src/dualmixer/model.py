@@ -41,6 +41,7 @@ All linear maps are bias-free; layer norms carry gain and bias.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -276,10 +277,8 @@ def forward_batch(p: DualMixerParams, windows,
 #   row-major, little-endian, no padding.
 
 def save_checkpoint(path: str, p: DualMixerParams) -> None:
-    cfg = p.config
     header = {
-        "l": cfg.l, "m_vars": cfg.m_vars, "d": cfg.d,
-        "n_layers": cfg.n_layers, "seed": cfg.seed, "variant": p.variant,
+        **dataclasses.asdict(p.config), "variant": p.variant,
         "arrays": [[name, int(a.shape[0]), int(a.shape[1])] for name, a in p.arrays.items()],
     }
     blob = json.dumps(header).encode("utf-8")
@@ -311,7 +310,7 @@ def load_checkpoint(path: str) -> DualMixerParams:
         raise ValueError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(blob[12:offset].decode("utf-8"))
-        config = ModelConfig(**{k: header[k] for k in ("l", "m_vars", "d", "n_layers", "seed")})
+        config = ModelConfig(**{f.name: header[f.name] for f in dataclasses.fields(ModelConfig)})
         listed = [tuple(entry) for entry in header["arrays"]]
         if any([type(v) for v in entry] != [str, int, int] for entry in listed):
             raise ValueError("array entries must be [name, rows, cols] with integer sizes")
@@ -319,7 +318,7 @@ def load_checkpoint(path: str) -> DualMixerParams:
         if config.n_layers > len(listed):
             raise ValueError(f"{config.n_layers} layers but {len(listed)} arrays")
         expected = layout(config, header["variant"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
     if [name for name, _, _ in listed] != [name for name, _, _ in expected]:
         raise ValueError(f"{path}: array list does not match variant structure")

@@ -260,6 +260,20 @@ class TestTrainingWindows:
         below_knee = [l for l in labels if l < 1.0]
         assert all(a > b for a, b in zip(below_knee, below_knee[1:]))
 
+    def test_windows_are_read_only_views_of_their_unit(self):
+        """A window stores no rows of its own: it shares memory with its
+        neighbour, and nothing can be written through it, nor through a
+        test set's final window."""
+        series = [make_series(1, 40, n_sensors=3, seed=6)]
+        stats = dd.fit_minmax([s.sensors for s in series])
+        windows = [s.values for s in dd.build_training_windows(series, stats, w=30, sl=1)]
+        for a, b in zip(windows, windows[1:]):
+            assert np.shares_memory(a, b)
+        final = dd.build_test_set(series, [0], stats, w=30)[0].values
+        for window in (windows[0], final):
+            with pytest.raises(ValueError, match="read-only"):
+                window[0, 0] = 1.0
+
     def test_too_short_unit_is_skipped(self):
         series = [make_series(1, 10, n_sensors=3, seed=7),
                   make_series(2, 35, n_sensors=3, seed=8)]

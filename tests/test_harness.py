@@ -8,9 +8,11 @@ import glob
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import weakref
+from argparse import _SubParsersAction
 from dataclasses import replace
 
 import numpy as np
@@ -118,8 +120,8 @@ class TestRunConfig:
                 replace(valid, **{f.name: object()})
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown config fields"):
-            hx.config_from_dict({"w": 30, "nonsense": 1})
+        with pytest.raises(ValueError, match=r"^config: unknown fields \['nonsense'\]$"):
+            dd.from_fields(hx.RunConfig, {"w": 30, "nonsense": 1}, "config")
 
     @pytest.mark.parametrize("field,value,held", [
         ("d", "32", "str"), ("w", 30.0, "float"), ("seed", 1.5, "float"),
@@ -128,14 +130,14 @@ class TestRunConfig:
     def test_from_dict_rejects_mistyped_fields(self, field, value, held):
         """A JSON value of the wrong type names its field; a bool is not an int."""
         with pytest.raises(ValueError, match=f"field '{field}' holds {held}"):
-            hx.config_from_dict({field: value})
+            dd.from_fields(hx.RunConfig, {field: value}, "config")
 
     def test_from_dict_accepts_an_int_for_a_float_field(self):
-        assert hx.config_from_dict({"lr": 1, "holdout": True}).lr == 1
+        assert dd.from_fields(hx.RunConfig, {"lr": 1, "holdout": True}, "config").lr == 1
 
     def test_int_in_a_file_hashes_like_the_flag(self):
         """{"lr": 1} and --lr 1 are one recipe, so they name one run."""
-        from_file = hx.config_from_dict({"lr": 1})
+        from_file = dd.from_fields(hx.RunConfig, {"lr": 1}, "config")
         from_flag = cli.resolve_config(cli.build_parser().parse_args(["train", "--lr", "1"]))
         assert isinstance(from_file.lr, float)
         assert from_file.config_hash() == from_flag.config_hash()
@@ -567,7 +569,8 @@ class TestReportLoad:
             hx.RunReport.load(path)
         assert path in str(err.value) and cause in str(err.value)
 
-    @pytest.mark.parametrize("text", ['{"rmse": ', "[1, 2]", "\xff\xfe"])
+    @pytest.mark.parametrize("text", ['{"rmse": ', "[1, 2]", "\xff\xfe", pytest.param(
+        '{"config": ' + "[" * 200_000, id="deeply-nested")])
     def test_not_a_json_object(self, tmp_path, text):
         path = tmp_path / "report.json"
         path.write_bytes(text.encode("latin-1"))
@@ -889,7 +892,59 @@ class TestExportFeatures:
         assert len(lines) == 1
 
 
+# Each run command's flags as flag -> (dest, type, default, choices).
+_RUN_FLAGS = {
+    "--config": ("config", None, None, None),
+    "--dataset": ("dataset", None, None, ("fd001", "fd002", "fd003", "fd004", "synth")),
+    "--data-dir": ("data_dir", None, None, None),
+    "--mode": ("mode", None, None, ("standard", "fsgri")),
+    "--variant": ("variant", None, None, ("full", "oCm", "oCO", "oO", "oT", "oS")),
+    "--seed": ("seed", int, None, None),
+    "--out": ("out_dir", None, None, None),
+    "--holdout": ("holdout", None, None, None),
+    "--d": ("d", int, None, None),
+    "--layers": ("n_layers", int, None, None),
+    "--tau": ("tau", float, None, None),
+    "--beta": ("beta", float, None, None),
+    "--sigma1": ("sigma1", float, None, None),
+    "--sigma2": ("sigma2", float, None, None),
+    "--lambda": ("lam", float, None, None),
+    "--m": ("m", int, None, None),
+    "--batch": ("b", int, None, None),
+    "--lr": ("lr", float, None, None),
+    "--epochs": ("epochs", int, None, None),
+    "--window": ("w", int, None, None),
+    "--stride": ("sl", int, None, None),
+}
+_CHECKPOINT_FLAG = {"--checkpoint": ("checkpoint", None, None, None)}
+_CLI_SURFACE = {
+    "train": {**_RUN_FLAGS, "--force": ("force", None, False, None)},
+    "eval": {**_RUN_FLAGS, **_CHECKPOINT_FLAG},
+    "ablate": _RUN_FLAGS,
+    "grid": {**_RUN_FLAGS, "--n-list": ("n_list", cli._int_list, "2,4,6,8,10,12", None),
+             "--d-list": ("d_list", cli._int_list, "16,32,64,128", None)},
+    "export": {**_RUN_FLAGS, **_CHECKPOINT_FLAG,
+               "--split": ("split", None, "test", ("train", "test"))},
+    "synth": {"--out": ("out_dir", None, None, None), "--tag": ("tag", None, "SY001", None),
+              "--units": ("units", int, 20, None),
+              "--test-units": ("test_units", int, 10, None),
+              "--cycles": ("cycles", int, [90, 140], None), "--vars": ("vars", int, 21, None),
+              "--gamma": ("gamma", float, 2.0, None), "--noise": ("noise", float, 0.05, None),
+              "--seed": ("seed", int, 1, None)},
+}
+
+
 class TestCli:
+    def test_every_subcommand_keeps_its_flags(self):
+        """Each subcommand's flags with their dests, types, defaults and
+        choices: a flag made from a RunConfig field keeps its name."""
+        subparsers, = (a for a in cli.build_parser()._actions
+                       if isinstance(a, _SubParsersAction))
+        got = {name: {" ".join(a.option_strings): (a.dest, a.type, a.default, a.choices)
+                      for a in p._actions if a.dest != "help"}
+               for name, p in subparsers.choices.items()}
+        assert got == _CLI_SURFACE
+
     @pytest.mark.parametrize("user", [None, "3"])
     def test_blas_threads_default_to_one_before_numpy_loads(self, user):
         """What the BLAS thread variables hold when numpy is imported under
@@ -949,7 +1004,27 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"banana": 1}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
-        assert "unknown config fields" in capsys.readouterr().err
+        assert f"{cfg_path}: config file: unknown fields ['banana']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, cause", [
+        ({"lr": "x"}, "field 'lr' holds str"), ({"b": 0}, "b must be >= 1"),
+    ], ids=["lr", "b"])
+    def test_bad_config_value_exits_2_naming_file_and_field(self, tmp_path, capsys,
+                                                            values, cause):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "runs")]) == 2
+        assert f"{cfg_path}: config file: {cause}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_deeply_nested_checkpoint_header_exits_2_naming_it(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        header = b"[" * 200_000
+        ckpt.write_bytes(dm.CHECKPOINT_MAGIC
+                         + struct.pack("<II", dm.CHECKPOINT_VERSION, len(header)) + header)
+        assert cli.main(["eval", "--checkpoint", str(ckpt)]) == 2
+        assert f"{ckpt}: malformed checkpoint header" in capsys.readouterr().err
 
     def test_mistyped_config_file_exits_2_without_a_run_dir(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -961,6 +1036,7 @@ class TestCli:
     @pytest.mark.parametrize("content, cause", [
         (b'{"d": ', "not valid JSON"), (b"[1, 2]", "must hold a JSON object"),
         (b"\xff\xfe{}", "not valid JSON"),
+        pytest.param(b"[" * 200_000, "not valid JSON", id="deeply-nested"),
     ])
     def test_bad_config_file_exits_2_naming_it_without_a_run_dir(self, tmp_path, capsys,
                                                                  content, cause):
