@@ -88,8 +88,8 @@ def parse_cmapss(path: str) -> list[RawSeries]:
 
     Units are returned in first-appearance order with rows sorted by cycle;
     cycle indices must then run 1..L without gaps. Every field must be a
-    finite number, and the unit id and cycle whole numbers. Only the sensor
-    columns are kept.
+    finite number, and the unit id (never negative) and cycle whole numbers.
+    Only the sensor columns are kept.
     """
     rows_by_unit: dict[int, list[list[float]]] = {}
     with open(path, "r") as f:
@@ -103,9 +103,10 @@ def parse_cmapss(path: str) -> list[RawSeries]:
                 row = [float(p) for p in parts]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") from None
-            whole = row[0].is_integer() and row[1].is_integer()  # unit id and cycle
+            whole = row[0].is_integer() and row[0] >= 0 and row[1].is_integer()  # id, cycle
             if not (whole and all(map(math.isfinite, row))):
-                raise ParseError(f"{path}:{lineno}: non-finite field or fractional unit id or cycle")
+                raise ParseError(f"{path}:{lineno}: non-finite field or negative or fractional "
+                                 "unit id or cycle")
             rows_by_unit.setdefault(int(row[0]), []).append(row)
     series = []
     for unit_id, rows in rows_by_unit.items():

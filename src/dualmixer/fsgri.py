@@ -13,7 +13,8 @@ build_group returns a group as its m + 2 windows and labels in slot order
 numerics.descend, which cuts it into shards; each shard builds its groups
 on its own thread, concatenates their rows into one forward_batch call and
 scores them with batch_loss, a single tape node (put there by
-numerics.record) with a closed-form backward.
+numerics.record) with a closed-form backward. The shards share no mutable
+state; log_sampler_notes states what the sampler relaxes or skips, once.
 dw_info_nce and mse_all compute the same terms for one group from scalar
 tape ops; they are the reference batch_loss is tested against.
 
@@ -24,7 +25,6 @@ from the run's harness.RunConfig, which checks them when it is built.
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -39,18 +39,6 @@ if TYPE_CHECKING:  # harness imports fsgri, so only type checkers import it back
     from .harness import RunConfig
 
 logger = logging.getLogger(__name__)
-_warned_lock = threading.Lock()
-
-
-def _warn_once(warned: Optional[set], key, msg, *args) -> None:
-    """Log a warning unless its key is already in ``warned``, then record it
-    there, under a lock as shard threads share the set; or always, no set."""
-    if warned is not None:
-        with _warned_lock:
-            if key in warned:
-                return
-            warned.add(key)
-    logger.warning(msg, *args)
 
 
 class ShortSeriesError(ValueError):
@@ -89,8 +77,25 @@ def _draw_without_replacement(rng: np.random.Generator, probs: np.ndarray,
     return out
 
 
-def sample_negatives(rng: np.random.Generator, t: int, i: int,
-                     cfg: RunConfig, warned: Optional[set] = None) -> list[int]:
+def _too_short(t: int, cfg: RunConfig) -> bool:
+    """Whether a t-window unit has too few other windows for m negatives."""
+    return t - 1 < cfg.m
+
+
+def _workable_band(t: int, i: int, cfg: RunConfig) -> Optional[tuple[np.ndarray, float]]:
+    """threshold_probabilities for anchor i at the first beta, halving from
+    cfg.beta, that leaves m eligible indices, and that beta; None below 1/t."""
+    beta = cfg.beta
+    while True:
+        probs = threshold_probabilities(t, i, beta, cfg.sigma1)
+        if int(np.count_nonzero(probs)) >= cfg.m:
+            return probs, beta
+        beta /= 2.0
+        if beta < 1.0 / t:
+            return None
+
+
+def sample_negatives(rng: np.random.Generator, t: int, i: int, cfg: RunConfig) -> list[int]:
     """m distinct negative indices for anchor i of a t-window unit.
 
     Gaussian threshold sampling: m sequential draws without replacement
@@ -98,41 +103,46 @@ def sample_negatives(rng: np.random.Generator, t: int, i: int,
     eligible indices, beta is halved until enough survive or it drops below
     1/t; past that, indices are drawn uniformly from everything except the
     anchor. Units with at most m other windows cannot be sampled at all.
-    Each relaxed band is logged once per unit length and band, and the
-    fallback once per unit length (keys in ``warned``), so the messages do
-    not depend on which shard thread samples first.
+    It logs nothing: log_sampler_notes states what it relaxes, once a run.
     """
-    if t - 1 < cfg.m:
+    if _too_short(t, cfg):
         raise ShortSeriesError(f"unit has {t} windows; need more than {cfg.m}")
-    beta = cfg.beta
-    while True:
-        probs = threshold_probabilities(t, i, beta, cfg.sigma1)
-        if int(np.count_nonzero(probs)) >= cfg.m:
-            if beta != cfg.beta:
-                _warn_once(warned, ("relaxed", t, beta), "relaxed exclusion band to beta=%g "
-                           "for %d-window units", beta, t)
-            return _draw_without_replacement(rng, probs, cfg.m)
-        beta /= 2.0
-        if beta < 1.0 / t:
-            break
-    _warn_once(warned, ("uniform", t), "falling back to uniform negative sampling "
-               "for %d-window units", t)
-    others = np.delete(np.arange(t), i)
-    return [int(k) for k in rng.permutation(others)[:cfg.m]]
+    band = _workable_band(t, i, cfg)
+    if band is None:
+        others = np.delete(np.arange(t), i)
+        return [int(k) for k in rng.permutation(others)[:cfg.m]]
+    return _draw_without_replacement(rng, band[0], cfg.m)
+
+
+def log_sampler_notes(samples: Sequence[WindowSample], cfg: RunConfig) -> None:
+    """Log once each what the sampler does to these units under cfg: each
+    short unit, which training skips, then per usable unit length (walking
+    all its anchors) each relaxed beta, descending, and any uniform fallback.
+    Short units come by id and lengths ascending, so the order is fixed."""
+    groups = group_by_unit(samples)
+    for uid in sorted(groups):
+        if _too_short(len(groups[uid]), cfg):
+            logger.warning("unit %d has only %d windows; need more than %d for negative "
+                           "sampling; skipped", uid, len(groups[uid]), cfg.m)
+    for t in sorted({len(w) for w in groups.values() if not _too_short(len(w), cfg)}):
+        betas = {band and band[1] for band in (_workable_band(t, i, cfg) for i in range(t))}
+        for beta in sorted(betas - {None, cfg.beta}, reverse=True):
+            logger.warning("relaxed exclusion band to beta=%g for %d-window units", beta, t)
+        if None in betas:
+            logger.warning("falling back to uniform negative sampling for %d-window units", t)
 
 
 def build_group(rng: np.random.Generator, unit_windows: Sequence[WindowSample],
-                i: int, cfg: RunConfig, warned: Optional[set] = None
-                ) -> tuple[list[np.ndarray], list[float]]:
+                i: int, cfg: RunConfig) -> tuple[list[np.ndarray], list[float]]:
     """Sample one anchor's group from its unit's ordered window list.
 
     Returns the group's m + 2 windows and labels in slot order: the anchor,
     its positive (the anchor plus N(0, sigma2^2) noise per entry, with the
     anchor's label), then the m negatives. Draw order is fixed (negatives
     first, then the positive's noise) so a given rng state always yields
-    the same group.
+    the same group. It reads only its arguments, so shards share no state.
     """
-    neg_idx = sample_negatives(rng, len(unit_windows), i, cfg, warned)
+    neg_idx = sample_negatives(rng, len(unit_windows), i, cfg)
     anchor = unit_windows[i]
     positive = anchor.values + rng.normal(0.0, cfg.sigma2, size=anchor.values.shape)
     negatives = [unit_windows[k] for k in neg_idx]
@@ -285,8 +295,7 @@ def stratified_order(groups: dict[int, list[WindowSample]],
 
 
 def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample],
-                      cfg: RunConfig, optimizer: nx.AdamState,
-                      epoch_seed: int, warned: Optional[set] = None) -> EpochStats:
+                      cfg: RunConfig, optimizer: nx.AdamState, epoch_seed: int) -> EpochStats:
     """One pass over all usable anchors.
 
     Anchors are grouped into batches of b // (m+1); numerics.descend cuts
@@ -296,33 +305,19 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     sampling is keyed by (epoch_seed, unit, window index), so a rerun with
     the same seed reproduces the epoch bit-for-bit on any thread.
     A non-finite batch loss or gradient raises ValueError before any update.
-    Each short-unit or sampler warning is logged once per key in
-    ``warned``; pass one set to every epoch of a run to log it once per run.
+    Short units are skipped and counted, and nothing is logged: a run
+    states its sampler notes once, through log_sampler_notes.
     """
-    if warned is None:
-        warned = set()
-    if not samples:
-        raise ValueError("empty training set")
-    groups = group_by_unit(samples)
-    usable: dict[int, list[WindowSample]] = {}
-    skipped = 0
-    for uid, windows in sorted(groups.items()):
-        if len(windows) - 1 < cfg.m:
-            _warn_once(warned, ("unit", uid), "unit %d has only %d windows; need more "
-                       "than %d for negative sampling; skipped", uid,
-                       len(windows), cfg.m)
-            skipped += len(windows)
-        else:
-            usable[uid] = windows
-    if not usable:
+    usable = {uid: w for uid, w in group_by_unit(samples).items() if not _too_short(len(w), cfg)}
+    if not usable:  # also an empty training set
         raise ValueError("no unit has enough windows for negative sampling")
     order = stratified_order(usable, epoch_seed)
     batch_size = cfg.anchor_batch
     group_size = (cfg.m + 2) * params.config.l * params.config.d
 
     def group_loss(keys):
-        groups = [build_group(np.random.default_rng((epoch_seed, uid, i)), usable[uid], i, cfg,
-                              warned) for uid, i in keys]
+        groups = [build_group(np.random.default_rng((epoch_seed, uid, i)), usable[uid], i, cfg)
+                  for uid, i in keys]
         windows = [w for group_windows, _ in groups for w in group_windows]
         feats, ruls = dm.forward_batch(params, windows, nx.Graph())
         batch_sum, contrastive, regression = batch_loss(
@@ -344,4 +339,4 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
                       mean_regression=total_reg / anchors,
                       batches=batches, anchor_batch_size=batch_size,
                       encodings=anchors * (cfg.m + 2),
-                      skipped_anchors=skipped)
+                      skipped_anchors=len(samples) - sum(map(len, usable.values())))

@@ -216,6 +216,8 @@ def _load_cmapss(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list
                                        for kind in ("train", "test", "RUL"))
     train_series = [dd.select_variables(s) for s in dd.parse_cmapss(train_path)]
     test_series = [dd.select_variables(s) for s in dd.parse_cmapss(test_path)]
+    if not (test_series or cfg.holdout):
+        raise ValueError(f"{test_path}: no test units to evaluate")
     return train_series, test_series, dd.parse_rul(rul_path)
 
 
@@ -231,7 +233,8 @@ def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]
     pick) replace the test split: the stats are fitted on the remaining
     units, and the held-out units' windows become the evaluation samples.
     A ValueError naming w is raised when too few training units (one, or
-    two with holdout) have at least w cycles.
+    two with holdout) have at least w cycles; one naming the file, when the
+    test split is evaluated and holds no unit.
     """
     loader = _load_synth if cfg.dataset == "synth" else _load_cmapss
     train_series, test_series, ruls = loader(cfg)
@@ -301,16 +304,13 @@ def compute_metrics(labels: np.ndarray,
 
 def evaluate(params: dm.DualMixerParams,
              samples: Sequence[WindowSample]) -> tuple[float, Optional[float]]:
-    """Metrics on clamped predictions for a sample list."""
-    if not samples:
-        raise ValueError("empty evaluation set")
+    """Metrics on clamped predictions for a sample list (ValueError if empty)."""
     labels = np.array([s.label for s in samples])
     return compute_metrics(labels, predict_samples(params, samples))
 
 
 def _standard_epoch(params: dm.DualMixerParams, samples: Sequence[WindowSample],
-                    cfg: RunConfig, opt: nx.AdamState, epoch: int, epoch_seed: int,
-                    warned: set) -> dict:
+                    cfg: RunConfig, opt: nx.AdamState, epoch: int, epoch_seed: int) -> dict:
     """Mean-squared-error steps over shuffled batches of b windows; the
     record's loss is the epoch's mean squared error per window."""
     groups = dd.group_by_unit(samples)
@@ -331,10 +331,9 @@ def _standard_epoch(params: dm.DualMixerParams, samples: Sequence[WindowSample],
 
 
 def _fsgri_epoch(params: dm.DualMixerParams, samples: Sequence[WindowSample],
-                 cfg: RunConfig, opt: nx.AdamState, epoch: int, epoch_seed: int,
-                 warned: set) -> dict:
+                 cfg: RunConfig, opt: nx.AdamState, epoch: int, epoch_seed: int) -> dict:
     """One fsgri.train_epoch_fsgri pass; the record keeps both loss terms."""
-    stats = fs.train_epoch_fsgri(params, samples, cfg, opt, epoch_seed, warned)
+    stats = fs.train_epoch_fsgri(params, samples, cfg, opt, epoch_seed)
     return {"loss": stats.mean_loss, "contrastive": stats.mean_contrastive,
             "regression": stats.mean_regression, "batches": stats.batches,
             "anchor_batch_size": stats.anchor_batch_size, "encodings": stats.encodings}
@@ -352,19 +351,19 @@ def train(params: dm.DualMixerParams, samples: Sequence[WindowSample],
           cfg: RunConfig) -> list[dict]:
     """cfg.epochs epochs of cfg.mode's epoch function on one Adam state;
     one record per epoch, its epoch number first, each logged at INFO with
-    its wall seconds as it finishes. Each sampler or short-unit warning is
-    logged once per call, and a non-finite batch loss or gradient raises
-    ValueError naming the batch before any update."""
+    its wall seconds as it finishes; fsgri mode first logs the sampler's
+    notes once (fsgri.log_sampler_notes). A non-finite batch loss or
+    gradient raises ValueError naming the batch before any update."""
     if not samples:
         raise ValueError("empty training set")
+    if cfg.mode == "fsgri":
+        fs.log_sampler_notes(samples, cfg)
     run_epoch = _MODE_PARTS[cfg.mode][0]
     opt = nx.AdamState(lr=cfg.lr)
-    warned: set = set()
     history = []
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        record = run_epoch(params, samples, cfg, opt, epoch, _epoch_seed(cfg.seed, epoch),
-                           warned)
+        record = run_epoch(params, samples, cfg, opt, epoch, _epoch_seed(cfg.seed, epoch))
         logger.info("%s epoch %d/%d: %s (%.1f s)", cfg.mode, epoch + 1, cfg.epochs,
                     " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                              for k, v in record.items()),

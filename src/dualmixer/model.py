@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics as nx
-from .data import check_fields
+from .data import check_fields, from_fields
 from .numerics import Tensor
 
 CHECKPOINT_MAGIC = b"DMIX"
@@ -293,8 +293,9 @@ def load_checkpoint(path: str) -> DualMixerParams:
 
     The header's array list must equal layout() for its config and variant.
     Any file that does not hold exactly one well-formed checkpoint (bad
-    magic or version, a cut or malformed header, missing array data, a NaN
-    or infinite weight, or bytes after the last array) raises ValueError.
+    magic or version, a cut header, a malformed or unknown header field,
+    missing array data, a NaN or infinite weight, or trailing bytes) raises
+    ValueError.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -309,15 +310,15 @@ def load_checkpoint(path: str) -> DualMixerParams:
     if offset > len(blob):
         raise ValueError(f"{path}: truncated checkpoint header")
     try:
-        header = json.loads(blob[12:offset].decode("utf-8"))
-        config = ModelConfig(**{f.name: header[f.name] for f in dataclasses.fields(ModelConfig)})
-        listed = [tuple(entry) for entry in header["arrays"]]
+        header = {**json.loads(blob[12:offset].decode("utf-8"))}  # TypeError unless an object
+        variant, listed = header.pop("variant"), [tuple(entry) for entry in header.pop("arrays")]
+        config = from_fields(ModelConfig, header, "model config")
         if any([type(v) for v in entry] != [str, int, int] for entry in listed):
             raise ValueError("array entries must be [name, rows, cols] with integer sizes")
         # every layer owns several arrays; this bounds the layout walk below
         if config.n_layers > len(listed):
             raise ValueError(f"{config.n_layers} layers but {len(listed)} arrays")
-        expected = layout(config, header["variant"])
+        expected = layout(config, variant)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header: {exc}") from exc
     if [name for name, _, _ in listed] != [name for name, _, _ in expected]:
@@ -336,4 +337,4 @@ def load_checkpoint(path: str) -> DualMixerParams:
         offset += nbytes
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last array")
-    return DualMixerParams(config=config, variant=header["variant"], arrays=arrays)
+    return DualMixerParams(config=config, variant=variant, arrays=arrays)

@@ -97,10 +97,11 @@ class TestParsing:
 
     @pytest.mark.parametrize("column,value", [
         (0, "inf"), (0, "nan"), (0, "1.5"), (1, "inf"), (1, "2.5"), (7, "nan"), (25, "-inf"),
-        (2, "nan"), (4, "1e999"),
+        (2, "nan"), (4, "1e999"), (0, "-5"),
     ])
     def test_non_finite_or_fractional_field_names_the_line(self, tmp_path, column, value):
-        """A unit id or cycle must be a whole number and every field finite."""
+        """A unit id or cycle must be a whole number, the unit id not
+        negative (it seeds the sampler), and every field finite."""
         path = tmp_path / "bad.txt"
         fields = [["1", str(c)] + ["0.5"] * 24 for c in (1, 2, 3)]
         fields[1][column] = value

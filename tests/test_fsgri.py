@@ -464,13 +464,13 @@ class TestTrainEpoch:
 
     def test_two_lane_epoch_logs_each_sampler_warning_once(self, monkeypatch, caplog):
         """Each shard builds its groups on its own lane's thread, and the
-        lanes share the warned set: an epoch run as four shards, two per
+        lanes share no state: a one-epoch fsgri run of four shards, two per
         lane, whose band is too wide for its units, logs each relaxed band
-        or uniform fallback exactly once, whichever lane gets there first."""
+        exactly once, before it trains."""
         monkeypatch.setattr(nx, "shard_count", lambda activation: 4)
         samples = [w for u, n in ((1, 7), (2, 7), (3, 9), (4, 9)) for w in fake_windows(u, n)]
         params = dm.make_variant(dm.ModelConfig(l=4, m_vars=3, d=4, n_layers=1, seed=19), "full")
-        cfg = hx.RunConfig(m=5, beta=0.9, sigma1=0.3, b=128)
+        cfg = hx.RunConfig(mode="fsgri", epochs=1, m=5, beta=0.9, sigma1=0.3, b=128)
         group_threads = set()
         build_group = fs.build_group
 
@@ -483,7 +483,7 @@ class TestTrainEpoch:
         sys.setswitchinterval(1e-6)
         try:
             with caplog.at_level(logging.WARNING, logger=fs.__name__):
-                fs.train_epoch_fsgri(params, samples, cfg, nx.AdamState(lr=1e-3), 0)
+                hx.train(params, samples, cfg)
         finally:
             sys.setswitchinterval(interval)
         messages = [r.getMessage() for r in caplog.records if r.name == fs.__name__]
@@ -493,6 +493,53 @@ class TestTrainEpoch:
             "relaxed exclusion band to beta=0.225 for 9-window units",
             "relaxed exclusion band to beta=0.45 for 7-window units",
             "relaxed exclusion band to beta=0.45 for 9-window units"]
+
+    def test_sampler_notes_come_in_one_order_before_the_first_epoch(self, monkeypatch,
+                                                                     caplog):
+        """A two-epoch, four-shard run logs its sampler notes in a fixed
+        order (short units by id, then unit lengths ascending, each length's
+        relaxed betas descending and then its uniform fallback), the same on
+        a rerun, and all of them before the first epoch's INFO line. With
+        sigma1 = 0.01 the density underflows a few windows from the anchor,
+        so edge anchors fall back to uniform draws."""
+        monkeypatch.setattr(nx, "shard_count", lambda activation: 4)
+        units = ((12, 3), (1, 7), (2, 7), (3, 9), (4, 9), (10, 4), (5, 12))
+        samples = [w for u, n in units for w in fake_windows(u, n)]
+        cfg = hx.RunConfig(mode="fsgri", epochs=2, m=5, beta=0.9, sigma1=0.01, b=128)
+        runs = []
+        for _ in range(2):
+            params = dm.make_variant(dm.ModelConfig(l=4, m_vars=3, d=4, n_layers=1, seed=19),
+                                     "full")
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                hx.train(params, samples, cfg)
+            runs.append([(r.levelname, r.getMessage()) for r in caplog.records
+                         if r.name in (fs.__name__, hx.__name__)])
+        skipped = "has only %d windows; need more than 5 for negative sampling; skipped"
+        assert [m for level, m in runs[0] if level == "WARNING"] == [
+            "unit 10 " + skipped % 4,
+            "unit 12 " + skipped % 3,
+            "falling back to uniform negative sampling for 7-window units",
+            "relaxed exclusion band to beta=0.1125 for 9-window units",
+            "falling back to uniform negative sampling for 9-window units",
+            "relaxed exclusion band to beta=0.225 for 12-window units",
+            "relaxed exclusion band to beta=0.1125 for 12-window units",
+            "falling back to uniform negative sampling for 12-window units"]
+        levels = [level for level, _ in runs[0]]
+        assert levels == ["WARNING"] * 8 + ["INFO"] * 2
+        assert runs[0][8][1].startswith("fsgri epoch 1/2: ")
+        assert [r for r in runs[0] if r[0] == "WARNING"] == [r for r in runs[1]
+                                                             if r[0] == "WARNING"]
+
+    def test_bare_epoch_logs_nothing(self, caplog):
+        """train_epoch_fsgri skips and counts a short unit, and samples
+        relaxed bands, without logging: the notes belong to the run."""
+        params, samples, _ = self.setup_run(extra_small=True)
+        cfg = hx.RunConfig(m=5, beta=0.9, sigma1=0.3, b=128)
+        with caplog.at_level(logging.DEBUG):
+            stats = fs.train_epoch_fsgri(params, samples, cfg, nx.AdamState(lr=1e-3), 0)
+        assert stats.skipped_anchors == 4
+        assert caplog.records == []
 
     def test_empty_dataset_rejected(self):
         params, _, cfg = self.setup_run()

@@ -7,6 +7,7 @@ import gc
 import glob
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -203,6 +204,22 @@ class TestLoadDataset:
         assert len(test) == 3
         values = np.vstack([s.values for s in train])
         assert values.min() >= 0.0 and values.max() <= 1.0
+
+    def test_empty_test_split_refused_before_training(self, tmp_path, caplog):
+        """An empty test split is refused by the loader, naming the test
+        file, so a run fails before its first epoch instead of after the
+        last; with holdout the test split is not read for evaluation."""
+        spec = dict(cycles=(20, 30), n_vars=21, noise_std=0.05)
+        units = sx.generate(sx.SynthSpec(n_units=4, seed=4, **spec))
+        sx.emit_cmapss(str(tmp_path), "FD001", units, [], [])
+        cfg = tiny_cfg(tmp_path, dataset="fd001", data_dir=str(tmp_path))
+        test_path = str(tmp_path / "test_FD001.txt")
+        caplog.set_level("INFO", logger=hx.logger.name)
+        with pytest.raises(ValueError, match=re.escape(f"{test_path}: no test units")):
+            hx.run_one(cfg)
+        assert not [r for r in caplog.records if " epoch " in r.getMessage()]
+        assert not os.path.exists(cfg.out_dir)
+        assert hx.load_dataset(replace(cfg, holdout=True))[1]
 
     def test_synth_deterministic_per_seed(self, monkeypatch, tmp_path):
         shrink_synth(monkeypatch)

@@ -561,6 +561,23 @@ class TestParameterTable:
         with pytest.raises(ValueError, match="malformed"):
             dm.load_checkpoint(path)
 
+    def test_unknown_header_key_rejected(self, tmp_path):
+        """The header holds ModelConfig's fields, the variant and the array
+        list, and nothing else; an extra key is named, not ignored."""
+        path = self.with_header(tmp_path, lambda header: header.update({"banana": 1}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed checkpoint header: ") + ".*unknown fields \\['banana'\\]"):
+            dm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [[], "DMIX", 7, None])
+    def test_header_that_is_not_an_object_rejected(self, tmp_path, header):
+        """A header holding another JSON value is malformed, not a crash."""
+        body = json.dumps(header).encode("utf-8")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"DMIX" + struct.pack("<II", 1, len(body)) + body)
+        with pytest.raises(ValueError, match="malformed checkpoint header"):
+            dm.load_checkpoint(str(path))
+
     @pytest.mark.parametrize("slot,value", [
         (1, 2.9), (1, "2"), (2, 2.0), (2, True), (0, 7), (3, 1),
     ])
