@@ -5,9 +5,9 @@ command resolves its configuration the same way: dataclass defaults, then
 an optional JSON config file, then explicit flags. The run flags are made
 from RunConfig's fields, one each, and each flag's dest is the field it
 sets; that one RunConfig carries every setting of the run, fsgri's
-contrastive knobs included. Building it checks every field, as SynthSpec
-checks synth's, and grid builds every cell's config before any cell
-trains, so a bad value exits 2 before anything is written.
+contrastive knobs included. Building it enforces the values each field
+declares (a choice field's flag offers its choices), and grid builds every
+cell's config before any cell trains, so a bad value exits 2 first.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ logger = logging.getLogger(__name__)
 # is --<field>.
 _FLAG_NAMES = {"data_dir": "data-dir", "out_dir": "out", "n_layers": "layers",
                "lam": "lambda", "b": "batch", "w": "window", "sl": "stride"}
-_CHOICES = {"dataset": hx.DATASETS, "mode": hx.MODES, "variant": dm.VARIANTS}
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -52,7 +51,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                                      "the test split")
         else:
             parser.add_argument(flag, dest=field.name, type=None if kind is str else kind,
-                                choices=_CHOICES.get(field.name))
+                                choices=field.metadata.get("choices"))
 
 
 def _int_list(text: str) -> list[int]:

@@ -211,10 +211,12 @@ def _fits(value, hint, item: bool = False) -> bool:
 
 
 def check_fields(obj) -> None:
-    """ValueError naming the first field of dataclass instance ``obj`` that
-    does not fit its annotation or holds a NaN or infinite float, at any
-    depth; an int in a float field is stored as a float (beyond the float
-    range, infinity), while ints inside lists and dicts are kept as ints."""
+    """ValueError naming the first field of dataclass instance ``obj``, in
+    field order, that does not fit its annotation, holds a NaN or infinite
+    float at any depth, or breaks the rule its metadata declares: "min" k
+    ("sl must be >= 1"), "above" k ("tau must be > 0") or "choices" ("unknown
+    mode 'x'"). An int in a float field is stored as a float (beyond the
+    float range, infinity); ints inside lists and dicts are kept as ints."""
     hints = typing.get_type_hints(type(obj))
     for f in dataclasses.fields(obj):
         value, hint = getattr(obj, f.name), hints[f.name]
@@ -231,6 +233,13 @@ def check_fields(obj) -> None:
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
             object.__setattr__(obj, f.name, value)
+        declared = f.metadata
+        if "choices" in declared and value not in declared["choices"]:
+            raise ValueError(f"unknown {f.name} {value!r}")
+        if "min" in declared and value < declared["min"]:
+            raise ValueError(f"{f.name} must be >= {declared['min']}")
+        if "above" in declared and value <= declared["above"]:
+            raise ValueError(f"{f.name} must be > {declared['above']}")
 
 
 def write_cmapss(path: str, series_list: Sequence[RawSeries]) -> None:
@@ -335,12 +344,9 @@ def build_test_set(series_list: Sequence[RawSeries], ruls: Sequence[int],
                    stats: NormStats, w: int) -> list[WindowSample]:
     """One evaluation sample per unit: the final w cycles (left-padded by
     repeating the first cycle when the unit is shorter), labeled with the
-    supplied true remaining life."""
-    if len(ruls) != len(series_list):
-        raise ValueError(f"remaining-life file has {len(ruls)} entries for "
-                         f"{len(series_list)} test units")
+    supplied true remaining life, one per unit (ValueError otherwise)."""
     samples = []
-    for s, r in zip(series_list, ruls):
+    for s, r in zip(series_list, ruls, strict=True):
         values = apply_minmax(s.sensors, stats)
         if s.length >= w:
             window = values[-w:]

@@ -19,7 +19,7 @@ import logging
 import os
 import subprocess
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .numerics import Tensor
 logger = logging.getLogger(__name__)
 
 DATASETS = ("fd001", "fd002", "fd003", "fd004", "synth")
+MODES = ("standard", "fsgri")  # each one's epoch function is in _MODE_PARTS
 
 # The built-in synthetic dataset (dataset="synth"): SynthSpec's defaults,
 # with the generator seed derived from the run seed so both training modes
@@ -64,50 +65,36 @@ class RunConfig:
     a standard batch holds b windows, and the fsgri anchor batch is
     b // (m + 1).
 
-    Building one, directly or through dataclasses.replace, runs
-    data.check_fields and the range checks, which raise a ValueError naming
-    the first bad field; an int given for a float field is stored as a
-    float, so RunConfig(lr=1) names the --lr 1 run.
+    Each field's allowed values are declared beside its default. Building
+    one, directly or through dataclasses.replace, runs data.check_fields,
+    which enforces them, and then the beta range and anchor-batch rules,
+    each raising a ValueError naming the first bad field; an int given for
+    a float field is stored as a float, so RunConfig(lr=1) names the --lr 1 run.
     """
 
-    dataset: str = "synth"
+    dataset: str = field(default="synth", metadata={"choices": DATASETS})
     data_dir: str = "data/CMAPSS"
-    mode: str = "standard"
-    variant: str = "full"
-    seed: int = 1
+    mode: str = field(default="standard", metadata={"choices": MODES})
+    variant: str = field(default="full", metadata={"choices": dm.VARIANTS})
+    seed: int = field(default=1, metadata={"min": 0})
     out_dir: str = "runs"
-    b: int = 128
-    lr: float = 1e-2
-    w: int = 30
-    sl: int = 1
-    epochs: int = 100
-    n_layers: int = 6
-    d: int = 32
-    m: int = 5
+    b: int = field(default=128, metadata={"min": 1})
+    lr: float = field(default=1e-2, metadata={"above": 0})
+    w: int = field(default=30, metadata={"min": 1})
+    sl: int = field(default=1, metadata={"min": 1})
+    epochs: int = field(default=100, metadata={"min": 1})
+    n_layers: int = field(default=6, metadata={"min": 1})
+    d: int = field(default=32, metadata={"min": 1})
+    m: int = field(default=5, metadata={"min": 1})
     beta: float = 0.4
-    sigma1: float = 0.3
-    sigma2: float = 0.15
-    lam: float = 2.0
-    tau: float = 0.1
+    sigma1: float = field(default=0.3, metadata={"above": 0})
+    sigma2: float = field(default=0.15, metadata={"min": 0})
+    lam: float = field(default=2.0, metadata={"above": 0})
+    tau: float = field(default=0.1, metadata={"above": 0})
     holdout: bool = False
 
     def __post_init__(self) -> None:
         dd.check_fields(self)
-        if self.dataset not in DATASETS:
-            raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.variant not in dm.VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("b", "w", "sl", "epochs", "n_layers", "d", "m"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("lr", "sigma1", "lam", "tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("seed", "sigma2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
         if self.anchor_batch < 1:
@@ -218,7 +205,11 @@ def _load_cmapss(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list
     test_series = [dd.select_variables(s) for s in dd.parse_cmapss(test_path)]
     if not (test_series or cfg.holdout):
         raise ValueError(f"{test_path}: no test units to evaluate")
-    return train_series, test_series, dd.parse_rul(rul_path)
+    ruls = dd.parse_rul(rul_path)
+    if len(ruls) != len(test_series) and not cfg.holdout:
+        raise ValueError(f"{rul_path}: {len(ruls)} remaining-life entries for the "
+                         f"{len(test_series)} units of {test_path}")
+    return train_series, test_series, ruls
 
 
 def _load_synth(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
@@ -234,7 +225,8 @@ def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]
     units, and the held-out units' windows become the evaluation samples.
     A ValueError naming w is raised when too few training units (one, or
     two with holdout) have at least w cycles; one naming the file, when the
-    test split is evaluated and holds no unit.
+    test split is evaluated and holds no unit, or, naming both files, has
+    another unit count than its remaining-life file.
     """
     loader = _load_synth if cfg.dataset == "synth" else _load_cmapss
     train_series, test_series, ruls = loader(cfg)
@@ -339,12 +331,10 @@ def _fsgri_epoch(params: dm.DualMixerParams, samples: Sequence[WindowSample],
             "anchor_batch_size": stats.anchor_batch_size, "encodings": stats.encodings}
 
 
-# Each training mode's epoch function and the record keys metrics.csv keeps.
-_MODE_PARTS = {
-    "standard": (_standard_epoch, ("epoch", "loss")),
-    "fsgri": (_fsgri_epoch, ("epoch", "loss", "contrastive", "regression")),
-}
-MODES = tuple(_MODE_PARTS)
+# Each mode's epoch function and the record keys metrics.csv keeps, in MODES order.
+_MODE_PARTS = dict(zip(MODES, [(_standard_epoch, ("epoch", "loss")),
+                               (_fsgri_epoch, ("epoch", "loss", "contrastive", "regression"))],
+                       strict=True))
 
 
 def train(params: dm.DualMixerParams, samples: Sequence[WindowSample],

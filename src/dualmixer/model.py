@@ -45,7 +45,7 @@ import dataclasses
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -61,22 +61,17 @@ CHECKPOINT_VERSION = 1
 @dataclass(frozen=True)
 class ModelConfig:
     """Shape hyperparameters: window length l, input variables m_vars,
-    embedding width d, layer count n_layers, and the init seed; checked by
-    data.check_fields and the range checks when built."""
+    embedding width d, layer count n_layers, and the init seed; each field's
+    declared lower bound is enforced by data.check_fields when built."""
 
-    l: int
-    m_vars: int
-    d: int
-    n_layers: int
-    seed: int = 0
+    l: int = field(metadata={"min": 1})
+    m_vars: int = field(metadata={"min": 1})
+    d: int = field(metadata={"min": 1})
+    n_layers: int = field(metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("l", "m_vars", "d", "n_layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig.{name} must be >= 1")
-        if self.seed < 0:
-            raise ValueError("ModelConfig.seed must be >= 0")
 
 
 @dataclass

@@ -10,7 +10,7 @@ with 21 channels they can also be written out in the 26-column text format.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,32 +24,23 @@ TEST_CUT_MIN_FRAC = 0.3
 class SynthSpec:
     """Generator knobs: training and test unit counts, inclusive
     cycle-length range, channel count, degradation exponent, observation
-    noise, and the seed. Building a spec runs data.check_fields and the
-    range checks, which raise ValueError naming the first bad knob."""
+    noise, and the seed. Building a spec runs data.check_fields, which
+    enforces each knob's declared bound, and then the cycle-range rule;
+    each raises ValueError naming the first bad knob."""
 
-    n_units: int = 20
-    test_units: int = 10
+    n_units: int = field(default=20, metadata={"min": 1})
+    test_units: int = field(default=10, metadata={"min": 1})
     cycles: tuple[int, int] = (90, 140)
-    n_vars: int = 14
-    gamma: float = 2.0
-    noise_std: float = 0.05
-    seed: int = 0
+    n_vars: int = field(default=14, metadata={"min": 2})
+    gamma: float = field(default=2.0, metadata={"above": 0})
+    noise_std: float = field(default=0.05, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("n_units", "test_units"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         lo, hi = self.cycles
         if not (2 <= lo <= hi):
             raise ValueError(f"bad cycle range {self.cycles}")
-        if self.n_vars < 2:
-            raise ValueError("n_vars must be >= 2")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        for name in ("noise_std", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 def generate(spec: SynthSpec) -> list[RawSeries]:

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import glob
 import json
+import math
 import os
 import re
 import shutil
@@ -46,6 +47,22 @@ def random_windows(n, l=6, m_vars=3, seed=0):
                             label=float(rng.uniform(0, 1)), unit_id=1 + i % 3,
                             anchor_index=i)
             for i in range(n)]
+
+
+# Every field that declares its allowed values, and the rule it declares:
+# a lower bound ("min"), a strict lower bound ("above") or "choices".
+DECLARED_RULES = {
+    hx.RunConfig: {
+        "dataset": {"choices": hx.DATASETS}, "mode": {"choices": hx.MODES},
+        "variant": {"choices": dm.VARIANTS}, "seed": {"min": 0}, "b": {"min": 1},
+        "lr": {"above": 0}, "w": {"min": 1}, "sl": {"min": 1}, "epochs": {"min": 1},
+        "n_layers": {"min": 1}, "d": {"min": 1}, "m": {"min": 1}, "sigma1": {"above": 0},
+        "sigma2": {"min": 0}, "lam": {"above": 0}, "tau": {"above": 0}},
+    dm.ModelConfig: {"l": {"min": 1}, "m_vars": {"min": 1}, "d": {"min": 1},
+                     "n_layers": {"min": 1}, "seed": {"min": 0}},
+    sx.SynthSpec: {"n_units": {"min": 1}, "test_units": {"min": 1}, "n_vars": {"min": 2},
+                   "gamma": {"above": 0}, "noise_std": {"min": 0}, "seed": {"min": 0}},
+}
 
 
 class TestRunConfig:
@@ -119,6 +136,41 @@ class TestRunConfig:
         for f in dataclasses.fields(valid):
             with pytest.raises(ValueError, match=rf"\b{f.name}\b"):
                 replace(valid, **{f.name: object()})
+
+    def test_declared_rules_are_pinned(self):
+        """Exactly these fields declare a rule, and each declares this one,
+        so a rule added, dropped or changed fails here."""
+        declared = {cls: {f.name: dict(f.metadata) for f in dataclasses.fields(cls)
+                          if f.metadata} for cls in DECLARED_RULES}
+        assert declared == DECLARED_RULES
+
+    @pytest.mark.parametrize("cls,name,rule", [
+        pytest.param(cls, name, rule, id=f"{cls.__name__}.{name}")
+        for cls, rules in DECLARED_RULES.items() for name, rule in rules.items()])
+    def test_each_declared_rule_holds_at_its_edge(self, cls, name, rule):
+        """The value just past a rule (k - 1 for "min" k, k itself for
+        "above" k, an unknown name for "choices") is refused by the
+        constructor with the rule's message, and the edge (k, the next
+        float above k, every choice) is accepted. The one exception is
+        b=1, which passes its bound but leaves no anchor batch for any m."""
+        valid = {hx.RunConfig: hx.RunConfig(), sx.SynthSpec: sx.SynthSpec(),
+                 dm.ModelConfig: dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1)}[cls]
+        (kind, bound), = rule.items()
+        if kind == "min":
+            refused, message, accepted = bound - 1, f"{name} must be >= {bound}", [bound]
+        elif kind == "above":
+            refused, message = bound, f"{name} must be > {bound}"
+            accepted = [math.nextafter(bound, math.inf)]
+        else:
+            refused, message, accepted = "nope", f"unknown {name} 'nope'", bound
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**{**dataclasses.asdict(valid), name: refused})
+        for value in accepted:
+            if (cls, name, value) == (hx.RunConfig, "b", 1):
+                with pytest.raises(ValueError, match="^b=1 with m=5 gives an empty anchor"):
+                    replace(valid, b=1)
+            else:
+                assert getattr(replace(valid, **{name: value}), name) == value
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match=r"^config: unknown fields \['nonsense'\]$"):
@@ -1368,6 +1420,21 @@ class TestCli:
         assert cli.main(["train", "--dataset", "fd001", "--data-dir", str(data),
                          "--window", "8", "--out", str(tmp_path / "runs")]) == 2
         assert "RUL_FD001.txt:2" in capsys.readouterr().err
+
+    def test_short_rul_file_exits_2_naming_both_files(self, tmp_path, capsys, monkeypatch):
+        """One remaining-life entry for two test units is refused with both
+        file names, before anything trains."""
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(data), "--tag", "FD001", "--units", "3",
+                         "--test-units", "2", "--cycles", "20", "30"]) == 0
+        (data / "RUL_FD001.txt").write_text("12\n")
+        capsys.readouterr()
+        monkeypatch.setattr(hx, "train", lambda *a: pytest.fail("trained"))
+        assert cli.main(["train", "--dataset", "fd001", "--data-dir", str(data),
+                         "--window", "8", "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "RUL_FD001.txt: 1 remaining-life entries for the 2 units of " in err
+        assert "test_FD001.txt" in err
 
     def test_synth_command_emits_parseable_files(self, tmp_path):
         out = tmp_path / "data"
