@@ -298,7 +298,8 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
                       cfg: RunConfig, optimizer: nx.AdamState, epoch_seed: int) -> EpochStats:
     """One pass over all usable anchors.
 
-    Anchors are grouped into batches of b // (m+1); numerics.descend cuts
+    Anchors are grouped into batches of b // (m+1), and a config with no
+    anchor per batch is refused, in any mode; numerics.descend cuts
     each batch's anchors into shards, each shard builds its groups, stacks
     their members into one forward and sums its per-anchor losses, and the
     step divides the batch's sum by the nominal batch size b. Group
@@ -308,11 +309,11 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
     Short units are skipped and counted, and nothing is logged: a run
     states its sampler notes once, through log_sampler_notes.
     """
+    batch_size = cfg.anchor_batch
     usable = {uid: w for uid, w in group_by_unit(samples).items() if not _too_short(len(w), cfg)}
     if not usable:  # also an empty training set
         raise ValueError("no unit has enough windows for negative sampling")
     order = stratified_order(usable, epoch_seed)
-    batch_size = cfg.anchor_batch
     group_size = (cfg.m + 2) * params.config.l * params.config.d
 
     def group_loss(keys):
@@ -325,18 +326,17 @@ def train_epoch_fsgri(params: dm.DualMixerParams, samples: Sequence[WindowSample
         return batch_sum, (contrastive, regression)
 
     total_con = total_reg = 0.0
-    batches = anchors = 0
-    for start in range(0, len(order), batch_size):
-        chunk = order[start:start + batch_size]
-        _, terms = nx.descend(optimizer, params.arrays, chunk, group_size, group_loss, cfg.b,
-                              f"batch {batches} of the epoch with seed {epoch_seed}")
+    starts = range(0, len(order), batch_size)
+    for start in starts:
+        _, terms = nx.descend(optimizer, params.arrays, order[start:start + batch_size],
+                              group_size, group_loss, cfg.b,
+                              f"batch {start // batch_size} of the epoch with seed {epoch_seed}")
         total_con += float(np.concatenate([c for c, _ in terms]).sum())
         total_reg += float(np.concatenate([r for _, r in terms]).sum())
-        batches += 1
-        anchors += len(chunk)
+    anchors = len(order)
     return EpochStats(mean_loss=(total_con + total_reg) / anchors,
                       mean_contrastive=total_con / anchors,
                       mean_regression=total_reg / anchors,
-                      batches=batches, anchor_batch_size=batch_size,
+                      batches=len(starts), anchor_batch_size=batch_size,
                       encodings=anchors * (cfg.m + 2),
-                      skipped_anchors=len(samples) - sum(map(len, usable.values())))
+                      skipped_anchors=len(samples) - anchors)

@@ -63,13 +63,14 @@ class RunConfig:
     positive-noise std in normalized-data units. lam: scale of the
     squared-life-gap logit weights. tau: temperature. b: nominal batch size;
     a standard batch holds b windows, and the fsgri anchor batch is
-    b // (m + 1).
+    b // (m + 1), which must not be empty.
 
     Each field's allowed values are declared beside its default. Building
     one, directly or through dataclasses.replace, runs data.check_fields,
-    which enforces them, and then the beta range and anchor-batch rules,
-    each raising a ValueError naming the first bad field; an int given for
-    a float field is stored as a float, so RunConfig(lr=1) names the --lr 1 run.
+    which enforces them, and then the beta range rule and, in fsgri mode,
+    the anchor-batch rule, each raising a ValueError naming the first bad
+    field; an int given for a float field is stored as a float, so
+    RunConfig(lr=1) names the --lr 1 run.
     """
 
     dataset: str = field(default="synth", metadata={"choices": DATASETS})
@@ -97,11 +98,14 @@ class RunConfig:
         dd.check_fields(self)
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-        if self.anchor_batch < 1:
-            raise ValueError(f"b={self.b} with m={self.m} gives an empty anchor batch")
+        if self.mode == "fsgri":
+            self.anchor_batch  # refuses an empty anchor batch
 
     @property
     def anchor_batch(self) -> int:
+        """FSGRI's anchors per batch, b // (m + 1); a ValueError when none."""
+        if self.b <= self.m:
+            raise ValueError(f"b={self.b} with m={self.m} gives an empty anchor batch")
         return self.b // (self.m + 1)
 
     def fsgri_config(self) -> RunConfig:
@@ -202,18 +206,21 @@ def _load_cmapss(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list
     train_path, test_path, rul_path = (os.path.join(cfg.data_dir, f"{kind}_{tag}.txt")
                                        for kind in ("train", "test", "RUL"))
     train_series = [dd.select_variables(s) for s in dd.parse_cmapss(train_path)]
+    if cfg.holdout:
+        return train_series, [], []
     test_series = [dd.select_variables(s) for s in dd.parse_cmapss(test_path)]
-    if not (test_series or cfg.holdout):
+    if not test_series:
         raise ValueError(f"{test_path}: no test units to evaluate")
     ruls = dd.parse_rul(rul_path)
-    if len(ruls) != len(test_series) and not cfg.holdout:
+    if len(ruls) != len(test_series):
         raise ValueError(f"{rul_path}: {len(ruls)} remaining-life entries for the "
                          f"{len(test_series)} units of {test_path}")
     return train_series, test_series, ruls
 
 
 def _load_synth(cfg: RunConfig) -> tuple[list[RawSeries], list[RawSeries], list[int]]:
-    return sx.generate_splits(replace(SYNTH, seed=cfg.seed * 7919))
+    spec = replace(SYNTH, seed=cfg.seed * 7919)
+    return (sx.generate(spec), [], []) if cfg.holdout else sx.generate_splits(spec)
 
 
 def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]]:
@@ -221,12 +228,12 @@ def load_dataset(cfg: RunConfig) -> tuple[list[WindowSample], list[WindowSample]
 
     The min-max stats are fitted on the training units only. With
     holdout=True, 10% of the training units long enough to window (seeded
-    pick) replace the test split: the stats are fitted on the remaining
-    units, and the held-out units' windows become the evaluation samples.
-    A ValueError naming w is raised when too few training units (one, or
-    two with holdout) have at least w cycles; one naming the file, when the
-    test split is evaluated and holds no unit, or, naming both files, has
-    another unit count than its remaining-life file.
+    pick) replace the test split, which is then neither read nor generated:
+    the stats are fitted on the remaining units, and the held-out units'
+    windows become the evaluation samples. A ValueError naming w is raised
+    when too few training units (one, or two with holdout) have at least w
+    cycles; one naming the file, when the test split holds no unit, or,
+    naming both files, has another unit count than its remaining-life file.
     """
     loader = _load_synth if cfg.dataset == "synth" else _load_cmapss
     train_series, test_series, ruls = loader(cfg)

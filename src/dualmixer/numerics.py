@@ -150,38 +150,28 @@ class Graph:
 
         Returns a fresh dict from every registered parameter's name to its
         gradient, in registration order; parameters unreachable from the
-        loss get zeros, and no two gradients share storage. A node's adjoint
-        is dropped once its rule has read it, so the sweep holds only the
-        adjoints still to be swept and those of the leaves.
+        loss get zeros, and no two gradients share storage. One rule sums
+        adjoints: a node keeps its first contribution as the rule returned
+        it, and each later one makes a new array, adjoint + contribution,
+        in the order the sweep delivers them. A rule must return one
+        contribution per operand, or the sweep raises ValueError. A node's
+        adjoint is dropped once its rule has read it, so the sweep holds
+        only the adjoints still to be swept and those of the leaves.
         """
         if loss.graph is not self or loss.node_id < 0:
             raise GraphError("loss tensor is not recorded on this graph")
         if loss.shape != (1, 1):
             raise GraphError(f"loss must be a 1x1 scalar, got {loss.shape}")
-        n = len(self.nodes)
-        adjoint: list[Optional[np.ndarray]] = [None] * n
-        owned = [False] * n
+        adjoint: list[Optional[np.ndarray]] = [None] * len(self.nodes)
         adjoint[loss.node_id] = np.ones((1, 1))
-        owned[loss.node_id] = True
         for nid in range(loss.node_id, -1, -1):
-            adj = adjoint[nid]
-            if adj is None:
-                continue
-            node = self.nodes[nid]
-            if node.backward is None:
+            adj, node = adjoint[nid], self.nodes[nid]
+            if adj is None or node.backward is None:
                 continue
             adjoint[nid] = None
-            for iid, contrib in zip(node.inputs, node.backward(adj)):
-                if iid < 0 or contrib is None:
-                    continue
-                if adjoint[iid] is None:
-                    # defer copying: most nodes receive exactly one contribution
-                    adjoint[iid] = contrib
-                elif owned[iid]:
-                    adjoint[iid] += contrib
-                else:
-                    adjoint[iid] = adjoint[iid] + contrib
-                    owned[iid] = True
+            for iid, contrib in zip(node.inputs, node.backward(adj), strict=True):
+                if iid >= 0:
+                    adjoint[iid] = contrib if adjoint[iid] is None else adjoint[iid] + contrib
         # copied: a leaf's adjoint may also be another node's array
         return {name: np.zeros_like(arr) if adjoint[nid] is None else adjoint[nid].copy()
                 for name, (arr, nid) in self._params.items()}

@@ -4,6 +4,7 @@ import logging
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ class TestConfig:
         assert hx.RunConfig(b=128, m=5).anchor_batch == 21
 
     def test_field_validation(self):
-        good = dict(m=5, beta=0.4, sigma1=0.3, sigma2=0.15, lam=2.0, tau=0.1, b=128)
+        good = dict(mode="fsgri", m=5, beta=0.4, sigma1=0.3, sigma2=0.15, lam=2.0, tau=0.1,
+                    b=128)
         hx.RunConfig(**good)
         for bad in (dict(m=0), dict(beta=1.0), dict(beta=-0.1), dict(sigma1=0.0),
                     dict(sigma2=-0.1), dict(lam=0.0), dict(tau=0.0), dict(b=5)):
@@ -430,7 +432,8 @@ class TestTrainEpoch:
         return params, samples, cfg
 
     def test_batch_accounting(self):
-        """42 anchors at b=128, m=5: two batches of 21, 147 encodings each."""
+        """42 anchors at b=128, m=5: two batches of 21, 147 encodings each;
+        at b=60 four batches of 10 and a last one of 2."""
         params, samples, cfg = self.setup_run()
         stats = fs.train_epoch_fsgri(params, samples, cfg, nx.AdamState(lr=1e-3), 0)
         assert stats.anchor_batch_size == 21
@@ -438,6 +441,20 @@ class TestTrainEpoch:
         assert stats.encodings == 42 * 7
         assert stats.encodings // stats.batches == 147
         assert stats.skipped_anchors == 0
+        stats = fs.train_epoch_fsgri(params, samples, replace(cfg, b=60),
+                                     nx.AdamState(lr=1e-3), 0)
+        assert (stats.anchor_batch_size, stats.batches, stats.encodings) == (10, 5, 42 * 7)
+
+    def test_standard_config_with_no_anchor_batch_is_refused(self):
+        """A standard-mode config may hold b <= m; the fsgri epoch refuses
+        it by name before any update."""
+        params, samples, cfg = self.setup_run()
+        before = {k: v.copy() for k, v in params.arrays.items()}
+        with pytest.raises(ValueError, match="^b=4 with m=5 gives an empty anchor batch$"):
+            fs.train_epoch_fsgri(params, samples, replace(cfg, b=4),
+                                 nx.AdamState(lr=1e-3), 0)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(params.arrays[name], arr)
 
     def test_undersized_unit_is_skipped(self):
         params, samples, cfg = self.setup_run(extra_small=True)

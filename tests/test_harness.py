@@ -93,7 +93,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("dataset", "fd009"), ("mode", "both"), ("variant", "oX"),
-        ("epochs", 0), ("lr", 0.0), ("b", 5), ("seed", -1), ("lr", -1.0),
+        ("epochs", 0), ("lr", 0.0), pytest.param("fsgri.b", 5, id="b-5"), ("seed", -1),
+        ("lr", -1.0),
         ("ModelConfig.d", 0), ("SynthSpec.seed", -1),
         pytest.param("b", "5", id="b-str"), ("holdout", "no"), ("seed", True),
         ("epochs", 2.5), ("lr", float("nan")), ("lr", float("inf")),
@@ -110,14 +111,15 @@ class TestRunConfig:
     ])
     def test_validate_rejects(self, field, value):
         """Each field is checked when its config is built, by the constructor
-        and by replace, and the error names it; b=5 breaks the anchor batch
-        floor, a str, a bool for an int or a fraction for an int is the
-        wrong type, and NaN passes no range check but is refused as
-        non-finite, like infinity, as is an int beyond the float range. A
-        tuple field is checked item by item, and a list is not a tuple. A
-        field without a class prefix is a RunConfig field."""
+        and by replace, and the error names it; b=5 breaks an fsgri-mode
+        config's anchor batch floor, a str, a bool for an int or a fraction
+        for an int is the wrong type, and NaN passes no range check but is
+        refused as non-finite, like infinity, as is an int beyond the float
+        range. A tuple field is checked item by item, and a list is not a
+        tuple. A field without a class prefix is a RunConfig field."""
         kind, _, name = field.rpartition(".")
-        valid = {"": hx.RunConfig(), "SynthSpec": sx.SynthSpec(),
+        valid = {"": hx.RunConfig(), "fsgri": hx.RunConfig(mode="fsgri"),
+                 "SynthSpec": sx.SynthSpec(),
                  "ModelConfig": dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1)}[kind]
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             type(valid)(**{**dataclasses.asdict(valid), name: value})
@@ -151,8 +153,7 @@ class TestRunConfig:
         """The value just past a rule (k - 1 for "min" k, k itself for
         "above" k, an unknown name for "choices") is refused by the
         constructor with the rule's message, and the edge (k, the next
-        float above k, every choice) is accepted. The one exception is
-        b=1, which passes its bound but leaves no anchor batch for any m."""
+        float above k, every choice) is accepted."""
         valid = {hx.RunConfig: hx.RunConfig(), sx.SynthSpec: sx.SynthSpec(),
                  dm.ModelConfig: dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1)}[cls]
         (kind, bound), = rule.items()
@@ -166,11 +167,7 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(**{**dataclasses.asdict(valid), name: refused})
         for value in accepted:
-            if (cls, name, value) == (hx.RunConfig, "b", 1):
-                with pytest.raises(ValueError, match="^b=1 with m=5 gives an empty anchor"):
-                    replace(valid, b=1)
-            else:
-                assert getattr(replace(valid, **{name: value}), name) == value
+            assert getattr(replace(valid, **{name: value}), name) == value
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match=r"^config: unknown fields \['nonsense'\]$"):
@@ -1435,6 +1432,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert "RUL_FD001.txt: 1 remaining-life entries for the 2 units of " in err
         assert "test_FD001.txt" in err
+
+    @pytest.mark.parametrize("spoil", ["only-train-file", "rul-holds-x"])
+    def test_holdout_run_reads_only_its_training_file(self, tmp_path, capsys, spoil):
+        """A holdout run trains and evaluates on held training units, so it
+        reads neither the test file nor the remaining-life file: it runs
+        with only train_FD001.txt present, or with a RUL file holding x.
+        Without --holdout the same directory exits 2 naming the file."""
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(data), "--tag", "FD001", "--units", "10",
+                         "--test-units", "2", "--cycles", "20", "30"]) == 0
+        if spoil == "only-train-file":
+            (data / "test_FD001.txt").unlink()
+            (data / "RUL_FD001.txt").unlink()
+            named = "test_FD001.txt"
+        else:
+            (data / "RUL_FD001.txt").write_text("x\n")
+            named = "RUL_FD001.txt:1: non-numeric field"
+        flags = ["train", "--dataset", "fd001", "--data-dir", str(data), "--window", "8",
+                 "--epochs", "1", "--d", "4", "--layers", "1", "--batch", "16", "--m", "2",
+                 "--out", str(tmp_path / "runs")]
+        capsys.readouterr()
+        assert cli.main(flags) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        assert cli.main(flags + ["--holdout"]) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        report = hx.RunReport.load(report_path)
+        _, held = hx.load_dataset(dd.from_fields(hx.RunConfig, report.config, "config"))
+        assert {s.unit_id for s in held} and len({s.unit_id for s in held}) == 1
+        params = dm.load_checkpoint(os.path.join(os.path.dirname(report_path), "model.ckpt"))
+        assert report.rmse == hx.evaluate(params, held)[0]
+
+    def test_standard_run_takes_a_batch_below_m(self, monkeypatch, tmp_path, capsys):
+        """Only fsgri reads the anchor batch, so --batch 4 trains in
+        standard mode with the default m=5, and exits 2 in fsgri mode."""
+        shrink_synth(monkeypatch)
+        flags = ["train", "--dataset", "synth", "--epochs", "1", "--window", "8",
+                 "--d", "4", "--layers", "1", "--batch", "4", "--out", str(tmp_path / "runs")]
+        assert cli.main(flags + ["--mode", "fsgri"]) == 2
+        assert "b=4 with m=5 gives an empty anchor batch" in capsys.readouterr().err
+        assert cli.main(flags + ["--mode", "standard"]) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        assert hx.RunReport.load(report_path).config["b"] == 4
 
     def test_synth_command_emits_parseable_files(self, tmp_path):
         out = tmp_path / "data"

@@ -352,6 +352,27 @@ class TestTape:
         assert not np.shares_memory(grads["a"], grads["b"])
         assert not any(np.shares_memory(grads[k], arrays[k]) for k in arrays)
 
+    def test_contributions_sum_in_sweep_order(self):
+        """A parameter read by three ops gets their contributions summed in
+        the order the sweep delivers them, the last op's first: bit for bit
+        (0.3 + 0.2) + 0.1, which rounds apart from (0.1 + 0.2) + 0.3."""
+        g = nx.Graph()
+        w = g.parameter("w", np.ones((1, 1)))
+        reads = [nx.scale(w, c) for c in (0.1, 0.2, 0.3)]
+        grads = g.backward(nx.add(nx.add(reads[0], reads[1]), reads[2]))
+        assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
+        assert grads["w"][0, 0] == (0.3 + 0.2) + 0.1
+
+    def test_a_rule_short_of_its_operands_raises(self):
+        """record's contract is one contribution per operand; a rule that
+        returns fewer is refused instead of leaving an operand unswept."""
+        g = nx.Graph()
+        a = g.parameter("a", np.ones((1, 1)))
+        b = g.parameter("b", np.ones((1, 1)))
+        out = nx.record("short", a.data + b.data, (a, b), lambda adj: (adj,))
+        with pytest.raises(ValueError, match="shorter"):
+            g.backward(out)
+
     def test_backward_returns_fresh_gradients_each_call(self):
         """A graph keeps no gradients, so a second sweep does not accumulate."""
         g = nx.Graph()
