@@ -34,14 +34,6 @@ SELECTED_SENSORS = (2, 3, 4, 7, 8, 9, 11, 12, 13, 14, 15, 17, 20, 21)
 RUL_KNEE = 125
 
 
-class ParseError(ValueError):
-    """Malformed input text; the message carries file and line context."""
-
-
-class DegenerateVariableError(ValueError):
-    """A kept variable has max == min on the training split."""
-
-
 @dataclass
 class RawSeries:
     """One unit's full run: sensor channels (L x n_sensors), where row k is
@@ -60,9 +52,11 @@ class WindowSample:
     """One training or evaluation window.
 
     values is a read-only view of its unit's normalized rows (a window of a
-    unit shorter than w is its own padded array). anchor_index is the
-    window's position in its unit's ordered window sequence (the index the
-    negative sampler works over).
+    unit shorter than w is its own padded array). For a training window,
+    anchor_index is its position in its unit's window sequence at stride sl
+    (the index the negative sampler works over). For a test sample it is
+    the start row of the unit's final window at stride 1 (length - w), or 0
+    when the window is padded; it is not a position in the stride sequence.
     """
 
     values: np.ndarray  # w x m_vars, normalized
@@ -98,14 +92,14 @@ def parse_cmapss(path: str) -> list[RawSeries]:
             if not parts:
                 continue
             if len(parts) != 26:
-                raise ParseError(f"{path}:{lineno}: expected 26 columns, got {len(parts)}")
+                raise ValueError(f"{path}:{lineno}: expected 26 columns, got {len(parts)}")
             try:
                 row = [float(p) for p in parts]
             except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from None
+                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
             whole = row[0].is_integer() and row[0] >= 0 and row[1].is_integer()  # id, cycle
             if not (whole and all(map(math.isfinite, row))):
-                raise ParseError(f"{path}:{lineno}: non-finite field or negative or fractional "
+                raise ValueError(f"{path}:{lineno}: non-finite field or negative or fractional "
                                  "unit id or cycle")
             rows_by_unit.setdefault(int(row[0]), []).append(row)
     series = []
@@ -113,7 +107,7 @@ def parse_cmapss(path: str) -> list[RawSeries]:
         rows.sort(key=lambda r: r[1])
         arr = np.array(rows)
         if not np.array_equal(arr[:, 1], np.arange(1, len(rows) + 1)):
-            raise ParseError(f"{path}: unit {unit_id} cycle indices are not contiguous from 1")
+            raise ValueError(f"{path}: unit {unit_id} cycle indices are not contiguous from 1")
         series.append(RawSeries(unit_id=unit_id, sensors=arr[:, 5:26]))
     return series
 
@@ -128,13 +122,13 @@ def parse_rul(path: str) -> list[int]:
             if not parts:
                 continue
             if len(parts) != 1:
-                raise ParseError(f"{path}:{lineno}: expected 1 column, got {len(parts)}")
+                raise ValueError(f"{path}:{lineno}: expected 1 column, got {len(parts)}")
             try:
                 value = float(parts[0])
             except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from None
+                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
             if not (value.is_integer() and value >= 0):  # also refuses inf and nan
-                raise ParseError(f"{path}:{lineno}: {parts[0]!r} is not a count of cycles")
+                raise ValueError(f"{path}:{lineno}: {parts[0]!r} is not a count of cycles")
             out.append(int(value))
     return out
 
@@ -291,7 +285,7 @@ def fit_minmax(values_list: Iterable[np.ndarray]) -> NormStats:
         raise ValueError("fit_minmax: no data")
     flat = np.flatnonzero(maxs[0] == mins[0])
     if flat.size:
-        raise DegenerateVariableError(f"constant variables at columns {flat.tolist()}")
+        raise ValueError(f"constant variables at columns {flat.tolist()}")
     return NormStats(mins=mins, maxs=maxs)
 
 

@@ -41,10 +41,6 @@ if TYPE_CHECKING:  # harness imports fsgri, so only type checkers import it back
 logger = logging.getLogger(__name__)
 
 
-class ShortSeriesError(ValueError):
-    """A unit has too few windows to supply the requested negatives."""
-
-
 # --------------------------------------------------------------------------
 # negative sampling
 # --------------------------------------------------------------------------
@@ -106,7 +102,7 @@ def sample_negatives(rng: np.random.Generator, t: int, i: int, cfg: RunConfig) -
     It logs nothing: log_sampler_notes states what it relaxes, once a run.
     """
     if _too_short(t, cfg):
-        raise ShortSeriesError(f"unit has {t} windows; need more than {cfg.m}")
+        raise ValueError(f"unit has {t} windows; need more than {cfg.m}")
     band = _workable_band(t, i, cfg)
     if band is None:
         others = np.delete(np.arange(t), i)
@@ -212,13 +208,13 @@ def batch_loss(feats: Tensor, ruls: Tensor, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.float64)
     n_groups, k = labels.shape
     if k < 3 or ruls.shape != (n_groups * k, 1) or feats.rows != n_groups * k:
-        raise nx.ShapeError(f"batch_loss: {feats.shape} features and {ruls.shape} "
-                            f"predictions do not hold {n_groups} groups of {k}")
+        raise ValueError(f"batch_loss: {feats.shape} features and {ruls.shape} "
+                         f"predictions do not hold {n_groups} groups of {k}")
     fshape = feats.shape
     z = feats.data.reshape(n_groups, k, -1)
     norms = np.linalg.norm(z, axis=2)
     if np.any(norms == 0.0):
-        raise nx.DegenerateVectorError("batch_loss: a window's features have zero norm")
+        raise ValueError("batch_loss: a window's features have zero norm")
     anchor, others = z[:, 0], z[:, 1:]
     denom = norms[:, :1] * norms[:, 1:]
     cos = np.einsum("gd,gjd->gj", anchor, others) / denom

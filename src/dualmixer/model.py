@@ -234,9 +234,9 @@ def forward_batch(p: DualMixerParams, windows,
     try:
         stack = np.asarray(windows, dtype=np.float64)
     except ValueError as exc:
-        raise nx.ShapeError(f"windows differ in shape: {exc}") from None
+        raise ValueError(f"windows differ in shape: {exc}") from None
     if stack.ndim != 3 or stack.shape[1:] != (cfg.l, cfg.m_vars) or not len(stack):
-        raise nx.ShapeError(
+        raise ValueError(
             f"expected n >= 1 windows of {cfg.l} x {cfg.m_vars}, got {stack.shape}")
     batch = len(stack)
     temporal, spatial, _, _ = _VARIANT_PARTS[p.variant]

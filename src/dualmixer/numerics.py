@@ -56,14 +56,6 @@ except (AttributeError, ValueError, OSError):  # no confstr or no such name
     pass
 
 
-class ShapeError(ValueError):
-    """Operand shapes violate an operation's contract."""
-
-
-class DegenerateVectorError(ValueError):
-    """A cosine-similarity operand has zero norm."""
-
-
 class GraphError(RuntimeError):
     """Tape misuse: mixed graphs, non-scalar loss, or bad registration."""
 
@@ -82,7 +74,7 @@ class Tensor:
     def __init__(self, data, graph: "Graph | None" = None, node_id: int = -1):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
-            raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
+            raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.graph = graph
         self.node_id = node_id
@@ -101,7 +93,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.shape != (1, 1):
-            raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
+            raise ValueError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
 
 
@@ -140,7 +132,7 @@ class Graph:
             raise GraphError(f"parameter {name!r} is already registered on this graph")
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
-            raise ShapeError(f"parameter {name!r} must be 2-D, got {arr.shape}")
+            raise ValueError(f"parameter {name!r} must be 2-D, got {arr.shape}")
         nid = self._add_node("param", (), None)
         self._params[name] = (arr, nid)
         return Tensor(arr, self, nid)
@@ -203,7 +195,7 @@ def record(op: str, out: np.ndarray, inputs: Sequence[Tensor], bwd) -> Tensor:
 
 def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
-        raise ShapeError(f"{op} needs identical shapes, got {a.shape} and {b.shape}")
+        raise ValueError(f"{op} needs identical shapes, got {a.shape} and {b.shape}")
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +205,7 @@ def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product (r x k) @ (k x c) -> (r x c)."""
     if a.cols != b.rows:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+        raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     out = a.data @ b.data
     ad, bd = a.data, b.data
 
@@ -235,7 +227,7 @@ def block_transpose(a: Tensor, blocks: int) -> Tensor:
     a per-sample transpose to vertically stacked sample matrices.
     """
     if a.rows % blocks != 0:
-        raise ShapeError(f"block_transpose: {a.rows} rows not divisible by {blocks} blocks")
+        raise ValueError(f"block_transpose: {a.rows} rows not divisible by {blocks} blocks")
     r = a.rows // blocks
     c = a.cols
     out = a.data.reshape(blocks, r, c).transpose(0, 2, 1).reshape(blocks * c, r)
@@ -325,7 +317,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     if rows * cols != a.rows * a.cols:
-        raise ShapeError(f"reshape {a.shape} -> ({rows}, {cols}) changes size")
+        raise ValueError(f"reshape {a.shape} -> ({rows}, {cols}) changes size")
     out = np.ascontiguousarray(a.data).reshape(rows, cols)
     shape = a.shape
 
@@ -338,7 +330,7 @@ def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
 def rows_slice(a: Tensor, i0: int, i1: int) -> Tensor:
     """Rows [i0, i1) as an own-storage tensor; backward scatters."""
     if not (0 <= i0 < i1 <= a.rows):
-        raise ShapeError(f"rows_slice [{i0}, {i1}) out of range for {a.rows} rows")
+        raise ValueError(f"rows_slice [{i0}, {i1}) out of range for {a.rows} rows")
     out = a.data[i0:i1].copy()
     shape = a.shape
 
@@ -416,7 +408,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """
     for name, t in (("gain", gain), ("bias", bias)):
         if t.shape != (1, a.cols):
-            raise ShapeError(f"layer_norm {name} must be 1x{a.cols}, got {t.shape}")
+            raise ValueError(f"layer_norm {name} must be 1x{a.cols}, got {t.shape}")
     ad, gd = a.data, gain.data
     xhat = ad - _row_mean(ad)
     inv = _row_mean(xhat, xhat)
@@ -445,11 +437,11 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
     uf = u.data.ravel()
     vf = v.data.ravel()
     if uf.size != vf.size:
-        raise ShapeError(f"cosine_similarity sizes disagree: {u.shape} vs {v.shape}")
+        raise ValueError(f"cosine_similarity sizes disagree: {u.shape} vs {v.shape}")
     nu = float(np.linalg.norm(uf))
     nv = float(np.linalg.norm(vf))
     if nu == 0.0 or nv == 0.0:
-        raise DegenerateVectorError("cosine_similarity of a zero-norm vector")
+        raise ValueError("cosine_similarity of a zero-norm vector")
     s = float(uf @ vf) / (nu * nv)
     out = np.array([[s]])
     ushape, vshape = u.shape, v.shape
@@ -470,7 +462,7 @@ def logsumexp(terms: list[Tensor]) -> Tensor:
     softmax either way) while keeping every exp argument at or below zero.
     """
     if not terms:
-        raise ShapeError("logsumexp needs at least one term")
+        raise ValueError("logsumexp needs at least one term")
     m = max(t.item() for t in terms)
     shift = Tensor(np.array([[m]]))
     acc = exp(sub(terms[0], shift))
@@ -509,7 +501,7 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     for name, p in params.items():
         gr = grads[name]
         if gr.shape != p.shape:
-            raise ShapeError(f"adam_step: grad {gr.shape} vs param {p.shape} for {name!r}")
+            raise ValueError(f"adam_step: grad {gr.shape} vs param {p.shape} for {name!r}")
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p)

@@ -1,7 +1,8 @@
 """Shared test helpers: a finite-difference gradient oracle, feature
 vectors with chosen cosine scores, one group's loss and plain InfoNCE, the
-MLP of a mixer path's residual block, a fresh interpreter that imports
-dualmixer, and dataset discovery for the optional real-data checks."""
+MLP of a mixer path's residual block, a spy on the trainers' optimizer
+step, a fresh interpreter that imports dualmixer, and dataset discovery
+for the optional real-data checks."""
 
 import math
 import os
@@ -110,3 +111,43 @@ def mlp_block_forward(arrays, x, scope="mlp"):
     residual block."""
     w1, w2 = nx.Tensor(arrays[f"{scope}.w1"]), nx.Tensor(arrays[f"{scope}.w2"])
     return nx.matmul(nx.gelu(nx.matmul(x, w1)), w2)
+
+
+class Stopped(Exception):
+    """Raised by spy_descend(stop=True) after a trainer's first optimizer step."""
+
+
+def spy_descend(monkeypatch, seen, stop=False):
+    """Run the real numerics.descend and record, for each step, in ``seen``:
+    its state and divisor, its shards in batch order (as loss_of receives
+    them) with the set of tape ops each shard's loss graph holds, and the
+    undivided loss it returns. With ``stop``, Adam is not run: the
+    gradients descend hands it are recorded, and Stopped is raised after
+    the first step, leaving the parameters as they were."""
+    descend = nx.descend
+
+    def spy(state, params, batch, per_item, loss_of, divisor, where):
+        recorded = []
+
+        def recorded_loss_of(shard):
+            ops = set()
+            recorded.append((shard, ops))
+            loss, aux = loss_of(shard)
+            ops.update(node.op for node in loss.graph.nodes)
+            return loss, aux
+
+        if stop:
+            monkeypatch.setattr(nx, "adam_step", lambda s, p, grads: seen.update(grads=grads))
+        position = {id(item): k for k, item in enumerate(batch)}
+        try:
+            result = descend(state, params, batch, per_item, recorded_loss_of, divisor, where)
+        finally:
+            recorded.sort(key=lambda r: position[id(r[0][0])])
+            seen.update(state=state, divisor=divisor, shards=[shard for shard, _ in recorded],
+                        ops=[ops for _, ops in recorded])
+        seen["loss"] = result[0]
+        if stop:
+            raise Stopped
+        return result
+
+    monkeypatch.setattr(nx, "descend", spy)

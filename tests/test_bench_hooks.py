@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import Stopped, spy_descend
 
 import dualmixer.data as dd
 import dualmixer.fsgri as fs
@@ -112,10 +113,6 @@ def test_workload_first_call_matches_reference(name):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
 
 
-class _Recorded(Exception):
-    """Stops a trainer at its first optimizer step."""
-
-
 @pytest.mark.parametrize("mode", ["fsgri", "standard"])
 def test_tracer_sees_every_tape_op(mode, monkeypatch):
     """Every node a training step puts on the tape is a leaf, the FSGRI
@@ -129,15 +126,10 @@ def test_tracer_sees_every_tape_op(mode, monkeypatch):
     params = dm.make_variant(
         dm.ModelConfig(l=cfg.w, m_vars=train[0].values.shape[1], d=cfg.d,
                        n_layers=cfg.n_layers, seed=cfg.seed), cfg.variant)
-    ops = set()
-
-    def record_step(state, arrays, batch, per_item, loss_of, divisor, where):
-        for shard in nx.split(batch, nx.shard_count(len(batch) * per_item)):
-            ops.update(node.op for node in loss_of(shard)[0].graph.nodes)
-        raise _Recorded
-
-    monkeypatch.setattr(nx, "descend", record_step)
-    with pytest.raises(_Recorded):
+    seen = {}
+    spy_descend(monkeypatch, seen, stop=True)
+    with pytest.raises(Stopped):
         hx.train(params, train, cfg)
+    ops = set().union(*seen["ops"])
     assert sorted(ops - {"param", "fsgri_batch_loss"} - set(tracing.OPS)) == []
     assert {"matmul", "gelu", "sigmoid", "layer_norm"} <= ops

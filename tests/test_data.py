@@ -1,5 +1,7 @@
 """Parsing, preprocessing, windowing and labels."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,20 +36,21 @@ class TestParsing:
         path = tmp_path / "bad.txt"
         good = " ".join(["1", "1"] + ["0.0"] * 24)
         path.write_text(good + "\n1 2 3\n")
-        with pytest.raises(dd.ParseError, match="bad.txt:2"):
+        with pytest.raises(ValueError, match=r"bad\.txt:2: expected 26 columns, got 3$"):
             dd.parse_cmapss(str(path))
 
     def test_non_numeric_field_names_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(" ".join(["1", "x"] + ["0.0"] * 24) + "\n")
-        with pytest.raises(dd.ParseError, match="bad.txt:1"):
+        with pytest.raises(ValueError, match=r"bad\.txt:1: non-numeric field$"):
             dd.parse_cmapss(str(path))
 
     def test_gapped_cycles_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         rows = [" ".join(["1", str(c)] + ["0.0"] * 24) for c in (1, 3)]
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(dd.ParseError, match="contiguous"):
+        with pytest.raises(ValueError,
+                           match=r"bad\.txt: unit 1 cycle indices are not contiguous from 1"):
             dd.parse_cmapss(str(path))
 
     def test_empty_file_gives_empty_list(self, tmp_path):
@@ -85,14 +88,15 @@ class TestParsing:
     def test_rul_file_rejects_extra_columns(self, tmp_path):
         path = tmp_path / "RUL.txt"
         path.write_text("5 7\n")
-        with pytest.raises(dd.ParseError, match="RUL.txt:1"):
+        with pytest.raises(ValueError, match=r"RUL\.txt:1: expected 1 column, got 2$"):
             dd.parse_rul(str(path))
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999", "2.5", "-5"])
     def test_rul_value_must_be_a_count_of_cycles(self, tmp_path, value):
         path = tmp_path / "RUL.txt"
         path.write_text(f"7\n{value}\n")
-        with pytest.raises(dd.ParseError, match="RUL.txt:2"):
+        cause = rf"RUL\.txt:2: '{re.escape(value)}' is not a count of cycles"
+        with pytest.raises(ValueError, match=cause):
             dd.parse_rul(str(path))
 
     @pytest.mark.parametrize("column,value", [
@@ -106,7 +110,8 @@ class TestParsing:
         fields = [["1", str(c)] + ["0.5"] * 24 for c in (1, 2, 3)]
         fields[1][column] = value
         path.write_text("\n".join(" ".join(f) for f in fields) + "\n")
-        with pytest.raises(dd.ParseError, match="bad.txt:2"):
+        with pytest.raises(ValueError, match=r"bad\.txt:2: non-finite field or negative or "
+                                             "fractional unit id or cycle$"):
             dd.parse_cmapss(str(path))
 
 
@@ -188,7 +193,7 @@ class TestNormalization:
         np.testing.assert_array_equal(out, [[1.5], [-0.25]])
 
     def test_constant_variable_rejected(self):
-        with pytest.raises(dd.DegenerateVariableError, match=r"\[1\]"):
+        with pytest.raises(ValueError, match=r"^constant variables at columns \[1\]$"):
             dd.fit_minmax([np.array([[0.0, 3.0], [1.0, 3.0]])])
 
     def test_invert_recovers_raw_values(self):

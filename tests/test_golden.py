@@ -24,19 +24,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import Stopped, spy_descend
 
 import dualmixer.harness as hx
 import dualmixer.model as dm
-import dualmixer.numerics as nx
 
 GOLDEN = Path(__file__).with_name("golden.json")
 GOLDEN_TOL = 1e-10
 # windows of the fixed batch whose features and estimates are recorded
 FEATURE_WINDOWS = (0, 37, 211, 650)
-
-
-class _FirstBatch(Exception):
-    """Stops a trainer at its first optimizer step."""
 
 
 def golden_config(mode: str, variant: str) -> hx.RunConfig:
@@ -45,25 +41,13 @@ def golden_config(mode: str, variant: str) -> hx.RunConfig:
 
 
 def first_batch(monkeypatch, params, train, cfg) -> dict:
-    """Loss and gradients of the trainer's first step, summed over its
-    shards; nothing is updated."""
+    """Loss, divisor and gradients of the trainer's first step, as
+    numerics.descend sums them over its shards; nothing is updated."""
     seen = {}
-
-    def capture(state, arrays, batch, per_item, loss_of, divisor, where):
-        total, grads = 0.0, None
-        for shard in nx.split(batch, nx.shard_count(len(batch) * per_item)):
-            loss, _ = loss_of(shard)
-            total += loss.item()
-            more = loss.graph.backward(nx.scale(loss, 1.0 / divisor))
-            grads = more if grads is None else {k: grads[k] + more[k] for k in grads}
-        seen.update(loss=total, divisor=divisor, grads=grads)
-        raise _FirstBatch
-
-    with monkeypatch.context() as m:
-        m.setattr(nx, "descend", capture)
-        with pytest.raises(_FirstBatch):
-            hx.train(params, train, cfg)
-    return seen
+    with monkeypatch.context() as m, pytest.raises(Stopped):
+        spy_descend(m, seen, stop=True)
+        hx.train(params, train, cfg)
+    return {k: seen[k] for k in ("loss", "divisor", "grads")}
 
 
 def compute(monkeypatch, variant: str, tmp_path: Path) -> dict:

@@ -19,6 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import Stopped, spy_descend
 
 import dualmixer.cli as cli
 import dualmixer.data as dd
@@ -438,47 +439,13 @@ def force_shards(monkeypatch, parts):
     monkeypatch.setattr(nx, "shard_count", lambda activation: parts)
 
 
-class _Stop(Exception):
-    """Stops a trainer after its first optimizer step."""
-
-
-def spy_descend(monkeypatch, seen, stop=False):
-    """Record each step's state and shards in ``seen`` (the shards loss_of
-    receives, in batch order), and the loss and the gradients descend hands
-    to Adam; with ``stop``, raise _Stop after the first step, leaving the
-    parameters as they were."""
-    descend = nx.descend
-
-    def spy(state, params, batch, per_item, loss_of, divisor, where):
-        shards = []
-
-        def recorded(shard):
-            shards.append(shard)
-            return loss_of(shard)
-
-        seen.update(state=state, shards=shards)
-        if stop:
-            monkeypatch.setattr(nx, "adam_step", lambda s, p, grads: seen.update(grads=grads))
-        position = {id(item): k for k, item in enumerate(batch)}
-        try:
-            result = descend(state, params, batch, per_item, recorded, divisor, where)
-        finally:
-            shards.sort(key=lambda shard: position[id(shard[0])])
-        seen["loss"] = result[0]
-        if stop:
-            raise _Stop
-        return result
-
-    monkeypatch.setattr(nx, "descend", spy)
-
-
 class TestShardedTraining:
     """A batch split into shards trains like the whole batch."""
 
     def first_step(self, monkeypatch, mode, parts):
         seen = {}
         params = dm.make_variant(dm.ModelConfig(l=6, m_vars=3, d=4, n_layers=1), "full")
-        with monkeypatch.context() as patch, pytest.raises(_Stop):
+        with monkeypatch.context() as patch, pytest.raises(Stopped):
             force_shards(patch, parts)
             spy_descend(patch, seen, stop=True)
             if mode == "standard":
@@ -1463,6 +1430,47 @@ class TestCli:
         assert {s.unit_id for s in held} and len({s.unit_id for s in held}) == 1
         params = dm.load_checkpoint(os.path.join(os.path.dirname(report_path), "model.ckpt"))
         assert report.rmse == hx.evaluate(params, held)[0]
+
+    @pytest.mark.parametrize("mode", hx.MODES)
+    def test_fd001_run_scores_its_test_split(self, tmp_path, capsys, mode):
+        """A run on fd001-format files scores the saved checkpoint on the
+        test set built from the three files, one unit of which is shorter
+        than the window and so padded; eval prints the same rmse."""
+        data = tmp_path / "data"
+        data.mkdir()
+        spec = sx.SynthSpec(n_units=5, test_units=3, cycles=(20, 30), n_vars=21, seed=5)
+        full = sx.generate(replace(spec, n_units=spec.test_units, seed=6))
+        test, ruls = sx.make_test_split(full, seed=7)
+        test[0] = replace(full[0], sensors=full[0].sensors[:5])
+        ruls[0] = sx.oracle_rul(full[0], 5)
+        sx.emit_cmapss(str(data), "FD001", sx.generate(spec), test, ruls)
+        flags = ["--dataset", "fd001", "--data-dir", str(data), "--mode", mode,
+                 "--window", "8", "--stride", "2", "--epochs", "1", "--d", "4",
+                 "--layers", "1", "--batch", "16", "--m", "2", "--out", str(tmp_path / "runs")]
+        assert cli.main(["train"] + flags) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        report = hx.RunReport.load(report_path)
+        ckpt = os.path.join(os.path.dirname(report_path), "model.ckpt")
+
+        def parse(kind):
+            return [dd.select_variables(s)
+                    for s in dd.parse_cmapss(str(data / f"{kind}_FD001.txt"))]
+        stats = dd.fit_minmax([s.sensors for s in parse("train")])
+        test_series = parse("test")
+        samples = dd.build_test_set(test_series, dd.parse_rul(str(data / "RUL_FD001.txt")),
+                                    stats, 8)
+        assert test_series[0].length == 5 < 8
+        padded = samples[0]
+        assert padded.anchor_index == 0
+        np.testing.assert_array_equal(padded.values[:4], padded.values[[3] * 4])
+        assert not np.array_equal(padded.values[3], padded.values[4])
+        labels = np.array([s.label for s in samples])
+        preds = hx.predict_samples(dm.load_checkpoint(ckpt), samples)
+        assert report.mape is not None
+        assert (report.rmse, report.mape) == hx.compute_metrics(labels, preds)
+        capsys.readouterr()
+        assert cli.main(["eval"] + flags + ["--checkpoint", ckpt]) == 0
+        assert f"rmse: {report.rmse:.6f}\n" in capsys.readouterr().out
 
     def test_standard_run_takes_a_batch_below_m(self, monkeypatch, tmp_path, capsys):
         """Only fsgri reads the anchor batch, so --batch 4 trains in

@@ -165,11 +165,11 @@ class TestModelForward:
     def test_input_shape_enforced(self):
         """A window of the wrong shape, alone or among good ones, is refused."""
         p = dm.make_variant(toy_config(), "full")
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError, match=r"windows of 6 x 3, got \(1, 5, 3\)"):
             dm.forward_batch(p, [np.zeros((5, 3))])
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError, match=r"windows of 6 x 3, got \(2, 6, 4\)"):
             dm.forward_batch(p, np.zeros((2, 6, 4)))
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError, match="^windows differ in shape: "):
             dm.forward_batch(p, [np.zeros((6, 3)), np.zeros((5, 3))])
 
     def test_all_zero_head_weights_give_zero_rul(self):
@@ -230,8 +230,9 @@ class TestBatchedForward:
         """The input is a non-empty 3-D stack of windows, not the
         (n*l) x m_vars rows the model stacks them into."""
         p = dm.make_variant(toy_config(), "full")
-        for bad in (np.zeros((12, 3)), [], np.zeros((0, 6, 3))):
-            with pytest.raises(nx.ShapeError):
+        for bad, shape in ((np.zeros((12, 3)), r"\(12, 3\)"), ([], r"\(0,\)"),
+                           (np.zeros((0, 6, 3)), r"\(0, 6, 3\)")):
+            with pytest.raises(ValueError, match=f"expected n >= 1 windows of 6 x 3, got {shape}"):
                 dm.forward_batch(p, bad)
 
 

@@ -23,14 +23,14 @@ class TestTensorBasics:
 
     def test_rejects_non_2d(self):
         """Tensors are strictly rank-2."""
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError, match=r"tensors are 2-D, got shape \(3,\)"):
             nx.Tensor(np.zeros(3))
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError, match=r"tensors are 2-D, got shape \(2, 2, 2\)"):
             nx.Tensor(np.zeros((2, 2, 2)))
 
     def test_item_requires_scalar(self):
         assert nx.Tensor([[4.0]]).item() == 4.0
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError, match=r"item\(\) needs a 1x1 tensor, got \(2, 1\)"):
             nx.Tensor(np.zeros((2, 1))).item()
 
     def test_plain_ops_stay_untaped(self):
@@ -49,7 +49,8 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, a, rtol=0, atol=0)
 
     def test_matmul_shape_mismatch(self):
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError,
+                           match=r"matmul inner dimensions disagree: \(2, 3\) @ \(4, 2\)"):
             nx.matmul(nx.Tensor(np.zeros((2, 3))), nx.Tensor(np.zeros((4, 2))))
 
     def test_transpose_involution(self):
@@ -73,13 +74,14 @@ class TestForwardValues:
             nx.block_transpose(nx.Tensor(a), 1).data, a.T)
 
     def test_block_transpose_divisibility(self):
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError, match="block_transpose: 5 rows not divisible by 2 blocks"):
             nx.block_transpose(nx.Tensor(np.zeros((5, 2))), 2)
 
     def test_elementwise_shapes_enforced(self):
         a, b = nx.Tensor(np.zeros((2, 3))), nx.Tensor(np.zeros((3, 2)))
         for op in (nx.add, nx.sub, nx.hadamard):
-            with pytest.raises(nx.ShapeError):
+            with pytest.raises(ValueError, match=rf"^{op.__name__} needs identical shapes, "
+                                                 r"got \(2, 3\) and \(3, 2\)"):
                 op(a, b)
 
     def test_sum_all_and_scale(self):
@@ -91,14 +93,14 @@ class TestForwardValues:
         a = np.arange(12.0).reshape(3, 4)
         out = nx.reshape(nx.Tensor(a), 1, 12)
         np.testing.assert_array_equal(out.data[0], np.arange(12.0))
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError, match=r"reshape \(3, 4\) -> \(5, 2\) changes size"):
             nx.reshape(nx.Tensor(a), 5, 2)
 
     def test_rows_slice(self):
         a = np.arange(12.0).reshape(4, 3)
         out = nx.rows_slice(nx.Tensor(a), 1, 3)
         np.testing.assert_array_equal(out.data, a[1:3])
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError, match=r"rows_slice \[3, 3\) out of range for 4 rows"):
             nx.rows_slice(nx.Tensor(a), 3, 3)
 
 
@@ -173,9 +175,11 @@ class TestNonlinearities:
     def test_layer_norm_shape_checks(self):
         x = nx.Tensor(np.zeros((2, 4)))
         ok_gain, ok_bias = np.ones((1, 4)), np.zeros((1, 4))
-        for gain, bias in ((np.ones((1, 3)), ok_bias), (np.ones((2, 4)), ok_bias),
-                           (ok_gain, np.zeros((1, 5)))):
-            with pytest.raises(nx.ShapeError):
+        for gain, bias, cause in (
+                (np.ones((1, 3)), ok_bias, r"gain must be 1x4, got \(1, 3\)"),
+                (np.ones((2, 4)), ok_bias, r"gain must be 1x4, got \(2, 4\)"),
+                (ok_gain, np.zeros((1, 5)), r"bias must be 1x4, got \(1, 5\)")):
+            with pytest.raises(ValueError, match=f"layer_norm {cause}"):
                 nx.layer_norm(x, nx.Tensor(gain), nx.Tensor(bias))
 
 
@@ -206,7 +210,7 @@ class TestCosineSimilarity:
         assert abs(nx.cosine_similarity(nx.Tensor(u), nx.Tensor(v)).item() - 1.0) < 1e-12
 
     def test_zero_vector_raises(self):
-        with pytest.raises(nx.DegenerateVectorError):
+        with pytest.raises(ValueError, match="cosine_similarity of a zero-norm vector"):
             nx.cosine_similarity(nx.Tensor(np.zeros((1, 3))), nx.Tensor(np.ones((1, 3))))
 
 
@@ -501,7 +505,8 @@ class TestAdam:
         assert abs(p["w"][0, 0] - 3.0) < 0.05
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(nx.ShapeError):
+        with pytest.raises(ValueError,
+                           match=r"adam_step: grad \(1, 2\) vs param \(2, 2\) for 'w'"):
             nx.adam_step(nx.AdamState(), {"w": np.zeros((2, 2))}, {"w": np.zeros((1, 2))})
 
 
