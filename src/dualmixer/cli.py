@@ -1,13 +1,13 @@
 """Command-line entry points.
 
-Subcommands: train, eval, ablate, grid, export, synth. Every run-shaped
-command resolves its configuration the same way: dataclass defaults, then
-an optional JSON config file, then explicit flags. The run flags are made
-from RunConfig's fields, one each, and each flag's dest is the field it
-sets; that one RunConfig carries every setting of the run, fsgri's
-contrastive knobs included. Building it enforces the values each field
-declares (a choice field's flag offers its choices), and grid builds every
-cell's config before any cell trains, so a bad value exits 2 first.
+Subcommands: train, eval, ablate, grid, export, synth. Every run-shaped command
+resolves its configuration the same way: the defaults (for eval and export, the
+checkpoint's model, which nothing may contradict), then an optional JSON config
+file, then explicit flags. The run flags are made from RunConfig's fields, one
+each, and each flag's dest is the field it sets; that one RunConfig carries
+every setting of the run. Building it enforces the values each field declares
+(a choice field's flag offers its choices), and grid builds every cell's config
+before any cell trains, so a bad value exits 2 first.
 """
 
 from __future__ import annotations
@@ -62,31 +62,30 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
-    """The run's config: the defaults, or the --config file's values checked
-    as a config of their own (every refusal names the file), and then the
-    flags given."""
-    cfg = hx.RunConfig()
+def resolve_config(args: argparse.Namespace, base=hx.RunConfig()) -> hx.RunConfig:
+    """The run's config: ``base`` (the defaults unless given), the --config
+    file's values over it, checked naming the file, then the flags given."""
+    cfg = base
     if args.config:
-        cfg = dd.from_fields(hx.RunConfig, dd.read_json_object(args.config, "config file"),
-                             f"{args.config}: config file")
+        values = {**base.to_dict(), **dd.read_json_object(args.config, "config file")}
+        cfg = dd.from_fields(hx.RunConfig, values, f"{args.config}: config file")
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
              if getattr(args, f.name) is not None}
     return dataclasses.replace(cfg, **given)
 
 
 def _load_checkpoint_and_data(args) -> tuple:
-    cfg = resolve_config(args)
+    """The config resolved over the checkpoint's model, which no flag or
+    config file value may contradict; the model; and the data it reads."""
     params = dm.load_checkpoint(args.checkpoint)
-    for flag, given, have in (("variant", args.variant, params.variant),
-                              ("d", args.d, params.config.d),
-                              ("layers", args.n_layers, params.config.n_layers)):
-        if given is not None and given != have:
+    model = {"variant": params.variant, "w": params.config.l,
+             "d": params.config.d, "n_layers": params.config.n_layers}
+    cfg = resolve_config(args, hx.RunConfig(**model))
+    for name, have in model.items():
+        if getattr(cfg, name) != have:
+            flag = _FLAG_NAMES.get(name, name)
             raise ValueError(f"{args.checkpoint}: checkpoint has --{flag} {have}, "
-                             f"the command line gives {given}")
-    if params.config.l != cfg.w:
-        raise ValueError(f"{args.checkpoint}: checkpoint window {params.config.l} "
-                         f"!= configured {cfg.w}")
+                             f"the command line gives {getattr(cfg, name)}")
     train, test = hx.load_dataset(cfg)
     width = train[0].values.shape[1]
     if params.config.m_vars != width:

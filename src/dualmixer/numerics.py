@@ -57,7 +57,7 @@ except (AttributeError, ValueError, OSError):  # no confstr or no such name
 
 
 class GraphError(RuntimeError):
-    """Tape misuse: mixed graphs, non-scalar loss, or bad registration."""
+    """Tape misuse: mixed graphs, non-scalar loss, bad registration or rule arity."""
 
 
 class Tensor:
@@ -146,7 +146,7 @@ class Graph:
         adjoints: a node keeps its first contribution as the rule returned
         it, and each later one makes a new array, adjoint + contribution,
         in the order the sweep delivers them. A rule must return one
-        contribution per operand, or the sweep raises ValueError. A node's
+        contribution per operand, or the sweep raises GraphError. A node's
         adjoint is dropped once its rule has read it, so the sweep holds
         only the adjoints still to be swept and those of the leaves.
         """
@@ -161,7 +161,11 @@ class Graph:
             if adj is None or node.backward is None:
                 continue
             adjoint[nid] = None
-            for iid, contrib in zip(node.inputs, node.backward(adj), strict=True):
+            contribs = node.backward(adj)
+            if len(contribs) != len(node.inputs):
+                raise GraphError(f"{node.op} rule returned {len(contribs)} contributions "
+                                 f"for {len(node.inputs)} operands")
+            for iid, contrib in zip(node.inputs, contribs):
                 if iid >= 0:
                     adjoint[iid] = contrib if adjoint[iid] is None else adjoint[iid] + contrib
         # copied: a leaf's adjoint may also be another node's array

@@ -1192,6 +1192,12 @@ class TestCli:
             assert f"{field} must be >= 1" in capsys.readouterr().err
             assert not (tmp_path / "data").exists()
 
+    def test_synth_of_other_than_21_sensors_exits_2_writing_nothing(self, tmp_path, capsys):
+        assert cli.main(["synth", "--out", str(tmp_path / "data"), "--vars", "14"]) == 2
+        assert ("emitting the 26-column file format requires 21 sensor columns"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_non_finite_checkpoint_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                               command):
@@ -1231,15 +1237,6 @@ class TestCli:
             header = f.readline().strip().split(",")
         assert len(header) == 4 + 8 * 4
 
-    def test_eval_rejects_window_mismatch(self, monkeypatch, tmp_path, capsys):
-        shrink_synth(monkeypatch)
-        self.run_train(tmp_path)
-        ckpt = glob.glob(str(tmp_path / "runs" / "*" / "model.ckpt"))[0]
-        code = cli.main(["eval", "--dataset", "synth", "--seed", "2",
-                         "--window", "10", "--m", "2", "--checkpoint", ckpt])
-        assert code == 2
-        assert f"{ckpt}: checkpoint window 8 != configured 10" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_checkpoint_of_another_input_width_exits_2_naming_it(self, tmp_path, capsys,
                                                                  command):
@@ -1254,26 +1251,61 @@ class TestCli:
         assert f"{ckpt}: checkpoint takes 5 input variables, the data has 14" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["eval", "export"])
-    @pytest.mark.parametrize("flags,message", [
-        (["--variant", "oT"], "checkpoint has --variant full, the command line gives oT"),
-        (["--d", "64"], "checkpoint has --d 4, the command line gives 64"),
-        (["--layers", "3"], "checkpoint has --layers 1, the command line gives 3"),
-    ], ids=["variant", "d", "layers"])
-    def test_model_flags_that_contradict_the_checkpoint_exit_2(self, tmp_path, capsys,
-                                                              command, flags, message):
-        """A model flag given on the command line must describe the
-        checkpoint that is scored; flags that agree with it are accepted."""
+    @staticmethod
+    def save_w8_checkpoint(tmp_path):
+        """A full-variant checkpoint at w8 d4 N1 for synth's 14 variables."""
         ckpt = str(tmp_path / "model.ckpt")
         dm.save_checkpoint(ckpt, dm.make_variant(
             dm.ModelConfig(l=8, m_vars=14, d=4, n_layers=1), "full"))
-        base = [command, "--dataset", "synth", "--seed", "2", "--window", "8",
+        return ckpt
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    @pytest.mark.parametrize("flags,values,message", [
+        (["--variant", "oT"], {"variant": "oT"},
+         "checkpoint has --variant full, the command line gives oT"),
+        (["--d", "64"], {"d": 64}, "checkpoint has --d 4, the command line gives 64"),
+        (["--layers", "3"], {"n_layers": 3},
+         "checkpoint has --layers 1, the command line gives 3"),
+        (["--window", "10"], {"w": 10},
+         "checkpoint has --window 8, the command line gives 10"),
+    ], ids=["variant", "d", "layers", "window"])
+    def test_model_flags_that_contradict_the_checkpoint_exit_2(self, tmp_path, capsys,
+                                                              command, flags, values,
+                                                              message):
+        """A model setting, from a flag or from the config file, must describe
+        the checkpoint that is scored: one refusal names the checkpoint, the
+        flag and both values, and nothing is written. Settings that agree
+        with the checkpoint are accepted from either."""
+        ckpt = self.save_w8_checkpoint(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        base = [command, "--dataset", "synth", "--seed", "2",
                 "--checkpoint", ckpt, "--out", str(tmp_path / "out")]
-        assert cli.main(base + flags) == 2
-        assert f"{ckpt}: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        agreeing = ["--variant", "full", "--d", "4", "--layers", "1"]
+        for given in (flags, ["--config", str(cfg_path)]):
+            assert cli.main(base + given) == 2
+            assert f"{ckpt}: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        agreeing = ["--variant", "full", "--window", "8", "--d", "4", "--layers", "1"]
         assert cli.main(base + agreeing) == 0
+        cfg_path.write_text(json.dumps({"variant": "full", "w": 8, "d": 4, "n_layers": 1}))
+        assert cli.main(base + ["--config", str(cfg_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_an_unset_model_setting_takes_the_checkpoints(self, tmp_path, capsys, command):
+        """With no model flag and no config file, the w8 checkpoint is scored
+        as with --window 8 and the rest of its model repeated: the same
+        output, byte for byte."""
+        ckpt = self.save_w8_checkpoint(tmp_path)
+        base = [command, "--dataset", "synth", "--seed", "2",
+                "--checkpoint", ckpt, "--out", str(tmp_path / "out")]
+        written = tmp_path / "out" / ("eval.json" if command == "eval" else "features.csv")
+        outputs = []
+        for flags in ([], ["--window", "8"],
+                      ["--variant", "full", "--window", "8", "--d", "4", "--layers", "1"]):
+            assert cli.main(base + flags) == 0
+            outputs.append((capsys.readouterr(), written.read_bytes()))
+        assert outputs[0][0].out.startswith("rmse: " if command == "eval" else "wrote ")
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_ablate_prints_the_rows_it_writes(self, monkeypatch, tmp_path, capsys):
         """Six rows, one per variant, each with the rmse of ablation.csv."""
@@ -1471,6 +1503,23 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["eval"] + flags + ["--checkpoint", ckpt]) == 0
         assert f"rmse: {report.rmse:.6f}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [["--seed", "3"], ["--holdout"]],
+                             ids=["seed-3", "holdout"])
+    def test_eval_with_the_runs_config_scores_its_report(self, monkeypatch, tmp_path,
+                                                         capsys, extra):
+        """The checkpoint records the model, not the data: a run's own
+        config.json gives eval its dataset, seed, holdout and stride, and
+        eval then prints the rmse the run reported."""
+        shrink_synth(monkeypatch)
+        assert self.run_train(tmp_path, *extra) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        run_dir = os.path.dirname(report_path)
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", os.path.join(run_dir, "config.json"),
+                         "--checkpoint", os.path.join(run_dir, "model.ckpt")]) == 0
+        rmse = hx.RunReport.load(report_path).rmse
+        assert capsys.readouterr().out.startswith(f"rmse: {rmse:.6f}\n")
 
     def test_standard_run_takes_a_batch_below_m(self, monkeypatch, tmp_path, capsys):
         """Only fsgri reads the anchor batch, so --batch 4 trains in

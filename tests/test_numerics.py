@@ -367,14 +367,18 @@ class TestTape:
         assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
         assert grads["w"][0, 0] == (0.3 + 0.2) + 0.1
 
-    def test_a_rule_short_of_its_operands_raises(self):
+    @pytest.mark.parametrize("returned", [1, 3], ids=["fewer", "more"])
+    def test_a_rule_that_miscounts_its_operands_raises(self, returned):
         """record's contract is one contribution per operand; a rule that
-        returns fewer is refused instead of leaving an operand unswept."""
+        returns fewer or more is tape misuse, a GraphError naming the op and
+        both counts, not a refused input."""
         g = nx.Graph()
         a = g.parameter("a", np.ones((1, 1)))
         b = g.parameter("b", np.ones((1, 1)))
-        out = nx.record("short", a.data + b.data, (a, b), lambda adj: (adj,))
-        with pytest.raises(ValueError, match="shorter"):
+        out = nx.record("miscount", a.data + b.data, (a, b), lambda adj: (adj,) * returned)
+        with pytest.raises(nx.GraphError,
+                           match=f"^miscount rule returned {returned} contributions "
+                                 "for 2 operands$"):
             g.backward(out)
 
     def test_backward_returns_fresh_gradients_each_call(self):
