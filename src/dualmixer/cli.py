@@ -1,13 +1,13 @@
 """Command-line entry points.
 
-Subcommands: train, eval, ablate, grid, export, synth. Every run-shaped command
-resolves its configuration the same way: the defaults (for eval and export, the
-checkpoint's model, which nothing may contradict), then an optional JSON config
-file, then explicit flags. The run flags are made from RunConfig's fields, one
-each, and each flag's dest is the field it sets; that one RunConfig carries
-every setting of the run. Building it enforces the values each field declares
-(a choice field's flag offers its choices), and grid builds every cell's config
-before any cell trains, so a bad value exits 2 first.
+Subcommands: train, eval, ablate, grid, export, synth. train, ablate and grid
+resolve their config the same way: the defaults, then an optional JSON config
+file, then explicit flags, one per RunConfig field, whose dest is the field it
+sets. Building the config enforces the values each field declares, and grid
+builds every cell's config before any cell trains, so a bad value exits 2
+first. eval and export score a run: its recipe is the config.json beside the
+checkpoint, which must state the checkpoint's model, and only its data and
+output directories may be replaced, because files move.
 """
 
 from __future__ import annotations
@@ -54,6 +54,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                                 choices=field.metadata.get("choices"))
 
 
+def _add_checkpoint_flags(parser: argparse.ArgumentParser) -> None:
+    """--checkpoint, and the two paths that may replace its run config's."""
+    parser.add_argument("--checkpoint", required=True, help="a run's model.ckpt")
+    parser.add_argument("--data-dir", dest="data_dir")
+    parser.add_argument("--out", dest="out_dir")
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",")]
@@ -62,12 +69,12 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def resolve_config(args: argparse.Namespace, base=hx.RunConfig()) -> hx.RunConfig:
-    """The run's config: ``base`` (the defaults unless given), the --config
-    file's values over it, checked naming the file, then the flags given."""
-    cfg = base
+def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
+    """The run's config: the defaults, the --config file's values over them,
+    checked naming the file, then the flags given."""
+    cfg = hx.RunConfig()
     if args.config:
-        values = {**base.to_dict(), **dd.read_json_object(args.config, "config file")}
+        values = dd.read_json_object(args.config, "config file")
         cfg = dd.from_fields(hx.RunConfig, values, f"{args.config}: config file")
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
              if getattr(args, f.name) is not None}
@@ -75,17 +82,21 @@ def resolve_config(args: argparse.Namespace, base=hx.RunConfig()) -> hx.RunConfi
 
 
 def _load_checkpoint_and_data(args) -> tuple:
-    """The config resolved over the checkpoint's model, which no flag or
-    config file value may contradict; the model; and the data it reads."""
+    """The run's config, read from the config.json beside the checkpoint with
+    --data-dir and --out over its paths; the checkpoint, whose model that
+    config must state; and the data the run was scored on."""
     params = dm.load_checkpoint(args.checkpoint)
+    path = os.path.join(os.path.dirname(args.checkpoint), "config.json")
+    cfg = dd.from_fields(hx.RunConfig, dd.read_json_object(path, "run config"),
+                         f"{path}: run config")
+    moved = {k: vars(args)[k] for k in ("data_dir", "out_dir") if vars(args)[k] is not None}
+    cfg = dataclasses.replace(cfg, **moved)
     model = {"variant": params.variant, "w": params.config.l,
              "d": params.config.d, "n_layers": params.config.n_layers}
-    cfg = resolve_config(args, hx.RunConfig(**model))
     for name, have in model.items():
         if getattr(cfg, name) != have:
-            flag = _FLAG_NAMES.get(name, name)
-            raise ValueError(f"{args.checkpoint}: checkpoint has --{flag} {have}, "
-                             f"the command line gives {getattr(cfg, name)}")
+            raise ValueError(f"{path}: run config has {name} {getattr(cfg, name)}, "
+                             f"{args.checkpoint} has {have}")
     train, test = hx.load_dataset(cfg)
     width = train[0].values.shape[1]
     if params.config.m_vars != width:
@@ -175,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retrain even if this configuration already has a report")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint on the test split")
-    _add_run_flags(p)
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("eval", help="score a run's checkpoint on the split its run was "
+                                    "scored on (the held-out units under --holdout)")
+    _add_checkpoint_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train all six variants on one seed")
@@ -193,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("export", help="dump merged features and predictions to CSV")
-    _add_run_flags(p)
-    p.add_argument("--checkpoint", required=True)
+    _add_checkpoint_flags(p)
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.set_defaults(func=cmd_export)
 

@@ -193,8 +193,12 @@ class TestNormalization:
         np.testing.assert_array_equal(out, [[1.5], [-0.25]])
 
     def test_constant_variable_rejected(self):
+        """A variable with one value has no range to scale by, and no
+        arrays at all give no range."""
         with pytest.raises(ValueError, match=r"^constant variables at columns \[1\]$"):
             dd.fit_minmax([np.array([[0.0, 3.0], [1.0, 3.0]])])
+        with pytest.raises(ValueError, match="^fit_minmax: no data$"):
+            dd.fit_minmax([])
 
     def test_invert_recovers_raw_values(self):
         rng = np.random.default_rng(3)
@@ -227,8 +231,12 @@ class TestSlidingWindow:
             np.testing.assert_array_equal(a[2:], b[:-2])
 
     def test_short_series_rejected(self):
-        with pytest.raises(ValueError):
+        """A series shorter than the window, or a window or stride of 0."""
+        with pytest.raises(ValueError, match="^series of length 5 shorter than window 6$"):
             dd.sliding_window(np.zeros((5, 2)), 6, 1)
+        for w, sl in ((0, 1), (2, 0)):
+            with pytest.raises(ValueError, match="^window size and stride must be >= 1$"):
+                dd.sliding_window(np.zeros((5, 2)), w, sl)
 
 
 class TestLabels:

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -949,14 +950,17 @@ _RUN_FLAGS = {
     "--window": ("w", int, None, None),
     "--stride": ("sl", int, None, None),
 }
-_CHECKPOINT_FLAG = {"--checkpoint": ("checkpoint", None, None, None)}
+# eval and export read a run's recipe beside its checkpoint; only its paths move.
+_CHECKPOINT_FLAGS = {"--checkpoint": ("checkpoint", None, None, None),
+                     "--data-dir": ("data_dir", None, None, None),
+                     "--out": ("out_dir", None, None, None)}
 _CLI_SURFACE = {
     "train": {**_RUN_FLAGS, "--force": ("force", None, False, None)},
-    "eval": {**_RUN_FLAGS, **_CHECKPOINT_FLAG},
+    "eval": _CHECKPOINT_FLAGS,
     "ablate": _RUN_FLAGS,
     "grid": {**_RUN_FLAGS, "--n-list": ("n_list", cli._int_list, "2,4,6,8,10,12", None),
              "--d-list": ("d_list", cli._int_list, "16,32,64,128", None)},
-    "export": {**_RUN_FLAGS, **_CHECKPOINT_FLAG,
+    "export": {**_CHECKPOINT_FLAGS,
                "--split": ("split", None, "test", ("train", "test"))},
     "synth": {"--out": ("out_dir", None, None, None), "--tag": ("tag", None, "SY001", None),
               "--units": ("units", int, 20, None),
@@ -977,6 +981,17 @@ class TestCli:
                       for a in p._actions if a.dest != "help"}
                for name, p in subparsers.choices.items()}
         assert got == _CLI_SURFACE
+
+    def test_every_readme_command_parses(self):
+        """Each `dualmixer` line of README's sh blocks is one the parser
+        takes, and together they show every subcommand."""
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+            blocks = re.findall(r"^```sh\n(.*?)^```", f.read(), re.S | re.M)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("dualmixer ")]
+        for line in lines:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert {line.split()[1] for line in lines} == set(_CLI_SURFACE)
 
     @pytest.mark.parametrize("user", [None, "3"])
     def test_blas_threads_default_to_one_before_numpy_loads(self, user):
@@ -1206,8 +1221,7 @@ class TestCli:
         params.arrays["w_r"][0, 0] = np.nan
         ckpt = str(tmp_path / "model.ckpt")
         dm.save_checkpoint(ckpt, params)
-        assert cli.main([command, "--dataset", "synth", "--seed", "2", "--window", "8",
-                         "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 2
+        assert cli.main([command, "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert f"{ckpt}: non-finite values in array w_r" in captured.err
         assert "rmse" not in captured.out
@@ -1226,9 +1240,7 @@ class TestCli:
         shrink_synth(monkeypatch)
         self.run_train(tmp_path)
         ckpt = glob.glob(str(tmp_path / "runs" / "*" / "model.ckpt"))[0]
-        base = ["--dataset", "synth", "--seed", "2", "--window", "8",
-                "--stride", "2", "--m", "2", "--checkpoint", ckpt,
-                "--out", str(tmp_path / "out")]
+        base = ["--checkpoint", ckpt, "--out", str(tmp_path / "out")]
         assert cli.main(["eval"] + base) == 0
         out = capsys.readouterr().out
         assert "rmse:" in out and "eval.json" in out
@@ -1242,70 +1254,56 @@ class TestCli:
                                                                  command):
         """A 5-variable checkpoint does not fit synth's 14 variables: the
         error names the file and both counts, and nothing is written."""
-        ckpt = str(tmp_path / "model.ckpt")
-        dm.save_checkpoint(ckpt, dm.make_variant(
-            dm.ModelConfig(l=8, m_vars=5, d=4, n_layers=1), "full"))
-        assert cli.main([command, "--dataset", "synth", "--seed", "2", "--window", "8",
-                         "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 2
+        ckpt = self.save_w8_checkpoint(tmp_path, m_vars=5)
+        assert cli.main([command, "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"{ckpt}: checkpoint takes 5 input variables, the data has 14" in err
         assert not (tmp_path / "out").exists()
 
     @staticmethod
-    def save_w8_checkpoint(tmp_path):
-        """A full-variant checkpoint at w8 d4 N1 for synth's 14 variables."""
+    def save_w8_checkpoint(tmp_path, m_vars=14, **run):
+        """A full-variant checkpoint at w8 d4 N1, for synth's 14 variables
+        unless ``m_vars`` says otherwise, and beside it the config.json of a
+        synth seed-2 run of that model, with ``run``'s fields over it."""
         ckpt = str(tmp_path / "model.ckpt")
         dm.save_checkpoint(ckpt, dm.make_variant(
-            dm.ModelConfig(l=8, m_vars=14, d=4, n_layers=1), "full"))
+            dm.ModelConfig(l=8, m_vars=m_vars, d=4, n_layers=1), "full"))
+        cfg = replace(hx.RunConfig(seed=2, w=8, d=4, n_layers=1), **run)
+        (tmp_path / "config.json").write_text(json.dumps(cfg.to_dict()))
         return ckpt
 
     @pytest.mark.parametrize("command", ["eval", "export"])
-    @pytest.mark.parametrize("flags,values,message", [
-        (["--variant", "oT"], {"variant": "oT"},
-         "checkpoint has --variant full, the command line gives oT"),
-        (["--d", "64"], {"d": 64}, "checkpoint has --d 4, the command line gives 64"),
-        (["--layers", "3"], {"n_layers": 3},
-         "checkpoint has --layers 1, the command line gives 3"),
-        (["--window", "10"], {"w": 10},
-         "checkpoint has --window 8, the command line gives 10"),
+    @pytest.mark.parametrize("run,message", [
+        ({"variant": "oT"}, "run config has variant oT, {ckpt} has full"),
+        ({"d": 64}, "run config has d 64, {ckpt} has 4"),
+        ({"n_layers": 3}, "run config has n_layers 3, {ckpt} has 1"),
+        ({"w": 10}, "run config has w 10, {ckpt} has 8"),
     ], ids=["variant", "d", "layers", "window"])
     def test_model_flags_that_contradict_the_checkpoint_exit_2(self, tmp_path, capsys,
-                                                              command, flags, values,
-                                                              message):
-        """A model setting, from a flag or from the config file, must describe
-        the checkpoint that is scored: one refusal names the checkpoint, the
-        flag and both values, and nothing is written. Settings that agree
-        with the checkpoint are accepted from either."""
-        ckpt = self.save_w8_checkpoint(tmp_path)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(values))
-        base = [command, "--dataset", "synth", "--seed", "2",
-                "--checkpoint", ckpt, "--out", str(tmp_path / "out")]
-        for given in (flags, ["--config", str(cfg_path)]):
-            assert cli.main(base + given) == 2
-            assert f"{ckpt}: {message}" in capsys.readouterr().err
-            assert not (tmp_path / "out").exists()
-        agreeing = ["--variant", "full", "--window", "8", "--d", "4", "--layers", "1"]
-        assert cli.main(base + agreeing) == 0
-        cfg_path.write_text(json.dumps({"variant": "full", "w": 8, "d": 4, "n_layers": 1}))
-        assert cli.main(base + ["--config", str(cfg_path)]) == 0
+                                                              command, run, message):
+        """The run config beside a checkpoint must state the checkpoint's
+        model: one refusal names both files and both values, and nothing is
+        written. A config that agrees is scored."""
+        ckpt = self.save_w8_checkpoint(tmp_path, **run)
+        argv = [command, "--checkpoint", ckpt, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'config.json'}: {message.format(ckpt=ckpt)}" in err
+        assert not (tmp_path / "out").exists()
+        self.save_w8_checkpoint(tmp_path)
+        assert cli.main(argv) == 0
 
     @pytest.mark.parametrize("command", ["eval", "export"])
-    def test_an_unset_model_setting_takes_the_checkpoints(self, tmp_path, capsys, command):
-        """With no model flag and no config file, the w8 checkpoint is scored
-        as with --window 8 and the rest of its model repeated: the same
-        output, byte for byte."""
+    def test_checkpoint_without_its_run_config_exits_2_naming_it(self, tmp_path, capsys,
+                                                                command):
+        """No config.json beside the checkpoint: no record says which data
+        the model was scored on, so the missing file is named and nothing
+        is written."""
         ckpt = self.save_w8_checkpoint(tmp_path)
-        base = [command, "--dataset", "synth", "--seed", "2",
-                "--checkpoint", ckpt, "--out", str(tmp_path / "out")]
-        written = tmp_path / "out" / ("eval.json" if command == "eval" else "features.csv")
-        outputs = []
-        for flags in ([], ["--window", "8"],
-                      ["--variant", "full", "--window", "8", "--d", "4", "--layers", "1"]):
-            assert cli.main(base + flags) == 0
-            outputs.append((capsys.readouterr(), written.read_bytes()))
-        assert outputs[0][0].out.startswith("rmse: " if command == "eval" else "wrote ")
-        assert outputs[0] == outputs[1] == outputs[2]
+        (tmp_path / "config.json").unlink()
+        assert cli.main([command, "--checkpoint", ckpt, "--out", str(tmp_path / "out")]) == 2
+        assert str(tmp_path / "config.json") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_ablate_prints_the_rows_it_writes(self, monkeypatch, tmp_path, capsys):
         """Six rows, one per variant, each with the rmse of ablation.csv."""
@@ -1337,8 +1335,7 @@ class TestCli:
         dm.save_checkpoint(str(ckpt), dm.make_variant(
             dm.ModelConfig(l=8, m_vars=14, d=4, n_layers=1), "full"))
         ckpt.write_bytes(ckpt.read_bytes()[:10])
-        code = cli.main(["eval", "--dataset", "synth", "--seed", "2", "--window", "8",
-                         "--checkpoint", str(ckpt)])
+        code = cli.main(["eval", "--checkpoint", str(ckpt)])
         assert code == 2
         assert "truncated" in capsys.readouterr().err
 
@@ -1467,7 +1464,9 @@ class TestCli:
     def test_fd001_run_scores_its_test_split(self, tmp_path, capsys, mode):
         """A run on fd001-format files scores the saved checkpoint on the
         test set built from the three files, one unit of which is shorter
-        than the window and so padded; eval prints the same rmse."""
+        than the window and so padded; eval prints the same rmse. Once the
+        data directory moves, eval names the file it cannot find, and with
+        --data-dir at the new place eval and export score the run again."""
         data = tmp_path / "data"
         data.mkdir()
         spec = sx.SynthSpec(n_units=5, test_units=3, cycles=(20, 30), n_vars=21, seed=5)
@@ -1501,25 +1500,43 @@ class TestCli:
         assert report.mape is not None
         assert (report.rmse, report.mape) == hx.compute_metrics(labels, preds)
         capsys.readouterr()
-        assert cli.main(["eval"] + flags + ["--checkpoint", ckpt]) == 0
+        assert cli.main(["eval", "--checkpoint", ckpt]) == 0
         assert f"rmse: {report.rmse:.6f}\n" in capsys.readouterr().out
+        moved = tmp_path / "moved"
+        data.rename(moved)
+        assert cli.main(["eval", "--checkpoint", ckpt]) == 2
+        assert str(data / "train_FD001.txt") in capsys.readouterr().err
+        assert cli.main(["eval", "--checkpoint", ckpt, "--data-dir", str(moved)]) == 0
+        assert f"rmse: {report.rmse:.6f}\n" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert cli.main(["export", "--checkpoint", ckpt, "--data-dir", str(moved),
+                         "--out", str(out)]) == 0
+        with open(out / "features.csv") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [float(row[3]) for row in rows] == preds.tolist()
 
     @pytest.mark.parametrize("extra", [["--seed", "3"], ["--holdout"]],
                              ids=["seed-3", "holdout"])
     def test_eval_with_the_runs_config_scores_its_report(self, monkeypatch, tmp_path,
                                                          capsys, extra):
-        """The checkpoint records the model, not the data: a run's own
-        config.json gives eval its dataset, seed, holdout and stride, and
-        eval then prints the rmse the run reported."""
+        """The checkpoint records the model, not the data: the config.json
+        beside it gives eval the run's dataset, seed, holdout and stride, so
+        eval prints the rmse the run reported, and takes no flag that would
+        score the model on other units."""
         shrink_synth(monkeypatch)
         assert self.run_train(tmp_path, *extra) == 0
         report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
-        run_dir = os.path.dirname(report_path)
+        ckpt = os.path.join(os.path.dirname(report_path), "model.ckpt")
         capsys.readouterr()
-        assert cli.main(["eval", "--config", os.path.join(run_dir, "config.json"),
-                         "--checkpoint", os.path.join(run_dir, "model.ckpt")]) == 0
+        assert cli.main(["eval", "--checkpoint", ckpt]) == 0
         rmse = hx.RunReport.load(report_path).rmse
         assert capsys.readouterr().out.startswith(f"rmse: {rmse:.6f}\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["eval", "--checkpoint", ckpt, "--seed", "3", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_standard_run_takes_a_batch_below_m(self, monkeypatch, tmp_path, capsys):
         """Only fsgri reads the anchor batch, so --batch 4 trains in

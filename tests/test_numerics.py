@@ -22,11 +22,13 @@ def taped_loss(build):
 class TestTensorBasics:
 
     def test_rejects_non_2d(self):
-        """Tensors are strictly rank-2."""
+        """Tensors, parameters included, are strictly rank-2."""
         with pytest.raises(ValueError, match=r"tensors are 2-D, got shape \(3,\)"):
             nx.Tensor(np.zeros(3))
         with pytest.raises(ValueError, match=r"tensors are 2-D, got shape \(2, 2, 2\)"):
             nx.Tensor(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match=r"parameter 'w' must be 2-D, got \(3,\)"):
+            nx.Graph().parameter("w", np.zeros(3))
 
     def test_item_requires_scalar(self):
         assert nx.Tensor([[4.0]]).item() == 4.0
