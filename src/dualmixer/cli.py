@@ -3,11 +3,12 @@
 Subcommands: train, eval, ablate, grid, export, synth. train, ablate and grid
 resolve their config the same way: the defaults, then an optional JSON config
 file, then explicit flags, one per RunConfig field, whose dest is the field it
-sets. Building the config enforces the values each field declares, and grid
-builds every cell's config before any cell trains, so a bad value exits 2
-first. eval and export score a run: its recipe is the config.json beside the
-checkpoint, which must state the checkpoint's model, and only its data and
-output directories may be replaced, because files move.
+sets; the data and output directories are then made absolute. Building the
+config enforces the values each field declares, and grid builds every
+cell's config before any cell trains, so a bad value exits 2 first. eval and
+export score a run: its recipe is the config.json beside the checkpoint,
+which must state the checkpoint's model, and only its data and output
+directories may be replaced, because files move.
 """
 
 from __future__ import annotations
@@ -71,14 +72,18 @@ def _int_list(text: str) -> list[int]:
 
 def resolve_config(args: argparse.Namespace) -> hx.RunConfig:
     """The run's config: the defaults, the --config file's values over them,
-    checked naming the file, then the flags given."""
+    checked naming the file, then the flags given; its data and output
+    directories made absolute, so the run's config.json holds paths that
+    eval and export can follow from any directory."""
     cfg = hx.RunConfig()
     if args.config:
         values = dd.read_json_object(args.config, "config file")
         cfg = dd.from_fields(hx.RunConfig, values, f"{args.config}: config file")
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
              if getattr(args, f.name) is not None}
-    return dataclasses.replace(cfg, **given)
+    cfg = dataclasses.replace(cfg, **given)
+    return dataclasses.replace(cfg, data_dir=os.path.abspath(cfg.data_dir),
+                               out_dir=os.path.abspath(cfg.out_dir))
 
 
 def _load_checkpoint_and_data(args) -> tuple:

@@ -1,12 +1,13 @@
 """Run orchestration: dataset loading, the one training loop of both modes,
 evaluation, ablation and grid runners, and feature export.
 
-A run is fully described by a RunConfig, which checks itself when built;
-its SHA-derived hash names the run directory, ties reports to
-configurations, and lets interrupted sweeps resume by skipping cells whose
-reports already exist. Every artifact is written atomically, training stops
-with a ValueError on a non-finite loss or gradient, and reruns of the same
-(config, seed) reproduce metrics exactly.
+A run is fully described by a RunConfig, which checks itself when built.
+The SHA-derived hash of its recipe, the settings the run reads but not
+where its files are, names the run directory in any output tree, ties
+reports to recipes, and lets interrupted sweeps resume by skipping cells
+whose reports already exist. Every artifact is written atomically, training
+stops with a ValueError on a non-finite loss or gradient, and reruns of the
+same (config, seed) reproduce metrics exactly.
 """
 
 from __future__ import annotations
@@ -71,28 +72,34 @@ class RunConfig:
     the anchor-batch rule, each raising a ValueError naming the first bad
     field; an int given for a float field is stored as a float, so
     RunConfig(lr=1) names the --lr 1 run.
+
+    Each field's metadata also gives its role in the run name: a "recipe"
+    field always enters it, an "fsgri" field only in fsgri mode, the only
+    mode that reads it, and a "location" (data_dir, out_dir), which says
+    where files are, never. to_dict, and so config.json and report.json,
+    keep every field.
     """
 
-    dataset: str = field(default="synth", metadata={"choices": DATASETS})
-    data_dir: str = "data/CMAPSS"
-    mode: str = field(default="standard", metadata={"choices": MODES})
-    variant: str = field(default="full", metadata={"choices": dm.VARIANTS})
-    seed: int = field(default=1, metadata={"min": 0})
-    out_dir: str = "runs"
-    b: int = field(default=128, metadata={"min": 1})
-    lr: float = field(default=1e-2, metadata={"above": 0})
-    w: int = field(default=30, metadata={"min": 1})
-    sl: int = field(default=1, metadata={"min": 1})
-    epochs: int = field(default=100, metadata={"min": 1})
-    n_layers: int = field(default=6, metadata={"min": 1})
-    d: int = field(default=32, metadata={"min": 1})
-    m: int = field(default=5, metadata={"min": 1})
-    beta: float = 0.4
-    sigma1: float = field(default=0.3, metadata={"above": 0})
-    sigma2: float = field(default=0.15, metadata={"min": 0})
-    lam: float = field(default=2.0, metadata={"above": 0})
-    tau: float = field(default=0.1, metadata={"above": 0})
-    holdout: bool = False
+    dataset: str = field(default="synth", metadata={"choices": DATASETS, "role": "recipe"})
+    data_dir: str = field(default="data/CMAPSS", metadata={"role": "location"})
+    mode: str = field(default="standard", metadata={"choices": MODES, "role": "recipe"})
+    variant: str = field(default="full", metadata={"choices": dm.VARIANTS, "role": "recipe"})
+    seed: int = field(default=1, metadata={"min": 0, "role": "recipe"})
+    out_dir: str = field(default="runs", metadata={"role": "location"})
+    b: int = field(default=128, metadata={"min": 1, "role": "recipe"})
+    lr: float = field(default=1e-2, metadata={"above": 0, "role": "recipe"})
+    w: int = field(default=30, metadata={"min": 1, "role": "recipe"})
+    sl: int = field(default=1, metadata={"min": 1, "role": "recipe"})
+    epochs: int = field(default=100, metadata={"min": 1, "role": "recipe"})
+    n_layers: int = field(default=6, metadata={"min": 1, "role": "recipe"})
+    d: int = field(default=32, metadata={"min": 1, "role": "recipe"})
+    m: int = field(default=5, metadata={"min": 1, "role": "fsgri"})
+    beta: float = field(default=0.4, metadata={"role": "fsgri"})
+    sigma1: float = field(default=0.3, metadata={"above": 0, "role": "fsgri"})
+    sigma2: float = field(default=0.15, metadata={"min": 0, "role": "fsgri"})
+    lam: float = field(default=2.0, metadata={"above": 0, "role": "fsgri"})
+    tau: float = field(default=0.1, metadata={"above": 0, "role": "fsgri"})
+    holdout: bool = field(default=False, metadata={"role": "recipe"})
 
     def __post_init__(self) -> None:
         dd.check_fields(self)
@@ -115,8 +122,14 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def recipe(self) -> dict:
+        """The fields that name the run: those whose role is "recipe" or
+        this config's mode, which alone reads them."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.metadata["role"] in ("recipe", self.mode)}
+
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+        blob = json.dumps(self.recipe(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def run_name(self) -> str:
@@ -378,17 +391,23 @@ def train_standard(params: dm.DualMixerParams, samples: Sequence[WindowSample],
 def run_one(cfg: RunConfig, resume: bool = True) -> RunReport:
     """Train, evaluate, and persist one run under its hash-named directory.
 
-    With resume=True an existing report for this exact configuration is
-    returned untouched, which is what lets sweeps skip finished cells; a
-    report there of another configuration raises ValueError.
+    With resume=True an existing report of this recipe is returned
+    untouched, whichever output tree it was written in, which is what lets
+    sweeps skip finished cells. A report there of another recipe raises
+    ValueError, and so does one of a file dataset read from another data
+    directory.
     """
     run_dir = os.path.join(cfg.out_dir, cfg.run_name())
     report_path = os.path.join(run_dir, "report.json")
     if resume and os.path.isfile(report_path):
         report = RunReport.load(report_path)
-        if report.config != cfg.to_dict():
-            raise ValueError(f"{report_path}: report is of config {report.config_hash}, "
+        stored = dd.from_fields(RunConfig, report.config, f"{report_path}: report config")
+        if stored.recipe() != cfg.recipe():
+            raise ValueError(f"{report_path}: report is of config {stored.config_hash()}, "
                              f"not {cfg.config_hash()}; rerun with --force to retrain")
+        if cfg.dataset != "synth" and stored.data_dir != cfg.data_dir:
+            raise ValueError(f"{report_path}: report is of data in {stored.data_dir}, not "
+                             f"{cfg.data_dir}; rerun with --force to retrain")
         logger.info("reusing finished run %s", run_dir)
         return report
     started = time.perf_counter()

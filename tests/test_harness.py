@@ -66,6 +66,16 @@ DECLARED_RULES = {
                    "gamma": {"above": 0}, "noise_std": {"min": 0}, "seed": {"min": 0}},
 }
 
+# The RunConfig fields that never enter the run name, those that enter it
+# only in fsgri mode, and for every field a valid value other than its default.
+LOCATIONS = ("data_dir", "out_dir")
+FSGRI_ONLY = ("m", "beta", "sigma1", "sigma2", "lam", "tau")
+OTHER_VALUES = {
+    "dataset": "fd001", "data_dir": "/elsewhere", "variant": "oT", "seed": 2,
+    "out_dir": "/elsewhere/runs", "b": 64, "lr": 0.5, "w": 20, "sl": 2, "epochs": 3,
+    "n_layers": 2, "d": 8, "m": 3, "beta": 0.2, "sigma1": 0.5, "sigma2": 0.0, "lam": 1.0,
+    "tau": 0.2, "holdout": True}
+
 
 class TestRunConfig:
     def test_defaults_match_reference_recipe(self):
@@ -90,8 +100,35 @@ class TestRunConfig:
     def test_default_recipes_hashes_are_pinned(self):
         """A field edit that changes these would orphan every existing run
         directory, since resume finds a run by its hash."""
-        assert hx.RunConfig().config_hash() == "8663ce4bd55a"
-        assert hx.RunConfig(mode="fsgri").config_hash() == "6d5620371eda"
+        assert hx.RunConfig().config_hash() == "f8ffec39825c"
+        assert hx.RunConfig(mode="fsgri").config_hash() == "aadcea816227"
+
+    @pytest.mark.parametrize("mode", hx.MODES)
+    def test_each_field_names_the_run_by_its_role(self, mode):
+        """Every field is in the recipe, a location or fsgri-only, the
+        locations and the fsgri-only fields are exactly these, and a field
+        renames the run just when it is in the mode's recipe. A field added
+        without a role, or without a row in OTHER_VALUES, fails here."""
+        base = hx.RunConfig(mode=mode)
+        roles = {f.name: f.metadata.get("role") for f in dataclasses.fields(base)}
+        assert set(roles.values()) == {"recipe", "location", "fsgri"}
+        assert {n for n, r in roles.items() if r == "location"} == set(LOCATIONS)
+        assert {n for n, r in roles.items() if r == "fsgri"} == set(FSGRI_ONLY)
+        unread = set(LOCATIONS) | (set() if mode == "fsgri" else set(FSGRI_ONLY))
+        assert set(base.recipe()) == set(roles) - unread
+        other = {**OTHER_VALUES, "mode": "standard" if mode == "fsgri" else "fsgri"}
+        renaming = {n for n in roles
+                    if replace(base, **{n: other[n]}).run_name() != base.run_name()}
+        assert renaming == set(roles) - unread
+
+    @pytest.mark.parametrize("name", FSGRI_ONLY)
+    def test_fsgri_only_fields_name_only_fsgri_runs(self, name):
+        """A standard run reads none of the six FSGRI knobs, so changing
+        one keeps the default run's name; in fsgri mode it renames the run."""
+        for mode, same in (("standard", True), ("fsgri", False)):
+            base = hx.RunConfig(mode=mode)
+            changed = replace(base, **{name: OTHER_VALUES[name]})
+            assert (changed.run_name() == base.run_name()) is same
 
     @pytest.mark.parametrize("field,value", [
         ("dataset", "fd009"), ("mode", "both"), ("variant", "oX"),
@@ -143,9 +180,11 @@ class TestRunConfig:
 
     def test_declared_rules_are_pinned(self):
         """Exactly these fields declare a rule, and each declares this one,
-        so a rule added, dropped or changed fails here."""
-        declared = {cls: {f.name: dict(f.metadata) for f in dataclasses.fields(cls)
-                          if f.metadata} for cls in DECLARED_RULES}
+        so a rule added, dropped or changed fails here. The run-name role
+        beside the rules is pinned by test_each_field_names_the_run_by_its_role."""
+        declared = {cls: {f.name: rules for f in dataclasses.fields(cls)
+                          if (rules := {k: v for k, v in f.metadata.items() if k != "role"})}
+                    for cls in DECLARED_RULES}
         assert declared == DECLARED_RULES
 
     @pytest.mark.parametrize("cls,name,rule", [
@@ -196,7 +235,7 @@ class TestRunConfig:
         # and so does an int given in Python, to the constructor or to replace
         for built in (hx.RunConfig(lr=1), replace(hx.RunConfig(), lr=1)):
             assert isinstance(built.lr, float)
-            assert built.config_hash() == from_flag.config_hash() == "ed3e031c7140"
+            assert built.config_hash() == from_flag.config_hash() == "b6b057645b62"
 
     def test_fsgri_config_carries_fields(self):
         fc = hx.RunConfig(m=3, b=40, tau=0.25).fsgri_config()
@@ -1165,6 +1204,112 @@ class TestCli:
         assert "rmse:" not in out.out
         assert self.run_train(tmp_path, "--force") == 0
         assert hx.RunReport.load(report_path).seed == 2
+
+    def test_standard_grid_reuses_its_cell_under_another_tau(self, monkeypatch, tmp_path):
+        """A standard run reads no FSGRI knob, so the grid rerun with --tau
+        0.2 finds the cell the grid without it trained and reuses it: no
+        retraining, and the report's bytes are unchanged."""
+        shrink_synth(monkeypatch)
+        grid = ["grid", "--n-list", "1", "--d-list", "4"] + self.tiny_flags(tmp_path)
+        assert cli.main(grid) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        with open(report_path, "rb") as f:
+            before = f.read()
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("retrained"))
+        assert cli.main(grid + ["--tau", "0.2"]) == 0
+        assert glob.glob(str(tmp_path / "runs" / "*" / "report.json")) == [report_path]
+        with open(report_path, "rb") as f:
+            assert f.read() == before
+
+    def test_a_run_copied_into_another_out_tree_is_reused_there(self, monkeypatch, tmp_path,
+                                                              capsys):
+        """The output tree is no part of the run name: a run trained into
+        P/runs and copied to C/runs is found by --out C/runs under the same
+        name and reused, not retrained, with its report's bytes unchanged."""
+        shrink_synth(monkeypatch)
+        train = ["train"] + self.tiny_flags(tmp_path)[:-2]  # without --out
+        first, second = tmp_path / "P" / "runs", tmp_path / "C" / "runs"
+        assert cli.main(train + ["--out", str(first)]) == 0
+        run_dir, = os.listdir(first)
+        shutil.copytree(first / run_dir, second / run_dir)
+        with open(second / run_dir / "report.json", "rb") as f:
+            before = f.read()
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("retrained"))
+        capsys.readouterr()
+        assert cli.main(train + ["--out", str(second)]) == 0
+        assert f"run dir: {second / run_dir}\n" in capsys.readouterr().out
+        assert os.listdir(second) == [run_dir]
+        with open(second / run_dir / "report.json", "rb") as f:
+            assert f.read() == before
+
+    @staticmethod
+    def emit_fd001(data):
+        assert cli.main(["synth", "--out", str(data), "--tag", "FD001", "--units", "4",
+                         "--test-units", "2", "--cycles", "20", "30"]) == 0
+
+    FD001_FLAGS = ["--dataset", "fd001", "--window", "8", "--epochs", "1", "--d", "4",
+                   "--layers", "1", "--batch", "16"]
+
+    def test_eval_from_another_directory_scores_the_run(self, monkeypatch, tmp_path,
+                                                        capsys):
+        """train resolves a relative --data-dir and --out, so its config.json
+        holds absolute paths and eval, run from the parent directory with
+        only --checkpoint, finds the data and prints the run's rmse."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        self.emit_fd001("d")
+        assert cli.main(["train", "--data-dir", "d", "--out", "r"] + self.FD001_FLAGS) == 0
+        report_path, = glob.glob(os.path.join("r", "*", "report.json"))
+        report = hx.RunReport.load(report_path)
+        assert (report.config["data_dir"], report.config["out_dir"]) == \
+            (os.path.join(os.getcwd(), "d"), os.path.join(os.getcwd(), "r"))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        ckpt = os.path.join("work", os.path.dirname(report_path), "model.ckpt")
+        assert cli.main(["eval", "--checkpoint", ckpt]) == 0
+        assert capsys.readouterr().out.startswith(f"rmse: {report.rmse:.6f}\n")
+
+    def test_a_file_datasets_report_is_not_reused_from_other_data(self, monkeypatch,
+                                                                   tmp_path, capsys):
+        """The data directory is no part of the run name, so a run on a
+        second copy of the files finds the first one's report: resume
+        refuses it, naming the report and both directories, and --force
+        retrains on the second. Another spelling of one directory is reused."""
+        first, second = tmp_path / "d1", tmp_path / "d2"
+        self.emit_fd001(first)
+        shutil.copytree(first, second)
+        train = ["train", "--out", str(tmp_path / "runs")] + self.FD001_FLAGS
+        assert cli.main(train + ["--data-dir", str(first)]) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        capsys.readouterr()
+        assert cli.main(train + ["--data-dir", str(second)]) == 2
+        out = capsys.readouterr()
+        assert (f"{report_path}: report is of data in {first}, not {second}; "
+                "rerun with --force to retrain") in out.err
+        assert "rmse:" not in out.out
+        assert hx.RunReport.load(report_path).config["data_dir"] == str(first)
+        assert cli.main(train + ["--data-dir", str(second), "--force"]) == 0
+        assert hx.RunReport.load(report_path).config["data_dir"] == str(second)
+        with open(report_path, "rb") as f:
+            before = f.read()
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("retrained"))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(train + ["--data-dir", os.path.join("d1", "..", "d2", "")]) == 0
+        with open(report_path, "rb") as f:
+            assert f.read() == before
+
+    def test_a_synth_report_is_reused_under_any_data_dir(self, monkeypatch, tmp_path):
+        """synth reads no files, so its data directory is never compared."""
+        shrink_synth(monkeypatch)
+        assert self.run_train(tmp_path, "--data-dir", str(tmp_path / "a")) == 0
+        report_path, = glob.glob(str(tmp_path / "runs" / "*" / "report.json"))
+        with open(report_path, "rb") as f:
+            before = f.read()
+        monkeypatch.setattr(hx, "load_dataset", lambda cfg: pytest.fail("retrained"))
+        assert self.run_train(tmp_path, "--data-dir", str(tmp_path / "b")) == 0
+        with open(report_path, "rb") as f:
+            assert f.read() == before
 
     @pytest.mark.parametrize("extra", [[], ["--holdout"]])
     def test_negative_seed_exits_2_before_loading_data(self, monkeypatch, tmp_path,
